@@ -10,43 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .errors import (
-    CanonicalizationCycle,
-    NegabetaError,
-    OrbitUnresolved,
-    PrecisionExhausted,
-    PrefixTooShort,
-    SolveError,
-    SpecError,
-)
-from .expansion import DEFAULT_BUDGET, EvPeriodic, expand, orbit_of_one, pi_of_one
-from .numerics import FieldPoint, format_rational, make_beta, point_decimal_str
+from .errors import NegabetaError, OrbitUnresolved, PrecisionExhausted
+from .expansion import DEFAULT_BUDGET, EvPeriodic, expand, orbit_of_one
+from .numerics import _parse_rational, make_beta, point_json
 from .order import is_valid_expansion_of_one, limit_word_prefix
 from .matching import matching_time
 from .measure import densities_coincide, density
 from .shiftspace import build_sft, entropy_estimate
 from . import solver
-
-
-def _point_json(x, digits: int) -> dict:
-    out = {"decimal": point_decimal_str(x, digits)}
-    if isinstance(x, FieldPoint):
-        out["coeffs"] = [format_rational(c) for c in x.coeffs]
-    else:
-        out["exact"] = format_rational(Fraction(x))
-    return out
-
-
-def _parse_x(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(text)
 
 
 def _emit(obj) -> None:
@@ -55,7 +32,7 @@ def _emit(obj) -> None:
 
 def _cmd_expand(args) -> int:
     beta = make_beta(args.beta, args.precision)
-    digits = expand(beta, _parse_x(args.x), args.n)
+    digits = expand(beta, _parse_rational(args.x), args.n)
     _emit({"digits": list(digits)})
     return 0
 
@@ -68,7 +45,7 @@ def _cmd_orbit(args) -> int:
         "pre_len": rec.pre_len,
         "period_len": rec.period_len,
         "digits": list(rec.digits),
-        "points": [_point_json(p, args.digits) for p in rec.points],
+        "points": [point_json(p, args.digits) for p in rec.points],
         "budget_used": rec.budget,
     })
     return 0
@@ -78,9 +55,9 @@ def _cmd_density(args) -> int:
     beta = make_beta(args.beta, args.precision)
     d = density(beta, args.budget)
     _emit({
-        "breakpoints": [_point_json(b, args.digits) for b in d.breakpoints],
-        "values": [_point_json(v, args.digits) for v in d.values],
-        "K": _point_json(d.K, args.digits),
+        "breakpoints": [point_json(b, args.digits) for b in d.breakpoints],
+        "values": [point_json(v, args.digits) for v in d.values],
+        "K": point_json(d.K, args.digits),
         "normalized": False,
         "indicator": "geq",
     })
@@ -130,38 +107,17 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _approx_worker(payload):
-    beta_spec, cand, tag, side, digits, precision = payload
-    beta = make_beta(beta_spec, precision)
-    result = solver.solve_candidate(beta, EvPeriodic.parse(cand), tag, side)
-    return result.to_json(digits)
-
-
 def _cmd_approx(args) -> int:
     beta = make_beta(args.beta, args.precision)
     if args.jobs <= 1:
-        rows = [r.to_json(args.digits)
-                for r in solver.approximate_simple_numbers(beta, args.count, args.prefix)]
-        _emit(rows)
-        return 0
-    pi = pi_of_one(beta)
-    if pi.resolved and pi.is_simple:
-        rows = [r.to_json(args.digits)
-                for r in solver.approximate_simple_numbers(beta, args.count, args.prefix)]
-        _emit(rows)
-        return 0
-    if pi.resolved:
-        plan = solver.periodic_approximants(pi.sequence, args.count)
+        results = solver.approximate_simple_numbers(beta, args.count, args.prefix, args.budget)
     else:
-        plan = solver.periodic_approximants(None, args.count,
-                                            prefix=expand(beta, 1, args.prefix))
-    payloads = [
-        (beta.spec_string(), str(c), tag, side, args.digits, args.precision)
-        for c, tag, side in zip(plan.candidates, plan.case_tags, plan.sides)
-    ]
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(_approx_worker, payloads))
-    _emit(rows)
+        # spawned workers import the library afresh and get the base by pickle
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
+            results = solver.approximate_simple_numbers(
+                beta, args.count, args.prefix, args.budget, map=pool.map)
+    _emit([r.to_json(args.digits) for r in results])
     return 0
 
 
@@ -270,9 +226,6 @@ def run(argv) -> int:
     except (OrbitUnresolved, PrecisionExhausted) as exc:
         print(f"unresolved: {exc}", file=sys.stderr)
         return 3
-    except (SpecError, PrefixTooShort, SolveError, CanonicalizationCycle) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NegabetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import SpecError
-from .numerics import Beta, FieldPoint, as_point, floor_beta_times, point_inverse
+from .numerics import (
+    Beta,
+    as_point,
+    floor_point,
+    point_compare,
+    point_interval,
+    point_inverse,
+    point_sign,
+    times_beta,
+)
 
 DigitWord = tuple[int, ...]
 
@@ -139,23 +148,17 @@ class OrbitRecord:
 
 def step(beta: Beta, x):
     """One application of the map: returns (digit, next point)."""
-    d = floor_beta_times(beta, x) + 1
-    if isinstance(x, FieldPoint):
-        nxt = d - x.times_beta()
-    else:
-        nxt = d - beta.value * Fraction(x)
-    return d, nxt
+    y = times_beta(beta, x)
+    d = floor_point(beta, y) + 1
+    return d, d - y
 
 
 def expand(beta: Beta, x, n: int) -> DigitWord:
     """First n digits of the expansion of x in base -beta, for x in (0, 1]."""
     if n < 0:
         raise SpecError("digit count must be nonnegative")
-    x = as_point(beta, x) if not isinstance(x, FieldPoint) else x
-    if isinstance(x, FieldPoint):
-        if x.sign() <= 0 or x.compare(1) > 0:
-            raise SpecError("expansion is defined on (0, 1]")
-    elif not 0 < x <= 1:
+    x = as_point(beta, x)
+    if point_sign(x) <= 0 or point_compare(x, 1) > 0:
         raise SpecError("expansion is defined on (0, 1]")
     out = []
     for _ in range(n):
@@ -165,12 +168,9 @@ def expand(beta: Beta, x, n: int) -> DigitWord:
 
 
 def _point_key(x) -> int:
-    if isinstance(x, FieldPoint):
-        lo, hi = x.interval(Fraction(1, 2**80))
-        mid = (lo + hi) / 2
-    else:
-        mid = Fraction(x)
-    scaled = mid * 2**80
+    # enclosures narrower than 2^-80 put equal points at most one key apart
+    lo, _hi = point_interval(x, Fraction(1, 2**80))
+    scaled = lo * 2**80
     return scaled.numerator // scaled.denominator
 
 
@@ -195,8 +195,7 @@ def orbit_of_one(beta: Beta, budget: int = DEFAULT_BUDGET) -> OrbitRecord:
         hit = None
         for k in (key - 1, key, key + 1):
             for j in buckets.get(k, ()):
-                same = (points[j] == nxt) if isinstance(nxt, FieldPoint) else (points[j] == nxt)
-                if same:
+                if points[j] == nxt:
                     hit = j
                     break
             if hit is not None:
@@ -247,13 +246,6 @@ def pi_of_one(beta: Beta, budget: int = DEFAULT_BUDGET) -> PiOfOne:
     return PiOfOne(True, ev, rec.digits, ev.is_purely_periodic, rec)
 
 
-def _neg_inv_beta(beta: Beta):
-    """The quantity 1/(-beta) in the base's point arithmetic."""
-    if beta.is_exact:
-        return -beta.beta_point().inverse()
-    return Fraction(-1) / beta.value
-
-
 def _word_sum(word, t):
     """Sum over i of -w_i * t^i, with t = 1/(-beta)."""
     acc = 0 * t
@@ -269,21 +261,16 @@ def evaluate(seq, beta: Beta):
     finite word it is the exact partial sum (see ``truncation_bound`` for
     the tail estimate).
     """
-    t = _neg_inv_beta(beta)
+    t = -point_inverse(beta.beta_point())
     if isinstance(seq, EvPeriodic):
         a, p = len(seq.preperiod), len(seq.period)
         head = _word_sum(seq.preperiod, t)
         body = _word_sum(seq.period, t)
-        tail_scale = point_inverse(1 - t**p) if beta.is_exact else 1 / (1 - t**p)
-        return head + (t**a) * body * tail_scale
+        return head + (t**a) * body * point_inverse(1 - t**p)
     return _word_sum(tuple(seq), t)
 
 
 def truncation_bound(beta: Beta, n: int):
     """Exact bound on |x - evaluate(prefix_n(x))| for any x in (0, 1]."""
-    amax = beta.alphabet_max
-    if beta.is_exact:
-        b = beta.beta_point()
-        return amax * (b.inverse() ** n) * (b - 1).inverse()
-    b = beta.value
-    return amax * Fraction(1) / b**n / (b - 1)
+    b = beta.beta_point()
+    return beta.alphabet_max * point_inverse(b) ** n * point_inverse(b - 1)

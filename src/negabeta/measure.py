@@ -12,27 +12,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
-from .errors import OrbitUnresolved, PrecisionExhausted, SpecError
+from .errors import OrbitUnresolved, SpecError
 from .expansion import orbit_of_one, DEFAULT_BUDGET
-from .numerics import Beta, FieldPoint, as_point, point_inverse, point_sign
+from .numerics import (
+    Beta,
+    FieldPoint,
+    as_point,
+    guard_tie,
+    point_compare,
+    point_interval,
+    point_inverse,
+    point_sign,
+    same_field,
+)
 from . import polys
 
-
-def _cmp(x, y) -> int:
-    if isinstance(x, FieldPoint):
-        return x.compare(y)
-    if isinstance(y, FieldPoint):
-        return -y.compare(x)
-    return (x > y) - (x < y)
-
-
-def _pmin(x, y):
-    return x if _cmp(x, y) <= 0 else y
-
-
-def _pmax(x, y):
-    return x if _cmp(x, y) >= 0 else y
+_BY_VALUE = cmp_to_key(point_compare)
 
 
 @dataclass(frozen=True)
@@ -69,42 +66,28 @@ class PiecewiseDensity:
 
     def value_at(self, x):
         """Density on the interval containing x, for 0 < x <= 1."""
-        x = as_point(self.beta, x) if not isinstance(x, FieldPoint) else x
-        if _cmp(x, 0) <= 0 or _cmp(x, 1) > 0:
+        x = as_point(self.beta, x)
+        if point_compare(x, 0) <= 0 or point_compare(x, 1) > 0:
             raise SpecError("density is defined on (0, 1]")
         for i in range(len(self.values)):
-            if _cmp(x, self.breakpoints[i + 1]) <= 0:
+            if point_compare(x, self.breakpoints[i + 1]) <= 0:
                 return self.values[i]
         return self.values[-1]
 
     def integral_raw(self, a, b):
         """Exact unnormalized integral of the density over (a, b)."""
-        if not isinstance(a, FieldPoint):
-            a = as_point(self.beta, a)
-        if not isinstance(b, FieldPoint):
-            b = as_point(self.beta, b)
+        a, b = as_point(self.beta, a), as_point(self.beta, b)
         total = 0 * self.K
         for i, v in enumerate(self.values):
-            lo = _pmax(a, self.breakpoints[i])
-            hi = _pmin(b, self.breakpoints[i + 1])
-            if _cmp(hi, lo) > 0:
+            lo = max(a, self.breakpoints[i], key=_BY_VALUE)
+            hi = min(b, self.breakpoints[i + 1], key=_BY_VALUE)
+            if point_compare(hi, lo) > 0:
                 total = total + v * (hi - lo)
         return total
 
     def normalized_values(self) -> tuple:
         kinv = point_inverse(self.K)
         return tuple(v * kinv for v in self.values)
-
-    def to_json(self, digits: int = 15) -> dict:
-        from .numerics import point_decimal_str
-
-        return {
-            "breakpoints": [point_decimal_str(b, digits) for b in self.breakpoints],
-            "values": [point_decimal_str(v, digits) for v in self.values],
-            "K": point_decimal_str(self.K, digits),
-            "normalized": False,
-            "indicator": "geq",
-        }
 
 
 def _orbit_weights(beta: Beta, budget: int):
@@ -118,10 +101,7 @@ def _orbit_weights(beta: Beta, budget: int):
         raise OrbitUnresolved(
             f"orbit of 1 did not resolve within budget {budget}"
         )
-    if beta.is_exact:
-        neg_inv = -beta.beta_point().inverse()
-    else:
-        neg_inv = Fraction(-1) / beta.value
+    neg_inv = -point_inverse(beta.beta_point())
     k = rec.pre_len if rec.kind == "eventually-periodic" else 0
     m = rec.period_len
     cycle_scale = point_inverse(1 - neg_inv**m)
@@ -145,11 +125,11 @@ def density(beta: Beta, budget: int = DEFAULT_BUDGET) -> PiecewiseDensity:
     rec, pairs = _orbit_weights(beta, budget)
     interior = []
     for x, _w in pairs[1:]:
-        if _cmp(x, 1) == 0:
+        if point_compare(x, 1) == 0:
             continue
-        if all(_cmp(x, b) != 0 for b in interior):
+        if all(point_compare(x, b) != 0 for b in interior):
             interior.append(x)
-    interior.sort(key=_SortKey)
+    interior.sort(key=_BY_VALUE)
     zero = as_point(beta, 0)
     one = as_point(beta, 1)
     bps = [zero] + interior + [one]
@@ -158,7 +138,7 @@ def density(beta: Beta, budget: int = DEFAULT_BUDGET) -> PiecewiseDensity:
         rep = bps[i + 1]
         total = None
         for x, w in pairs:
-            if _cmp(x, rep) >= 0:
+            if point_compare(x, rep) >= 0:
                 total = w if total is None else total + w
         values.append(total)
     # adjacent intervals never share a value: the density jumps at orbit points
@@ -169,23 +149,13 @@ def density(beta: Beta, budget: int = DEFAULT_BUDGET) -> PiecewiseDensity:
     for i, v in enumerate(values):
         piece = v * (bps[i + 1] - bps[i])
         k_int = piece if k_int is None else k_int + piece
-    k_series = _normalization_series(beta, rec, pairs)
+    k_series = _normalization_series(pairs)
     if point_sign(k_int - k_series) != 0:
         raise SpecError("series and integral forms of K disagree")
     return PiecewiseDensity(beta, tuple(bps), tuple(values), k_series)
 
 
-class _SortKey:
-    """Exact comparison adapter for sorting field points."""
-
-    def __init__(self, x):
-        self.x = x
-
-    def __lt__(self, other):
-        return _cmp(self.x, other.x) < 0
-
-
-def _normalization_series(beta: Beta, rec, pairs):
+def _normalization_series(pairs):
     total = None
     for x, w in pairs:
         piece = x * w
@@ -195,8 +165,8 @@ def _normalization_series(beta: Beta, rec, pairs):
 
 def normalization(beta: Beta, budget: int = DEFAULT_BUDGET):
     """K = sum of orbit-point / (-beta)^n in exact closed form."""
-    rec, pairs = _orbit_weights(beta, budget)
-    return _normalization_series(beta, rec, pairs)
+    _rec, pairs = _orbit_weights(beta, budget)
+    return _normalization_series(pairs)
 
 
 def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
@@ -210,22 +180,18 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
     tol = Fraction(tol)
     if tol <= 0:
         raise SpecError("tolerance must be positive")
-    x = as_point(beta, x) if not isinstance(x, FieldPoint) else x
-    if _cmp(x, 0) <= 0 or _cmp(x, 1) > 0:
+    x = as_point(beta, x)
+    if point_compare(x, 0) <= 0 or point_compare(x, 1) > 0:
         raise SpecError("density is defined on (0, 1]")
-    lo, _hi = beta.refine(Fraction(1, 16)) if beta.is_exact else (beta.value, beta.value)
+    lo, _hi = beta.refine(Fraction(1, 16))
     lo = max(lo, Fraction(101, 100))
     n_terms = max(2, math.ceil(
         math.log(1 / float(tol * (1 - 1 / lo))) / math.log(float(lo))
     ) + 2)
-    guard = Fraction(1, 2**beta.precision) if not beta.is_exact else None
 
     def indicator(pt) -> bool:
-        if guard is not None:
-            diff = pt - x
-            if diff != 0 and abs(diff) < guard:
-                raise PrecisionExhausted("x ties an orbit point within the precision")
-        return _cmp(pt, x) >= 0
+        guard_tie(beta, pt, x, "x ties an orbit point within the precision")
+        return point_compare(pt, x) >= 0
 
     try:
         rec, pairs = _orbit_weights(beta, n_terms)
@@ -238,12 +204,9 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
             if indicator(pt):
                 total = w if total is None else total + w
         return total if total is not None else as_point(beta, 0)
-    if beta.is_exact:
-        neg_inv = -beta.beta_point().inverse()
-    else:
-        neg_inv = Fraction(-1) / beta.value
+    neg_inv = -point_inverse(beta.beta_point())
     total = None
-    power = neg_inv**0 if beta.is_exact else Fraction(1)
+    power = as_point(beta, 1)
     for n, pt in enumerate(rec.points[:n_terms]):
         if n > 0:
             power = power * neg_inv
@@ -270,22 +233,15 @@ def limits(beta: Beta, budget: int = DEFAULT_BUDGET) -> Limits:
     at_zero is beta/(beta+1) always; at_one depends on whether the orbit
     of 1 returns to 1 (periodic case) or stays below it.
     """
-    if beta.is_exact:
-        b = beta.beta_point()
-        at_zero = b * (b + 1).inverse()
-    else:
-        at_zero = beta.value / (beta.value + 1)
+    b = beta.beta_point()
+    at_zero = b * point_inverse(b + 1)
     rec = orbit_of_one(beta, budget)
     if not rec.resolved:
         return Limits(at_zero, None)
     if rec.kind == "periodic":
         m = rec.period_len
-        if beta.is_exact:
-            bm = beta.beta_point() ** m
-            at_one = bm * (bm - (-1) ** m).inverse()
-        else:
-            bm = beta.value**m
-            at_one = bm / (bm - (-1) ** m)
+        bm = b**m
+        at_one = bm * point_inverse(bm - (-1) ** m)
     else:
         at_one = as_point(beta, 1)
     return Limits(at_zero, at_one)
@@ -339,23 +295,10 @@ def _charpoly(m) -> polys.Poly:
     return polys.make_poly(list(reversed(cs)) + [Fraction(1)])
 
 
-def _interval_of(x, width: Fraction):
-    if isinstance(x, FieldPoint):
-        return x.interval(width)
-    x = Fraction(x)
-    return (x, x)
-
-
 def algebraic_equal(x, y) -> bool:
     """Exact equality of two real algebraic numbers, fields may differ."""
-    if not isinstance(x, FieldPoint) and not isinstance(y, FieldPoint):
-        return Fraction(x) == Fraction(y)
-    if not isinstance(x, FieldPoint):
-        return y.compare(Fraction(x)) == 0
-    if not isinstance(y, FieldPoint):
-        return x.compare(Fraction(y)) == 0
-    if x.beta == y.beta:
-        return (x - y).is_zero()
+    if same_field(x, y):
+        return x == y
     p = _charpoly(_mult_matrix(x))
     # y must satisfy x's characteristic polynomial...
     acc = y.beta.point_from_rational(0)
@@ -367,8 +310,8 @@ def algebraic_equal(x, y) -> bool:
     sf = polys.squarefree_part(p)
     width = Fraction(1, 2**40)
     for _ in range(60):
-        ax, bx = _interval_of(x, width)
-        ay, by = _interval_of(y, width)
+        ax, bx = point_interval(x, width)
+        ay, by = point_interval(y, width)
         if bx < ay or by < ax:
             return False
         lo, hi = min(ax, ay), max(bx, by)
@@ -391,16 +334,12 @@ class CoincidenceReport:
 
 def _quadratic_pair_prediction(b1: Beta, b2: Beta) -> bool:
     """Is {b1, b2} = {root of x^2 - qx - p with p <= q, that root + 1}?"""
-
-    def beta_value_point(b: Beta):
-        return b.beta_point() if b.is_exact else b.value
-
-    x1, x2 = beta_value_point(b1), beta_value_point(b2)
+    x1, x2 = b1.beta_point(), b2.beta_point()
     # order the pair numerically
     w = Fraction(1, 2**24)
     while True:
-        a1, c1 = _interval_of(x1, w)
-        a2, c2 = _interval_of(x2, w)
+        a1, c1 = point_interval(x1, w)
+        a2, c2 = point_interval(x2, w)
         if c1 < a2:
             small_b, small, big = b1, x1, x2
             break
@@ -411,14 +350,8 @@ def _quadratic_pair_prediction(b1: Beta, b2: Beta) -> bool:
     if not algebraic_equal(small + 1, big):
         return False
     q = small_b.floor_value()
-    if isinstance(small, FieldPoint):
-        z = small * small - q * small
-        for p in range(1, q + 1):
-            if (z - p).is_zero():
-                return True
-        return False
     z = small * small - q * small
-    return z.denominator == 1 and 1 <= z <= q
+    return any(z == p for p in range(1, q + 1))
 
 
 def densities_coincide(
@@ -430,11 +363,7 @@ def densities_coincide(
     also carries the quadratic-pair prediction for when they should
     coincide.
     """
-    same = algebraic_equal(
-        beta1.beta_point() if beta1.is_exact else beta1.value,
-        beta2.beta_point() if beta2.is_exact else beta2.value,
-    )
-    if same:
+    if algebraic_equal(beta1.beta_point(), beta2.beta_point()):
         raise SpecError("bases must differ")
     predicted = _quadratic_pair_prediction(beta1, beta2)
     try:
@@ -464,10 +393,7 @@ def check_invariance(d: PiecewiseDensity) -> bool:
     preimage, assembled branch by branch from the map's linear pieces.
     """
     beta = d.beta
-    if beta.is_exact:
-        binv = beta.beta_point().inverse()
-    else:
-        binv = 1 / beta.value
+    binv = point_inverse(beta.beta_point())
     amax = beta.alphabet_max
     one = as_point(beta, 1)
     zero = as_point(beta, 0)
@@ -478,9 +404,9 @@ def check_invariance(d: PiecewiseDensity) -> bool:
         for dig in range(1, amax + 1):
             lo = (dig - b) * binv
             hi = (dig - a) * binv
-            lo = _pmax(lo, zero)
-            hi = _pmin(hi, one)
-            if _cmp(hi, lo) > 0:
+            lo = max(lo, zero, key=_BY_VALUE)
+            hi = min(hi, one, key=_BY_VALUE)
+            if point_compare(hi, lo) > 0:
                 piece = d.integral_raw(lo, hi)
                 pulled = piece if pulled is None else pulled + piece
         if pulled is None or point_sign(direct - pulled) != 0:

@@ -4,9 +4,13 @@ A base is either *exact* (an integer polynomial together with a rational
 isolating interval containing exactly one of its real roots) or *decimal*
 (an exact rational value carrying a working precision in bits).  All sign,
 floor and comparison decisions on exact bases are certified by interval
-refinement plus polynomial gcd zero tests; the decimal path fails loudly
-whenever a floor decision falls within the error radius of the stated
-precision instead of guessing.
+refinement plus polynomial gcd zero tests.  A decimal base is the exact
+rational it names; its precision only sets a tie guard, which refuses a
+floor decision within 2^-precision of an integer.
+
+Only this module tells the two point types apart (``FieldPoint`` for
+exact bases, ``Fraction`` for decimal ones); other modules go through the
+point functions at the end of the file.
 """
 
 from __future__ import annotations
@@ -233,7 +237,7 @@ class Beta:
 
     def decimal_str(self, digits: int = 15) -> str:
         width = Fraction(1, 10 ** (digits + 2))
-        lo, hi = self.refine(width) if self.is_exact else (self.value, self.value)
+        lo, hi = self.refine(width)
         mid = (lo + hi) / 2
         scaled = mid * 10**digits
         n = scaled.numerator // scaled.denominator
@@ -270,7 +274,7 @@ class Beta:
         return FieldPoint(self, vec)
 
     def beta_point(self):
-        """beta itself as a field point (exact bases only)."""
+        """beta itself in the base's point type."""
         if not self.is_exact:
             return self.value
         if self.degree == 1:
@@ -360,12 +364,14 @@ class FieldPoint:
         if self.is_zero():
             raise ZeroDivisionError("field point is zero")
         c = polys.make_poly(self.coeffs)
-        g, u = polys.half_ext_gcd(c, self.beta.poly)
-        if polys.degree(g) == 0:
-            return self._wrap(polys.poly_scale(u, 1 / g[0]))
-        # non-minimal modulus: c*u == g (mod f) with g(beta) != 0, recurse
-        g_inv = self._wrap(g).inverse()
-        return self._wrap(u) * g_inv
+        f = self.beta.poly
+        g, u = polys.half_ext_gcd(c, f)
+        while polys.degree(g) > 0:
+            # non-minimal modulus: g divides c and c(beta) != 0, so beta is
+            # a root of the cofactor f / g, where c is invertible
+            f = polys.poly_divmod(f, g)[0]
+            g, u = polys.half_ext_gcd(c, f)
+        return self._wrap(polys.poly_scale(u, 1 / g[0]))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -449,14 +455,7 @@ class FieldPoint:
 
     def decimal_str(self, digits: int = 15) -> str:
         lo, hi = self.interval(Fraction(1, 10 ** (digits + 2)))
-        mid = (lo + hi) / 2
-        neg = mid < 0
-        mid = abs(mid)
-        scaled = mid * 10**digits
-        n = scaled.numerator // scaled.denominator
-        s = str(n).rjust(digits + 1, "0")
-        ip, fp = s[:-digits], s[-digits:].rstrip("0")
-        return ("-" if neg else "") + ip + ("." + fp if fp else "")
+        return point_decimal_str((lo + hi) / 2, digits)
 
     def __float__(self) -> float:
         lo, hi = self.interval(Fraction(1, 10**20))
@@ -505,10 +504,10 @@ def make_beta(spec: str, precision: int | None = None) -> Beta:
 
 
 def times_beta(beta: Beta, x):
-    """beta * x for a field point or (decimal base) a Fraction."""
-    if isinstance(x, FieldPoint):
-        return x.times_beta()
-    return beta.value * x
+    """beta * x in the base's point type."""
+    if beta.is_exact:
+        return as_point(beta, x).times_beta()
+    return beta.value * Fraction(x)
 
 
 def as_point(beta: Beta, r):
@@ -518,24 +517,32 @@ def as_point(beta: Beta, r):
     return beta.point_from_rational(Fraction(r))
 
 
-def floor_beta_times(beta: Beta, x) -> int:
-    """Exact floor of beta*x for x in (0, 1].
+def guard_tie(beta: Beta, x, y, reason: str) -> None:
+    """Refuse to order x against y when the base's precision cannot.
+
+    On a decimal base two distinct points closer than 2^-precision raise
+    PrecisionExhausted; exact bases decide every comparison.
+    """
+    if beta.is_exact:
+        return
+    d = x - y
+    if d and abs(d.numerator) << beta.precision < d.denominator:
+        raise PrecisionExhausted(reason)
+
+
+def floor_point(beta: Beta, y) -> int:
+    """Certified floor of a point.
 
     For decimal bases the decision is refused (PrecisionExhausted) whenever
-    beta*x lies within 2^-precision of an integer without equaling it.
+    y lies within 2^-precision of an integer without equaling it.
     """
     if not beta.is_exact:
-        x = Fraction(x)
-        y = beta.value * x
         k = y.numerator // y.denominator
-        if y != k:
-            guard = Fraction(1, 2**beta.precision)
-            if min(y - k, k + 1 - y) < guard:
-                raise PrecisionExhausted(
-                    "beta*x is closer to an integer than the precision allows"
-                )
+        reason = "beta*x is closer to an integer than the precision allows"
+        guard_tie(beta, y, k, reason)
+        guard_tie(beta, y, k + 1, reason)
         return k
-    y = x.times_beta() if isinstance(x, FieldPoint) else as_point(beta, x).times_beta()
+    y = as_point(beta, y)
     p = polys.make_poly(y.coeffs)
     while True:
         a, b = polys.poly_eval_interval(p, beta.interval())
@@ -549,13 +556,30 @@ def floor_beta_times(beta: Beta, x) -> int:
         beta._refine_step()
 
 
+def floor_beta_times(beta: Beta, x) -> int:
+    """Exact floor of beta*x for x in (0, 1], guarded as in ``floor_point``."""
+    return floor_point(beta, times_beta(beta, x))
+
+
 def compare_to_rational(x, r) -> int:
     """Exact trichotomy (-1, 0, 1) of a point against a rational."""
-    r = Fraction(r)
+    return point_compare(x, Fraction(r))
+
+
+def point_compare(x, y) -> int:
+    """Exact trichotomy (-1, 0, 1) of two points of one base, or rationals."""
     if isinstance(x, FieldPoint):
-        return x.compare(r)
-    x = Fraction(x)
-    return (x > r) - (x < r)
+        return x.compare(y)
+    if isinstance(y, FieldPoint):
+        return -y.compare(x)
+    return (x > y) - (x < y)
+
+
+def same_field(x, y) -> bool:
+    """Can x and y meet in one arithmetic (not field points of two bases)?"""
+    if isinstance(x, FieldPoint) and isinstance(y, FieldPoint):
+        return x.beta == y.beta
+    return True
 
 
 def point_sign(x) -> int:
@@ -571,6 +595,14 @@ def point_inverse(x):
     return 1 / Fraction(x)
 
 
+def point_interval(x, width: Fraction) -> tuple[Fraction, Fraction]:
+    """A rational enclosure of x narrower than ``width`` (a point if rational)."""
+    if isinstance(x, FieldPoint):
+        return x.interval(width)
+    x = Fraction(x)
+    return (x, x)
+
+
 def point_decimal_str(x, digits: int = 15) -> str:
     if isinstance(x, FieldPoint):
         return x.decimal_str(digits)
@@ -582,3 +614,13 @@ def point_decimal_str(x, digits: int = 15) -> str:
     s = str(n).rjust(digits + 1, "0")
     ip, fp = s[:-digits], s[-digits:].rstrip("0")
     return ("-" if neg else "") + ip + ("." + fp if fp else "")
+
+
+def point_json(x, digits: int) -> dict:
+    """JSON form: the decimal rendering plus the exact coordinates."""
+    out = {"decimal": point_decimal_str(x, digits)}
+    if isinstance(x, FieldPoint):
+        out["coeffs"] = [format_rational(c) for c in x.coeffs]
+    else:
+        out["exact"] = format_rational(Fraction(x))
+    return out

@@ -427,6 +427,7 @@ def approximate_simple_numbers(
     count: int,
     prefix_len: int = 64,
     budget: int = DEFAULT_BUDGET,
+    map=map,
 ) -> list[ApproximantResult]:
     """Nearby simple bases from periodic approximants of the expansion of 1.
 
@@ -435,7 +436,8 @@ def approximate_simple_numbers(
     expansion at the same base, so each solved entry ends certified.
     Candidates whose value equation has no root above 1 (possible below
     the divergence index against the substitution word) are reported with
-    an empty base.
+    an empty base.  ``map`` runs ``solve_candidate`` over the candidates;
+    pass an executor's ``map`` to solve them in parallel.
     """
     pi = pi_of_one(beta, budget)
     if pi.resolved and pi.is_simple:
@@ -454,7 +456,5 @@ def approximate_simple_numbers(
                     raise
                 length *= 2
 
-    return [
-        solve_candidate(beta, cand, tag, side)
-        for cand, tag, side in zip(plan.candidates, plan.case_tags, plan.sides)
-    ]
+    return list(map(solve_candidate, [beta] * len(plan.candidates),
+                    plan.candidates, plan.case_tags, plan.sides))

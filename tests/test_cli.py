@@ -95,6 +95,17 @@ def test_approx_parallel(capsys):
     assert len(json.loads(out)) == 3
 
 
+def test_approx_parallel_matches_serial(capsys):
+    # the orbit of 1 does not resolve, so candidates come from a prefix that
+    # must be doubled before the self-overlap scan fits
+    argv = ("approx", "--beta", "dec:1.9", "--count", "6", "--prefix", "4")
+    code, serial = invoke(capsys, *argv, "--jobs", "1")
+    assert code == 0
+    code, parallel = invoke(capsys, *argv, "--jobs", "2")
+    assert code == 0
+    assert parallel == serial
+
+
 def test_deterministic_output(capsys):
     _, out1 = invoke(capsys, "density", "--beta", "pisot2:p=2,q=2")
     _, out2 = invoke(capsys, "density", "--beta", "pisot2:p=2,q=2")
@@ -108,3 +119,7 @@ def test_exit_codes(capsys):
     assert code == 3
     code, _ = invoke(capsys, "validate", "--seq", "garbage")
     assert code == 2
+    for x in ("abc", "1/0"):
+        code = run(["expand", "--beta", "pisot2:p=1,q=1", "--x", x, "--n", "5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")

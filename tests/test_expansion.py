@@ -6,6 +6,7 @@ import pytest
 from negabeta import (
     EvPeriodic,
     SpecError,
+    beta_from_expansion,
     evaluate,
     expand,
     make_beta,
@@ -76,6 +77,9 @@ def test_evaluate_closed_forms(phi, phi2):
     assert (evaluate(EvPeriodic((), (3, 2)), phi2) - 1).is_zero()
     assert (evaluate(EvPeriodic((2,), (1,)), phi) - 1).is_zero()
     assert evaluate(EvPeriodic((), (3,)), make_beta("dec:2")) == 1
+    # the solved base's polynomial (x^2-x+1)(x^4-2x^3-2x^2-x+2) is reducible
+    target = EvPeriodic.parse("|311133")
+    assert (evaluate(target, beta_from_expansion(target)) - 1).is_zero()
 
 
 def test_partial_sums_converge_to_closed_form(phi):

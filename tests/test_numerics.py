@@ -1,11 +1,14 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from negabeta import SpecError, compare_to_rational, floor_beta_times, make_beta
+from negabeta import SpecError, compare_to_rational, expand, floor_beta_times, make_beta
 from negabeta.errors import PrecisionExhausted
+from negabeta import numerics
 from negabeta.numerics import Beta
 
 
@@ -178,3 +181,30 @@ def test_non_minimal_defining_polynomial():
     assert (b * b - b - 1).is_zero()
     assert not (b - 3).is_zero()
     assert floor_beta_times(beta, beta.one()) == 1
+
+
+def test_decimal_base_is_the_exact_rational():
+    """dec:v is the rational v itself; precision only sets the tie guard.
+
+    Two bases 2^-260 apart share 306 digits of the expansion of 1 and then
+    part; no floor decision of either comes within 2^-256 of an integer, so
+    neither expansion raises.
+    """
+    a = expand(Beta.from_decimal(Fraction(9, 5), 256), 1, 320)
+    b = expand(Beta.from_decimal(Fraction(9, 5) + Fraction(1, 2**260), 256), 1, 320)
+    assert a[:306] == b[:306]
+    assert a[306] != b[306]
+
+
+def test_point_protocol_stays_in_numerics():
+    """Only numerics may tell field points from rationals or exact bases
+    from decimal ones; every other module goes through its point functions."""
+    src = Path(numerics.__file__).parent
+    pattern = re.compile(r"isinstance\([^)]*FieldPoint|\.is_exact|\bbeta[0-9]?\.value\b|\bb\.value\b")
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(src.glob("*.py")) if path.name != "numerics.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
