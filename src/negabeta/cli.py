@@ -9,14 +9,14 @@ Exit codes: 0 success, 2 domain errors, 3 unresolved within budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .errors import NegabetaError, OrbitUnresolved, PrecisionExhausted
+from .errors import NegabetaError, OrbitUnresolved, PrecisionExhausted, SpecError
 from .expansion import DEFAULT_BUDGET, EvPeriodic, expand, orbit_of_one
 from .numerics import _parse_rational, make_beta, point_json
 from .order import is_valid_expansion_of_one, limit_word_prefix
@@ -27,7 +27,13 @@ from . import solver
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    try:
+        text = json.dumps(obj, sort_keys=True)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise SpecError(f"output holds an integer beyond Python's {limit}-digit "
+                        "int-to-str limit") from exc
+    print(text)
 
 
 def _cmd_expand(args) -> int:
@@ -132,7 +138,10 @@ def _cmd_w_word(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; built once per process, as nothing in it depends on
+    the environment (decimal bases read NEGABETA_PRECISION when parsed)."""
     parser = argparse.ArgumentParser(
         prog="negabeta",
         description="negative beta-expansions: digits, densities, automata, matching, solving",
@@ -143,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--digits", type=int, default=15,
                        help="decimal digits in renderings (default 15)")
         p.add_argument("--precision", type=int,
-                       default=int(os.environ.get("NEGABETA_PRECISION", 0)) or None,
                        help="working precision in bits for decimal bases")
         if beta:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,

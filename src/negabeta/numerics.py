@@ -4,7 +4,11 @@ A base is either *exact* (an integer polynomial together with a rational
 isolating interval containing exactly one of its real roots) or *decimal*
 (an exact rational value carrying a working precision in bits).  All sign,
 floor and comparison decisions on exact bases are certified by interval
-refinement plus polynomial gcd zero tests.  A decimal base is the exact
+refinement plus polynomial gcd zero tests.  The kernels behind them run on
+Python integers: refinement bisects with the primitive integer
+coefficients of the squarefree part, and enclosures come from the integer
+interval Horner of ``polys``, so every isolating interval and enclosure is
+the same rational a ``Fraction`` computation gives.  A decimal base is the exact
 rational it names; its precision only sets a tie guard, which refuses a
 floor decision within 2^-precision of an integer.
 
@@ -15,6 +19,7 @@ point functions at the end of the file.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -27,6 +32,7 @@ from .polys import Poly
 DEFAULT_DECIMAL_PRECISION = 256
 
 _ORDER_LT, _ORDER_EQ, _ORDER_GT = -1, 0, 1
+_LOG2_5 = math.log2(5)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -41,20 +47,23 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def format_rational(r: Fraction) -> str:
-    """Serialize as num/den, or a plain decimal when the denominator allows."""
-    if r.denominator == 1:
-        return str(r.numerator)
-    den = r.denominator
-    while den % 2 == 0:
-        den //= 2
-    while den % 5 == 0:
-        den //= 5
+    """Serialize as num/den, or as the float repr when that is exactly r."""
+    num, den = r.numerator, r.denominator
     if den == 1:
-        value = float(r)
-        text = repr(value)
-        if Fraction(text) == r:
-            return text
-    return f"{r.numerator}/{r.denominator}"
+        return str(num)
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    # with den = 2^a 5^b, r is the decimal N / 10^m for m = max(a, b) and
+    # N = num 2^(m-a) 5^(m-b), which ends in a nonzero digit; a float repr
+    # has at most 17 significant digits, so N >= 10^17 rules it out
+    fives = math.ceil((odd.bit_length() - 1) / _LOG2_5)  # 5^b has floor(b log2 5) + 1 bits
+    if odd == 5**fives:
+        m = max(twos, fives)
+        if (abs(num) << (m - twos)) * 5 ** (m - fives) < 10**17:
+            text = repr(float(r))
+            if Fraction(text) == r:
+                return text
+    return f"{num}/{den}"
 
 
 def _raise_endpoint(coeffs_high, q: int) -> Fraction:
@@ -107,13 +116,12 @@ class Beta:
         lo, hi = Fraction(lo), Fraction(hi)
         if not 1 < lo < hi:
             raise SpecError("isolating interval endpoints must be rationals > 1")
-        p = polys.make_poly(tuple(reversed(coeffs)))
-        sf = polys.squarefree_part(p)
+        beta = cls(kind="exact", coeffs=coeffs, iso=(lo, hi))
+        sf = beta.sf_poly
         if polys.poly_eval(sf, lo) == 0 or polys.poly_eval(sf, hi) == 0:
             raise SpecError("isolating interval endpoints must not be roots")
-        if polys.count_roots(sf, lo, hi) != 1:
+        if polys.count_roots(sf, lo, hi, beta.sturm) != 1:
             raise SpecError("isolating interval must contain exactly one real root")
-        beta = cls(kind="exact", coeffs=coeffs, iso=(lo, hi))
         return beta
 
     @classmethod
@@ -122,7 +130,11 @@ class Beta:
         if value <= 1:
             raise SpecError("base must exceed 1")
         if precision is None:
-            precision = int(os.environ.get("NEGABETA_PRECISION", DEFAULT_DECIMAL_PRECISION))
+            env = os.environ.get("NEGABETA_PRECISION", str(DEFAULT_DECIMAL_PRECISION))
+            try:
+                precision = int(env)
+            except ValueError as exc:
+                raise SpecError(f"NEGABETA_PRECISION must be an integer, got {env!r}") from exc
         if precision < 8:
             raise SpecError("precision must be at least 8 bits")
         return cls(kind="decimal", value=value, precision=precision)
@@ -161,10 +173,15 @@ class Beta:
         return self._cache["poly"]
 
     @property
+    def sturm(self) -> list[Poly]:
+        """Sturm chain of the squarefree part of the defining polynomial."""
+        if "sturm" not in self._cache:
+            self._cache["sturm"] = polys.sturm_chain(self.poly)
+        return self._cache["sturm"]
+
+    @property
     def sf_poly(self) -> Poly:
-        if "sf" not in self._cache:
-            self._cache["sf"] = polys.squarefree_part(self.poly)
-        return self._cache["sf"]
+        return self.sturm[0]
 
     @property
     def degree(self) -> int:
@@ -176,9 +193,12 @@ class Beta:
             return (self.value, self.value)
         st = self._cache.get("iv")
         if st is None:
+            # [lo, hi, exact root or None, integer squarefree part, its sign
+            # at lo]; bisection keeps that sign at lo, so each step
+            # evaluates at the midpoint only
             lo, hi = self.iso
-            root = None
-            st = [lo, hi, root]
+            ints = polys.primitive_int_coeffs(self.sf_poly)
+            st = [lo, hi, None, ints, polys.sign_at(ints, lo)]
             self._cache["iv"] = st
         return (st[0], st[1]) if st[2] is None else (st[2], st[2])
 
@@ -186,16 +206,15 @@ class Beta:
         st = self._cache["iv"]
         if st[2] is not None:
             return
-        lo, hi = st[0], st[1]
+        lo, hi, _, ints, sign_lo = st
         mid = (lo + hi) / 2
-        v = polys.poly_eval(self.sf_poly, mid)
+        v = polys.sign_at(ints, mid)
         if v == 0:
             st[2] = mid
-            return
-        if polys.poly_eval(self.sf_poly, lo) * v < 0:
-            st[1] = mid
-        else:
+        elif v == sign_lo:
             st[0] = mid
+        else:
+            st[1] = mid
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """Shrink the isolating interval until it is narrower than ``width``."""
@@ -311,11 +330,11 @@ class FieldPoint:
 
     def __init__(self, beta: Beta, coeffs):
         self.beta = beta
-        vec = tuple(Fraction(c) for c in coeffs)
+        vec = polys.make_poly(coeffs)
         d = beta.degree
         if len(vec) > d:
-            vec = _reduce(vec, beta.poly)
-        self.coeffs = vec + (Fraction(0),) * (d - len(vec))
+            vec = polys.poly_mod(vec, beta.poly)
+        self.coeffs = vec + (polys.ZERO,) * (d - len(vec))
 
     # arithmetic -----------------------------------------------------------
 
@@ -341,8 +360,7 @@ class FieldPoint:
         if isinstance(other, (int, Fraction)):
             return self._wrap(tuple(a * other for a in self.coeffs))
         o = self._coerce(other)
-        prod = polys.poly_mul(polys.make_poly(self.coeffs), polys.make_poly(o.coeffs))
-        return self._wrap(_reduce(prod, self.beta.poly))
+        return self._wrap(polys.poly_mul(polys.make_poly(self.coeffs), polys.make_poly(o.coeffs)))
 
     __rmul__ = __mul__
 
@@ -356,8 +374,15 @@ class FieldPoint:
         raise TypeError(f"cannot combine FieldPoint with {type(other)!r}")
 
     def times_beta(self) -> "FieldPoint":
-        shifted = (Fraction(0),) + self.coeffs
-        return self._wrap(_reduce(shifted, self.beta.poly))
+        """beta * self as one companion step: shift the coordinates and
+        subtract (top / lead) * f, the unique reduced representative."""
+        f = self.beta.poly
+        top = self.coeffs[-1]
+        shifted = (polys.ZERO,) + self.coeffs[:-1]
+        if top:
+            t = top / f[-1]
+            shifted = tuple(c - t * fc for c, fc in zip(shifted, f))
+        return self._wrap(shifted)
 
     def inverse(self) -> "FieldPoint":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
@@ -395,7 +420,8 @@ class FieldPoint:
         g = polys.poly_gcd(polys.make_poly(self.coeffs), self.beta.poly)
         if polys.degree(g) == 0:
             return False
-        g = polys.squarefree_part(g)
+        chain = polys.sturm_chain(g)
+        g = chain[0]
         lo, hi = self.beta.interval()
         if lo == hi:
             return polys.poly_eval(g, lo) == 0
@@ -404,20 +430,25 @@ class FieldPoint:
             lo, hi = self.beta.interval()
             if lo == hi:
                 return polys.poly_eval(g, lo) == 0
-        return polys.count_roots(g, lo, hi) > 0
+        return polys.count_roots(g, lo, hi, chain) > 0
 
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
+        """-1, 0 or 1; the gcd zero test runs only once an enclosure
+        contains 0, and refinement resumes after it."""
         p = polys.make_poly(self.coeffs)
+        zero_tested = False
         for _ in range(100_000):
-            lo, hi = self.beta.interval()
-            a, b = polys.poly_eval_interval(p, (lo, hi))
+            a, b = polys.poly_eval_interval(p, self.beta.interval())
             if a > 0:
                 return 1
             if b < 0:
                 return -1
-            self.beta._refine_step()
+            if zero_tested:
+                self.beta._refine_step()
+            elif self.is_zero():
+                return 0
+            else:
+                zero_tested = True
         raise RuntimeError("sign refinement did not converge")
 
     def interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -463,10 +494,6 @@ class FieldPoint:
 
     def __repr__(self):
         return f"FieldPoint({list(self.coeffs)})"
-
-
-def _reduce(vec, modulus: Poly):
-    return polys.poly_mod(polys.make_poly(vec), modulus)
 
 
 # ---------------------------------------------------------------------------

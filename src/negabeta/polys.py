@@ -2,7 +2,11 @@
 
 Coefficients are stored lowest degree first as tuples of ``Fraction``.
 Everything here is exact; these routines back the sign tests, zero tests
-and root isolation used by the rest of the package.
+and root isolation used by the rest of the package.  Point and interval
+evaluation run Horner's rule on Python integers (coefficients over one
+common denominator, the point or the interval endpoints over another) and
+build one ``Fraction`` at the end, so they return exactly the rationals a
+``Fraction`` Horner would.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ ONE = Fraction(1)
 
 def make_poly(coeffs: Sequence) -> Poly:
     """Build a normalized polynomial (no trailing zero coefficients)."""
-    p = tuple(Fraction(c) for c in coeffs)
+    p = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
     while p and p[-1] == 0:
         p = p[:-1]
     return p
@@ -30,11 +34,38 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
+def _cleared(p: Poly) -> tuple[list[int], int]:
+    """Integers a_i and one denominator d > 0 with p_i = a_i / d."""
+    d = 1
+    for c in p:
+        if d % c.denominator:
+            d = d * c.denominator // int_gcd(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in p], d
+
+
+def _horner(a: Sequence[int], u: int, v: int) -> tuple[int, int]:
+    """(N, v^n) with a(u/v) = N / v^n, n = len(a) - 1; requires v > 0."""
+    it = reversed(a)
+    acc, w = next(it), 1
+    for c in it:
+        w *= v
+        acc = acc * u + c * w
+    return acc, w
+
+
 def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    if not p:
+        return ZERO
+    a, d = _cleared(p)
+    n, w = _horner(a, x.numerator, x.denominator)
+    return Fraction(n, d * w)
+
+
+def sign_at(a: Sequence[int], x: Fraction) -> int:
+    """Sign (-1, 0, 1) of the integer polynomial ``a`` (lowest degree
+    first, nonempty) at the rational ``x``."""
+    n = _horner(a, x.numerator, x.denominator)[0]
+    return (n > 0) - (n < 0)
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
@@ -182,8 +213,8 @@ def isolate_roots(p: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, F
     A rational root r is reported as a degenerate pair (r, r).  Endpoint
     roots are excluded; callers pick lo/hi off the root set.
     """
-    f = squarefree_part(p)
-    chain = sturm_chain(f)
+    chain = sturm_chain(p)
+    f = chain[0]
 
     def split(a: Fraction, b: Fraction, n: int, out: list) -> None:
         if n == 0:
@@ -271,7 +302,19 @@ def iv_mul(a: Interval, b: Interval) -> Interval:
 
 
 def poly_eval_interval(p: Poly, x: Interval) -> Interval:
-    acc: Interval = (ZERO, ZERO)
-    for c in reversed(p):
-        acc = iv_add(iv_mul(acc, x), (c, c))
-    return acc
+    """Interval Horner: the rationals that iv_add/iv_mul on ``Fraction``s
+    give, computed with every value scaled by one positive integer."""
+    if not p:
+        return (ZERO, ZERO)
+    a, d = _cleared(p)
+    lo, hi = x
+    w = lo.denominator * hi.denominator // int_gcd(lo.denominator, hi.denominator)
+    xs = (lo.numerator * (w // lo.denominator), hi.numerator * (w // hi.denominator))
+    it = reversed(a)
+    c = next(it)
+    acc, scale = (c, c), 1
+    for c in it:
+        scale *= w
+        acc = iv_add(iv_mul(acc, xs), (c * scale, c * scale))
+    den = d * scale
+    return (Fraction(acc[0], den), Fraction(acc[1], den))

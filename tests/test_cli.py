@@ -112,7 +112,7 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     code, _ = invoke(capsys, "expand", "--beta", "pisot2:p=9,q=1", "--n", "3")
     assert code == 2
     code, _ = invoke(capsys, "density", "--beta", "dec:2.5")
@@ -123,3 +123,21 @@ def test_exit_codes(capsys):
         code = run(["expand", "--beta", "pisot2:p=1,q=1", "--x", x, "--n", "5"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+    # digit 10^999999 + 1 is beyond Python's int-to-str limit
+    code = run(["expand", "--beta", "dec:1e999999", "--n", "3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    monkeypatch.setenv("NEGABETA_PRECISION", "abc")
+    code = run(["expand", "--beta", "dec:1.5", "--n", "3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_precision_environment_read_per_call(monkeypatch):
+    """The parser is built once per process; NEGABETA_PRECISION is still
+    read on every call that parses a decimal base."""
+    argv = ["expand", "--beta", "dec:1.5", "--n", "3"]
+    monkeypatch.delenv("NEGABETA_PRECISION", raising=False)
+    assert run(argv) == 0
+    monkeypatch.setenv("NEGABETA_PRECISION", "7")
+    assert run(argv) == 2

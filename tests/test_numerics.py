@@ -8,7 +8,7 @@ import pytest
 
 from negabeta import SpecError, compare_to_rational, expand, floor_beta_times, make_beta
 from negabeta.errors import PrecisionExhausted
-from negabeta import numerics
+from negabeta import numerics, polys
 from negabeta.numerics import Beta
 
 
@@ -208,3 +208,121 @@ def test_point_protocol_stays_in_numerics():
         if pattern.search(line)
     ]
     assert hits == []
+
+
+def _horner_oracle(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _interval_horner_oracle(p, iv):
+    lo, hi = Fraction(0), Fraction(0)
+    for c in reversed(p):
+        prods = (lo * iv[0], lo * iv[1], hi * iv[0], hi * iv[1])
+        lo, hi = min(prods) + c, max(prods) + c
+    return lo, hi
+
+
+def _random_rational(rng, big=False):
+    num = rng.randint(-10**30, 10**30) if big else rng.randint(-40, 40)
+    return Fraction(num, rng.choice([1, 1, 2, 3, 7, 12, 2**rng.randint(1, 90)]))
+
+
+def test_integer_horner_kernels_equal_fraction_horner():
+    """poly_eval and poly_eval_interval return exactly the rationals of a
+    Fraction Horner, on points and on negative, zero-straddling and
+    degenerate intervals."""
+    rng = random.Random(20261018)
+    for _ in range(600):
+        p = polys.make_poly([_random_rational(rng, rng.random() < 0.2) if rng.random() < 0.8
+                             else 0 for _ in range(rng.randint(0, 7))])
+        x = _random_rational(rng, rng.random() < 0.2)
+        got = polys.poly_eval(p, x)
+        assert type(got) is Fraction and got == _horner_oracle(p, x)
+        a, b = sorted((_random_rational(rng), _random_rational(rng)))
+        for iv in ((a, b), (-b, -a), (min(a, -abs(b)), abs(b)), (a, a)):
+            got = polys.poly_eval_interval(p, iv)
+            assert got == _interval_horner_oracle(p, iv)
+            assert all(type(v) is Fraction for v in got)
+
+
+CRITERION_BASES = [f"pisot2:p={p},q={q}" for p in range(1, 4) for q in range(p, 4)] + [
+    "multinacci:q=1,m=3", "multinacci:q=1,m=4", "multinacci:q=2,m=3",
+    "poly:[1,0,-1,-1]@(1.2,1.4)", "poly:[1,-2,1,-1]@(1.5,2)", "poly:[1,-1,0,-1]@(1.25,1.5)",
+    "poly:[1,-2,1,-2,1]@(1.5,2)", "poly:[1,-3,2,-2]@(2.5,4)",
+]
+
+
+@pytest.mark.parametrize("spec", CRITERION_BASES)
+def test_refinement_is_fraction_bisection(spec):
+    """120 refinement steps give the nested cells of a plain bisection of the
+    isolating interval on the defining polynomial."""
+    bases = [make_beta(spec)]
+    if spec.startswith("pisot2"):
+        bases.append(make_beta(spec).plus_one())
+    for beta in bases:
+        coeffs_low = tuple(reversed(beta.coeffs))
+        lo, hi = beta.iso
+        assert beta.interval() == (lo, hi)
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            v = _horner_oracle(coeffs_low, mid)
+            assert v != 0
+            if _horner_oracle(coeffs_low, lo) * v < 0:
+                hi = mid
+            else:
+                lo = mid
+            beta._refine_step()
+            assert beta.interval() == (lo, hi)
+
+
+@pytest.mark.parametrize("spec", ["poly:[1,0,-1,-1]@(1.2,1.4)", "poly:[2,-3,-1]@(1.5,2)",
+                                  "poly:[3,-1,-5,-2]@(1.5,2)"])
+def test_times_beta_is_reduction_mod_f(spec):
+    from negabeta.numerics import FieldPoint
+
+    beta = make_beta(spec)
+    rng = random.Random(11)
+    for _ in range(100):
+        vec = [_random_rational(rng) for _ in range(beta.degree)]
+        if rng.random() < 0.2:
+            vec[-1] = Fraction(0)
+        reduced = polys.poly_mod(polys.make_poly([0] + vec), beta.poly)
+        expected = reduced + (Fraction(0),) * (beta.degree - len(reduced))
+        got = FieldPoint(beta, vec).times_beta().coeffs
+        assert got == expected and all(type(c) is Fraction for c in got)
+
+
+def _format_rational_oracle(r):
+    if r.denominator == 1:
+        return str(r.numerator)
+    den = r.denominator
+    while den % 2 == 0:
+        den //= 2
+    while den % 5 == 0:
+        den //= 5
+    if den == 1:
+        try:
+            text = repr(float(r))
+        except OverflowError:
+            text = None
+        if text is not None and Fraction(text) == r:
+            return text
+    return f"{r.numerator}/{r.denominator}"
+
+
+def test_format_rational_matches_reference():
+    """Decimal when the float repr is exactly r and the denominator has only
+    the factors 2 and 5, num/den otherwise; denominators 2^a 5^b up to
+    a, b = 2000."""
+    rng = random.Random(31)
+    exps = [0, 1, 2, 3, 17, 52, 53, 60, 300, 330, 1074, 1100, 2000]
+    for _ in range(3000):
+        a = rng.choice(exps + [rng.randint(0, 2000)])
+        b = rng.choice(exps + [rng.randint(0, 2000)])
+        num = rng.choice([1, -1, 3, -7, 10**rng.randint(0, 40) + 1,
+                          rng.randint(-10**25, 10**25), rng.randint(-999, 999)])
+        r = Fraction(num, 2**a * 5**b * rng.choice([1, 1, 1, 3, 7]))
+        assert numerics.format_rational(r) == _format_rational_oracle(r)
