@@ -138,6 +138,12 @@ def _cmd_w_word(args) -> int:
     return 0
 
 
+def _digits(text: str) -> int:
+    if not text.strip().lstrip("+").isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser; built once per process, as nothing in it depends on
@@ -149,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, beta=True):
-        p.add_argument("--digits", type=int, default=15,
+        p.add_argument("--digits", type=_digits, default=15,
                        help="decimal digits in renderings (default 15)")
         p.add_argument("--precision", type=int,
                        help="working precision in bits for decimal bases")

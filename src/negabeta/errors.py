@@ -11,7 +11,8 @@ class SpecError(NegabetaError, ValueError):
 
 class PrecisionExhausted(NegabetaError):
     """A decimal-base decision fell inside the error radius of the stated
-    precision.  Raise the precision or switch to an exact base."""
+    precision (raise the precision or switch to an exact base), or an
+    exact-base decision needed refinement beyond the level cap."""
 
 
 class OrbitUnresolved(NegabetaError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .errors import OrbitUnresolved, SpecError
+from .errors import OrbitUnresolved, PrecisionExhausted, SpecError
 from .expansion import orbit_of_one, DEFAULT_BUDGET
 from .numerics import (
     Beta,
@@ -27,7 +27,7 @@ from .numerics import (
     point_sign,
     same_field,
 )
-from . import polys
+from . import numerics, polys
 
 _BY_VALUE = cmp_to_key(point_compare)
 
@@ -307,19 +307,22 @@ def algebraic_equal(x, y) -> bool:
     if not acc.is_zero():
         return False
     # ... and be the same real root of it
-    sf = polys.squarefree_part(p)
-    width = Fraction(1, 2**40)
-    for _ in range(60):
+    chain = polys.sturm_chain(p)
+    sf = chain[0]
+    for bits in range(40, numerics.MAX_REFINE_LEVEL + 1, 8):
+        width = Fraction(1, 1 << bits)
         ax, bx = point_interval(x, width)
         ay, by = point_interval(y, width)
         if bx < ay or by < ax:
             return False
         lo, hi = min(ax, ay), max(bx, by)
+        if lo == hi:
+            return True  # both are exactly the rational lo
         if polys.poly_eval(sf, lo) != 0 and polys.poly_eval(sf, hi) != 0 \
-                and polys.count_roots(sf, lo, hi) == 1:
+                and polys.count_roots(sf, lo, hi, chain) == 1:
             return True
-        width /= 2**8
-    raise RuntimeError("algebraic equality refinement did not settle")
+    raise PrecisionExhausted("algebraic equality not settled by width "
+                             f"2^-{numerics.MAX_REFINE_LEVEL} (the level cap MAX_REFINE_LEVEL)")
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,16 @@ A base is either *exact* (an integer polynomial together with a rational
 isolating interval containing exactly one of its real roots) or *decimal*
 (an exact rational value carrying a working precision in bits).  All sign,
 floor and comparison decisions on exact bases are certified by interval
-refinement plus polynomial gcd zero tests.  The kernels behind them run on
-Python integers: refinement bisects with the primitive integer
-coefficients of the squarefree part, and enclosures come from the integer
-interval Horner of ``polys``, so every isolating interval and enclosure is
-the same rational a ``Fraction`` computation gives.  A decimal base is the exact
+refinement plus polynomial gcd zero tests.  Refinement bisects the
+isolating interval into dyadic cells held as integers (the level-k cell is
+lo + [j, j+1] (hi - lo)/2^k), one sign of the squarefree part per step, and
+enclosures are the integer interval Horner of ``polys`` over a cell.  A
+decision stops at the first level where a test holds (enclosure narrow
+enough, free of 0, or spanning at most one integer).  Cells are nested and
+interval arithmetic is inclusion-isotone, so each test is monotone in the
+level: a search that jumps ahead by the predicted number of halvings and
+then bisects over levels stops at the level, and with the rationals, of
+refining one step at a time.  A decimal base is the exact
 rational it names; its precision only sets a tie guard, which refuses a
 floor decision within 2^-precision of an integer.
 
@@ -19,6 +24,7 @@ point functions at the end of the file.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -30,6 +36,8 @@ from . import polys
 from .polys import Poly
 
 DEFAULT_DECIMAL_PRECISION = 256
+# the deepest refinement level a search may reach before PrecisionExhausted
+MAX_REFINE_LEVEL = 100_000
 
 _ORDER_LT, _ORDER_EQ, _ORDER_GT = -1, 0, 1
 _LOG2_5 = math.log2(5)
@@ -86,6 +94,65 @@ def _raise_endpoint(coeffs_high, q: int) -> Fraction:
         step /= 2
         if step < Fraction(1, 2**64):
             raise SpecError("no root above the expected endpoint")
+
+
+class _Cells:
+    """Dyadic cells of an isolating interval (lo, hi) = (A/D, (A + C)/D):
+    the level-k cell lo + [j, j+1] (hi - lo)/2^k is the integers A 2^k + j C
+    and A 2^k + (j+1) C over D 2^k.  Only the index j of the deepest cell
+    computed is kept (level k has index j >> (deep - k)).  A root met as a
+    midpoint, or found by ``Beta.floor_value``, is kept with its level:
+    from there on every cell is the point (root, root)."""
+
+    __slots__ = ("A", "C", "D", "sf", "sign_lo", "deep", "j", "level", "root", "root_level")
+
+    def __init__(self, lo: Fraction, hi: Fraction, sf: tuple[int, ...]):
+        self.D = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+        self.A = lo.numerator * (self.D // lo.denominator)
+        self.C = hi.numerator * (self.D // hi.denominator) - self.A
+        self.sf, self.sign_lo = sf, polys.sign_at(sf, self.A, self.D)
+        self.deep = self.j = self.level = 0
+        self.root, self.root_level = None, math.inf
+
+    def cell(self, k: int) -> tuple[int, int, int]:
+        """Integers (lo, hi, den) with the level-k cell [lo/den, hi/den]."""
+        A, C, D, deep, j = self.A, self.C, self.D, self.deep, self.j
+        while deep < k < self.root_level:
+            num, den = (A << deep + 1) + (2 * j + 1) * C, D << deep + 1  # the midpoint
+            v = polys.sign_at(self.sf, num, den)
+            if v == 0:
+                self.root, self.root_level = Fraction(num, den), deep + 1
+            else:
+                deep, j = deep + 1, 2 * j + 1 if v == self.sign_lo else 2 * j
+        self.deep, self.j = deep, j
+        if k >= self.root_level:
+            return self.root.numerator, self.root.numerator, self.root.denominator
+        lo = (A << k) + (j >> (deep - k)) * C
+        return lo, lo + C, D << k
+
+    def search(self, holds, jump: int, what: str) -> int:
+        """Move to, and return, the first level >= the current one where
+        ``holds`` is true, starting ``jump`` levels ahead.  ``holds`` is
+        monotone in the level, as any test on nested cells (or enclosures
+        over them) is, so this is where a loop of single steps stops."""
+        lo, cap = self.level, MAX_REFINE_LEVEL
+        if holds(lo):
+            return lo
+        hi, step = min(lo + max(jump, 1), cap), 1
+        while not holds(hi):  # gallop up; holds(lo) is false
+            if hi >= cap:
+                raise PrecisionExhausted(f"{what} not reached by refinement level {cap} "
+                                         "(the level cap MAX_REFINE_LEVEL)")
+            lo, hi, step = hi, min(hi + step, cap), 2 * step
+        step = 1
+        while hi - lo > 1:  # bisect, probing next to hi first
+            probe = max(hi - step, (lo + hi) // 2)
+            if holds(probe):
+                hi, step = probe, 2 * step
+            else:
+                lo = probe
+        self.level = hi
+        return hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,47 +251,51 @@ class Beta:
         return self.sturm[0]
 
     @property
+    def _power_table(self) -> list[tuple[Fraction, ...]]:
+        """x^d, ..., x^(2d-1) mod f as d-tuples: ``FieldPoint.times_beta``
+        reduces with the first row, products with the first d - 1."""
+        if "powers" not in self._cache:
+            f = self.poly
+            x = FieldPoint._of(self, tuple(-c / f[-1] for c in f[:-1]))  # x^d mod f
+            self._cache["powers"] = rows = [x.coeffs]
+            for _ in range(self.degree - 1):
+                x = x.times_beta()
+                rows.append(x.coeffs)
+        return self._cache["powers"]
+
+    @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.is_exact else 1
+
+    @property
+    def _cells(self) -> _Cells:
+        if "cells" not in self._cache:
+            self._cache["cells"] = _Cells(*self.iso, polys.primitive_int_coeffs(self.sf_poly))
+        return self._cache["cells"]
 
     def interval(self) -> tuple[Fraction, Fraction]:
         """Current refined isolating interval (a point for rational bases)."""
         if not self.is_exact:
             return (self.value, self.value)
-        st = self._cache.get("iv")
-        if st is None:
-            # [lo, hi, exact root or None, integer squarefree part, its sign
-            # at lo]; bisection keeps that sign at lo, so each step
-            # evaluates at the midpoint only
-            lo, hi = self.iso
-            ints = polys.primitive_int_coeffs(self.sf_poly)
-            st = [lo, hi, None, ints, polys.sign_at(ints, lo)]
-            self._cache["iv"] = st
-        return (st[0], st[1]) if st[2] is None else (st[2], st[2])
+        lo, hi, den = self._cells.cell(self._cells.level)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def _refine_step(self) -> None:
-        st = self._cache["iv"]
-        if st[2] is not None:
-            return
-        lo, hi, _, ints, sign_lo = st
-        mid = (lo + hi) / 2
-        v = polys.sign_at(ints, mid)
-        if v == 0:
-            st[2] = mid
-        elif v == sign_lo:
-            st[0] = mid
-        else:
-            st[1] = mid
+        cells = self._cells
+        cells.cell(cells.level + 1)
+        cells.level = min(cells.level + 1, cells.root_level)
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """Shrink the isolating interval until it is narrower than ``width``."""
         if not self.is_exact:
             return (self.value, self.value)
-        lo, hi = self.interval()
-        while hi - lo >= width:
-            self._refine_step()
-            lo, hi = self.interval()
-        return lo, hi
+        cells, width = self._cells, Fraction(width)
+        # the cell width C / (D 2^k) first drops below the width at level k
+        k = (cells.C * width.denominator // (width.numerator * cells.D)).bit_length() \
+            if width > 0 else math.inf
+        cells.search(lambda j: j >= k or cells.cell(j)[0] == cells.cell(j)[1],
+                     k - cells.level, "isolating interval narrower than the width")
+        return self.interval()
 
     def floor_value(self) -> int:
         """Exact floor of beta."""
@@ -232,37 +303,30 @@ class Beta:
             return self._cache["floor"]
         if not self.is_exact:
             f = self.value.numerator // self.value.denominator
-            self._cache["floor"] = f
-            return f
-        lo, hi = self.interval()
-        while True:
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                self._cache["floor"] = flo
-                return flo
-            # some integer k sits inside; either beta == k or we can exclude it
-            k = Fraction(flo + 1)
-            if polys.poly_eval(self.sf_poly, k) == 0 and lo < k < hi:
-                self._cache["iv"][2] = k
-                self._cache["floor"] = flo + 1
-                return flo + 1
-            self._refine_step()
-            lo, hi = self.interval()
+        else:
+            cells = self._cells
+
+            def decided(k):
+                # the floors agree, or the integer between them is a root: beta
+                lo, hi, den = cells.cell(k)
+                return lo // den == hi // den or polys.sign_at(cells.sf, lo // den + 1, 1) == 0
+
+            k = cells.search(decided, 1, "floor of beta")
+            lo, hi, den = cells.cell(k)
+            f = lo // den
+            if hi // den != f:
+                f += 1
+                cells.root, cells.root_level = Fraction(f), k
+        self._cache["floor"] = f
+        return f
 
     @property
     def alphabet_max(self) -> int:
         return self.floor_value() + 1
 
     def decimal_str(self, digits: int = 15) -> str:
-        width = Fraction(1, 10 ** (digits + 2))
-        lo, hi = self.refine(width)
-        mid = (lo + hi) / 2
-        scaled = mid * 10**digits
-        n = scaled.numerator // scaled.denominator
-        s = str(n)
-        ip, fp = s[:-digits] or "0", s[-digits:].rstrip("0")
-        return ip + ("." + fp if fp else "")
+        lo, hi = self.refine(Fraction(1, 10 ** (digits + 2)))
+        return point_decimal_str((lo + hi) / 2, digits)
 
     def spec_string(self) -> str:
         if self.is_exact:
@@ -289,19 +353,14 @@ class Beta:
         r = Fraction(r)
         if not self.is_exact:
             return r
-        vec = (r,) + (Fraction(0),) * (self.degree - 1)
-        return FieldPoint(self, vec)
+        return FieldPoint._of(self, (r,) + (polys.ZERO,) * (self.degree - 1))
 
     def beta_point(self):
         """beta itself in the base's point type."""
         if not self.is_exact:
             return self.value
-        if self.degree == 1:
-            # linear defining polynomial: the root is rational
-            a1, a0 = self.poly[1], self.poly[0]
-            return FieldPoint(self, (-a0 / a1,))
-        vec = (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.degree - 2)
-        return FieldPoint(self, vec)
+        # x itself, reduced mod f when f is linear (the root is rational)
+        return FieldPoint(self, (Fraction(0), Fraction(1)))
 
     def __eq__(self, other):
         if not isinstance(other, Beta):
@@ -338,17 +397,21 @@ class FieldPoint:
 
     # arithmetic -----------------------------------------------------------
 
-    def _wrap(self, vec):
-        return FieldPoint(self.beta, vec)
+    @classmethod
+    def _of(cls, beta: Beta, coeffs: tuple[Fraction, ...]) -> "FieldPoint":
+        """A point from coordinates that already are a reduced d-tuple."""
+        x = object.__new__(cls)
+        x.beta, x.coeffs = beta, coeffs
+        return x
 
     def __add__(self, other):
         o = self._coerce(other)
-        return self._wrap(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldPoint._of(self.beta, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(tuple(-a for a in self.coeffs))
+        return FieldPoint._of(self.beta, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -358,9 +421,18 @@ class FieldPoint:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._wrap(tuple(a * other for a in self.coeffs))
-        o = self._coerce(other)
-        return self._wrap(polys.poly_mul(polys.make_poly(self.coeffs), polys.make_poly(o.coeffs)))
+            return FieldPoint._of(self.beta, tuple(a * other for a in self.coeffs))
+        o, d = self._coerce(other), self.beta.degree
+        prod = [polys.ZERO] * (2 * d - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(o.coeffs):
+                    prod[i + j] += a * b
+        out = prod[:d]  # then x^k mod f from the table for each k >= d
+        for p, row in zip(prod[d:], self.beta._power_table):
+            if p:
+                out = [c + p * r for c, r in zip(out, row)]
+        return FieldPoint._of(self.beta, tuple(out))
 
     __rmul__ = __mul__
 
@@ -375,14 +447,11 @@ class FieldPoint:
 
     def times_beta(self) -> "FieldPoint":
         """beta * self as one companion step: shift the coordinates and
-        subtract (top / lead) * f, the unique reduced representative."""
-        f = self.beta.poly
-        top = self.coeffs[-1]
-        shifted = (polys.ZERO,) + self.coeffs[:-1]
+        add top * (x^d mod f), the unique reduced representative."""
+        top, shifted = self.coeffs[-1], (polys.ZERO,) + self.coeffs[:-1]
         if top:
-            t = top / f[-1]
-            shifted = tuple(c - t * fc for c, fc in zip(shifted, f))
-        return self._wrap(shifted)
+            shifted = tuple(c + top * r for c, r in zip(shifted, self.beta._power_table[0]))
+        return FieldPoint._of(self.beta, shifted)
 
     def inverse(self) -> "FieldPoint":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
@@ -396,7 +465,7 @@ class FieldPoint:
             # a root of the cofactor f / g, where c is invertible
             f = polys.poly_divmod(f, g)[0]
             g, u = polys.half_ext_gcd(c, f)
-        return self._wrap(polys.poly_scale(u, 1 / g[0]))
+        return FieldPoint(self.beta, polys.poly_scale(u, 1 / g[0]))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -423,43 +492,47 @@ class FieldPoint:
         chain = polys.sturm_chain(g)
         g = chain[0]
         lo, hi = self.beta.interval()
-        if lo == hi:
-            return polys.poly_eval(g, lo) == 0
-        while polys.poly_eval(g, lo) == 0 or polys.poly_eval(g, hi) == 0:
+        while lo != hi and (polys.poly_eval(g, lo) == 0 or polys.poly_eval(g, hi) == 0):
             self.beta._refine_step()
             lo, hi = self.beta.interval()
-            if lo == hi:
-                return polys.poly_eval(g, lo) == 0
+        if lo == hi:
+            return polys.poly_eval(g, lo) == 0
         return polys.count_roots(g, lo, hi, chain) > 0
+
+    def _search(self, holds, width: Fraction | None, what: str) -> tuple[int, int, int]:
+        """The enclosure [a/s, b/s] of this point, as (a, b, s), at the first
+        level >= the current one where holds(a, b, s); the search starts
+        where halving the current enclosure each level passes ``width``."""
+        ints, d = polys.cleared(polys.make_poly(self.coeffs))
+        cells = self.beta._cells
+
+        @functools.cache
+        def enclosure(k):
+            a, b, s = polys.int_eval_interval(ints, *cells.cell(k))
+            return a, b, d * s
+
+        jump = 1
+        if width is not None:
+            a, b, s = enclosure(cells.level)
+            jump = ((b - a) * width.denominator).bit_length() - (s * width.numerator).bit_length()
+        return enclosure(cells.search(lambda k: holds(*enclosure(k)), jump, what))
 
     def sign(self) -> int:
         """-1, 0 or 1; the gcd zero test runs only once an enclosure
         contains 0, and refinement resumes after it."""
-        p = polys.make_poly(self.coeffs)
-        zero_tested = False
-        for _ in range(100_000):
-            a, b = polys.poly_eval_interval(p, self.beta.interval())
-            if a > 0:
-                return 1
-            if b < 0:
-                return -1
-            if zero_tested:
-                self.beta._refine_step()
-            elif self.is_zero():
+        a, b, _ = self._search(lambda *_: True, None, "")
+        if a <= 0 <= b:
+            if self.is_zero():
                 return 0
-            else:
-                zero_tested = True
-        raise RuntimeError("sign refinement did not converge")
+            a, b, _ = self._search(lambda a, b, s: a > 0 or b < 0, None, "sign of a field point")
+        return 1 if a > 0 else -1
 
     def interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """A rational enclosure of this value narrower than ``width``."""
-        p = polys.make_poly(self.coeffs)
-        for _ in range(100_000):
-            a, b = polys.poly_eval_interval(p, self.beta.interval())
-            if b - a < width:
-                return (a, b)
-            self.beta._refine_step()
-        raise RuntimeError("interval refinement did not converge")
+        w = Fraction(width)
+        a, b, s = self._search(lambda a, b, s: (b - a) * w.denominator < w.numerator * s, w,
+                               "enclosure of a field point narrower than the width")
+        return Fraction(a, s), Fraction(b, s)
 
     def compare(self, other) -> int:
         """-1, 0, or 1 against another point or a rational."""
@@ -570,17 +643,12 @@ def floor_point(beta: Beta, y) -> int:
         guard_tie(beta, y, k + 1, reason)
         return k
     y = as_point(beta, y)
-    p = polys.make_poly(y.coeffs)
-    while True:
-        a, b = polys.poly_eval_interval(p, beta.interval())
-        fa = a.numerator // a.denominator
-        fb = b.numerator // b.denominator
-        if fa == fb:
-            return fa
-        if fb == fa + 1:
-            s = (y - Fraction(fb)).sign()
-            return fb if s >= 0 else fa
-        beta._refine_step()
+    # at most one integer left in the enclosure, then settled by a sign test
+    a, b, s = y._search(lambda a, b, s: b // s - a // s <= 1, Fraction(1),
+                        "floor of a field point")
+    if a // s == b // s:
+        return a // s
+    return b // s if (y - Fraction(b // s)).sign() >= 0 else a // s
 
 
 def floor_beta_times(beta: Beta, x) -> int:
@@ -639,7 +707,7 @@ def point_decimal_str(x, digits: int = 15) -> str:
     scaled = x * 10**digits
     n = scaled.numerator // scaled.denominator
     s = str(n).rjust(digits + 1, "0")
-    ip, fp = s[:-digits], s[-digits:].rstrip("0")
+    ip, fp = s[:len(s) - digits], s[len(s) - digits:].rstrip("0")
     return ("-" if neg else "") + ip + ("." + fp if fp else "")
 
 

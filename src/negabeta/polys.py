@@ -6,7 +6,7 @@ and root isolation used by the rest of the package.  Point and interval
 evaluation run Horner's rule on Python integers (coefficients over one
 common denominator, the point or the interval endpoints over another) and
 build one ``Fraction`` at the end, so they return exactly the rationals a
-``Fraction`` Horner would.
+``Fraction`` Horner would (``sign_at`` and ``int_eval_interval`` take the integers).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def _cleared(p: Poly) -> tuple[list[int], int]:
+def cleared(p: Poly) -> tuple[list[int], int]:
     """Integers a_i and one denominator d > 0 with p_i = a_i / d."""
     d = 1
     for c in p:
@@ -56,15 +56,15 @@ def _horner(a: Sequence[int], u: int, v: int) -> tuple[int, int]:
 def poly_eval(p: Poly, x: Fraction) -> Fraction:
     if not p:
         return ZERO
-    a, d = _cleared(p)
+    a, d = cleared(p)
     n, w = _horner(a, x.numerator, x.denominator)
     return Fraction(n, d * w)
 
 
-def sign_at(a: Sequence[int], x: Fraction) -> int:
+def sign_at(a: Sequence[int], u: int, v: int) -> int:
     """Sign (-1, 0, 1) of the integer polynomial ``a`` (lowest degree
-    first, nonempty) at the rational ``x``."""
-    n = _horner(a, x.numerator, x.denominator)[0]
+    first, nonempty) at the rational u / v, v > 0."""
+    n = _horner(a, u, v)[0]
     return (n > 0) - (n < 0)
 
 
@@ -292,29 +292,34 @@ def primitive_int_coeffs(p: Poly) -> tuple[int, ...]:
 Interval = tuple[Fraction, Fraction]
 
 
-def iv_add(a: Interval, b: Interval) -> Interval:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def iv_mul(a: Interval, b: Interval) -> Interval:
     prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(prods), max(prods))
 
 
+def int_eval_interval(a: Sequence[int], lo: int, hi: int, w: int) -> tuple[int, int, int]:
+    """Interval Horner of the integer polynomial ``a`` (lowest degree first)
+    on [lo/w, hi/w], lo <= hi, w > 0: integers (A, B, s), s > 0, with
+    [A/s, B/s] the enclosure that iv_mul and endpoint sums give."""
+    acc_lo = acc_hi = a[-1] if a else 0
+    s = 1
+    for c in reversed(a[:-1]):
+        s *= w
+        if lo >= 0:  # the least and largest of the four products, by sign
+            acc_lo, acc_hi = (acc_lo * (lo if acc_lo >= 0 else hi),
+                              acc_hi * (hi if acc_hi >= 0 else lo))
+        else:
+            acc_lo, acc_hi = iv_mul((acc_lo, acc_hi), (lo, hi))
+        acc_lo, acc_hi = acc_lo + c * s, acc_hi + c * s
+    return acc_lo, acc_hi, s
+
+
 def poly_eval_interval(p: Poly, x: Interval) -> Interval:
-    """Interval Horner: the rationals that iv_add/iv_mul on ``Fraction``s
-    give, computed with every value scaled by one positive integer."""
-    if not p:
-        return (ZERO, ZERO)
-    a, d = _cleared(p)
+    """Interval Horner: the rationals that iv_mul and endpoint sums on
+    ``Fraction``s give, computed by ``int_eval_interval``."""
+    a, d = cleared(p)
     lo, hi = x
     w = lo.denominator * hi.denominator // int_gcd(lo.denominator, hi.denominator)
-    xs = (lo.numerator * (w // lo.denominator), hi.numerator * (w // hi.denominator))
-    it = reversed(a)
-    c = next(it)
-    acc, scale = (c, c), 1
-    for c in it:
-        scale *= w
-        acc = iv_add(iv_mul(acc, xs), (c * scale, c * scale))
-    den = d * scale
-    return (Fraction(acc[0], den), Fraction(acc[1], den))
+    n_lo, n_hi, s = int_eval_interval(a, lo.numerator * (w // lo.denominator),
+                                      hi.numerator * (w // hi.denominator), w)
+    return (Fraction(n_lo, d * s), Fraction(n_hi, d * s))

@@ -167,12 +167,13 @@ def _beta_from_interval(g: polys.Poly, iv: tuple[Fraction, Fraction]) -> Beta:
                 lo, s_lo = mid, v
     if lo == hi:
         # rational root: widen to an open interval still isolating it
-        sf = polys.squarefree_part(g)
+        chain = polys.sturm_chain(g)
+        sf = chain[0]
         eps = Fraction(1, 4)
         while True:
             a, b = lo - eps, lo + eps
             if a > 1 and polys.poly_eval(sf, a) != 0 and polys.poly_eval(sf, b) != 0 \
-                    and polys.count_roots(sf, a, b) == 1:
+                    and polys.count_roots(sf, a, b, chain) == 1:
                 return Beta.from_poly(coeffs_high, a, b)
             eps /= 2
     return Beta.from_poly(coeffs_high, lo, hi)

@@ -131,6 +131,35 @@ def test_exit_codes(capsys, monkeypatch):
     code = run(["expand", "--beta", "dec:1.5", "--n", "3"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+    monkeypatch.delenv("NEGABETA_PRECISION")
+    for argv in (["solve", "--target", "|212", "--digits", "-1"],
+                 ["density", "--beta", "pisot2:p=1,q=1", "--digits", "-3"],
+                 ["orbit", "--beta", "pisot2:p=1,q=1", "--digits", "-3"],
+                 ["match", "--beta", "pisot2:p=1,q=1", "--digits", "-1"]):
+        assert run(argv) == 2
+        assert "--digits: must be a non-negative integer" in capsys.readouterr().err
+    # the same rational 3/2 as two degree-1 bases
+    code = run(["measure-compare", "--beta1", "poly:[2,-3]@(1.25,1.75)",
+                "--beta2", "poly:[4,-6]@(1.3,1.7)"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bases must differ")
+
+
+def test_zero_digits_render_the_integer_part(capsys):
+    code, out = invoke(capsys, "solve", "--target", "|212", "--digits", "0")
+    assert code == 0 and json.loads(out)["decimal"] == "1"
+    code, out = invoke(capsys, "orbit", "--beta", "pisot2:p=1,q=1", "--digits", "0")
+    assert code == 0 and [p["decimal"] for p in json.loads(out)["points"]] == ["1", "0"]
+
+
+def test_refinement_level_cap_is_unresolved(capsys, monkeypatch):
+    """Refinement that would pass the level cap exits 3, not a traceback."""
+    from negabeta import numerics
+
+    monkeypatch.setattr(numerics, "MAX_REFINE_LEVEL", 2)
+    assert run(["orbit", "--beta", "pisot2:p=1,q=1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("unresolved:") and "level cap" in err
 
 
 def test_precision_environment_read_per_call(monkeypatch):

@@ -169,6 +169,25 @@ def test_invariance_on_random_intervals(phi, phi2, tribonacci):
             assert (direct - pulled).is_zero()
 
 
+def test_algebraic_equal_rational_points_and_level_cap(monkeypatch):
+    """Equal rationals in two fields have one-point enclosures (no Sturm
+    count can isolate them); widening past the level cap is unresolved."""
+    from negabeta import numerics
+
+    golden, tribonacci = make_beta("pisot2:p=1,q=1"), make_beta("multinacci:q=1,m=3")
+    third = Fraction(1, 3)
+    assert algebraic_equal(golden.point_from_rational(third),
+                           tribonacci.point_from_rational(third))
+    assert not algebraic_equal(golden.point_from_rational(third),
+                               tribonacci.point_from_rational(Fraction(1, 2)))
+    other = make_beta("poly:[1,-1,-1]@(1.6,1.7)")
+    assert algebraic_equal(golden.beta_point(), other.beta_point())
+    monkeypatch.setattr(numerics, "MAX_REFINE_LEVEL", 2)
+    with pytest.raises(PrecisionExhausted, match="level cap"):
+        algebraic_equal(make_beta("pisot2:p=1,q=1").beta_point(),
+                        make_beta("poly:[1,-1,-1]@(1.6,1.7)").beta_point())
+
+
 def test_algebraic_equal_cross_field(phi, phi2):
     b, b2 = phi.beta_point(), phi2.beta_point()
     assert algebraic_equal(b + 1, b2)

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -293,6 +294,185 @@ def test_times_beta_is_reduction_mod_f(spec):
         expected = reduced + (Fraction(0),) * (beta.degree - len(reduced))
         got = FieldPoint(beta, vec).times_beta().coeffs
         assert got == expected and all(type(c) is Fraction for c in got)
+
+
+class _LinearRefinement:
+    """Oracle: the isolating interval bisected one step at a time on the
+    defining polynomial, with a Fraction interval Horner enclosure at the
+    current interval after every step."""
+
+    def __init__(self, beta):
+        self.f = tuple(reversed(beta.coeffs))
+        self.lo, self.hi = beta.iso
+        self.root = None
+        self.lo_negative = _horner_oracle(self.f, self.lo) < 0
+
+    def interval(self):
+        return (self.root, self.root) if self.root is not None else (self.lo, self.hi)
+
+    def step(self):
+        if self.root is None:
+            mid = (self.lo + self.hi) / 2
+            v = _horner_oracle(self.f, mid)
+            if v == 0:
+                self.root = mid
+            elif (v < 0) == self.lo_negative:
+                self.lo = mid
+            else:
+                self.hi = mid
+
+    def refine(self, width):
+        while True:
+            lo, hi = self.interval()
+            if hi - lo < width:
+                return lo, hi
+            self.step()
+
+    def floor_value(self):
+        while True:
+            lo, hi = self.interval()
+            if math.floor(lo) == math.floor(hi):
+                return math.floor(lo)
+            k = math.floor(lo) + 1
+            if _horner_oracle(self.f, k) == 0:
+                self.root = Fraction(k)
+                return k
+            self.step()
+
+    def point_interval(self, vec, width):
+        while True:
+            a, b = _interval_horner_oracle(vec, self.interval())
+            if b - a < width:
+                return a, b
+            self.step()
+
+    def sign(self, vec):
+        zero_tested = False
+        while True:
+            a, b = _interval_horner_oracle(vec, self.interval())
+            if a > 0:
+                return 1
+            if b < 0:
+                return -1
+            if zero_tested:
+                self.step()
+            elif not any(vec):  # the defining polynomial is irreducible
+                return 0
+            else:
+                zero_tested = True
+
+    def floor(self, vec):
+        while True:
+            a, b = _interval_horner_oracle(vec, self.interval())
+            fa, fb = math.floor(a), math.floor(b)
+            if fa == fb:
+                return fa
+            if fb == fa + 1:
+                return fb if self.sign((vec[0] - fb,) + tuple(vec[1:])) >= 0 else fa
+            self.step()
+
+
+@pytest.mark.parametrize("spec", CRITERION_BASES)
+def test_level_search_matches_linear_refinement(spec):
+    """interval(w), sign(), floor_point, refine(w) and floor_value return
+    what a step-by-step loop returns, and leave the base in its state."""
+    import sympy
+
+    from negabeta.numerics import FieldPoint, floor_point
+
+    rng = random.Random(spec)
+    specs = [spec, make_beta(spec).plus_one().spec_string()] if spec.startswith("pisot2") \
+        else [spec]
+    for trial in range(24):
+        beta = make_beta(specs[trial % len(specs)])
+        assert sympy.Poly(beta.coeffs, sympy.Symbol("x")).is_irreducible
+        oracle = _LinearRefinement(beta)
+        value = float(bisect_root(beta.coeffs, *beta.iso, Fraction(1, 2**60)))
+        ops = rng.choices(["interval", "sign", "floor", "refine"], k=5) + ["floor_value"]
+        rng.shuffle(ops)
+        for op in ops:
+            vec = [Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 16]))
+                   for _ in range(beta.degree)]
+            if rng.random() < 0.5:
+                # centre the value on 0 (sign) or near an integer (floor)
+                vec[0] -= round(sum(float(c) * value**i for i, c in enumerate(vec)))
+            if rng.random() < 0.3:
+                vec = [c / 2**rng.randint(10, 60) for c in vec]
+            width = Fraction(1, 2**rng.randint(0, 140))
+            x = FieldPoint(beta, vec)
+            if op == "interval":
+                assert x.interval(width) == oracle.point_interval(vec, width)
+            elif op == "sign":
+                assert x.sign() == oracle.sign(vec)
+            elif op == "floor":
+                assert floor_point(beta, x) == oracle.floor(vec)
+            elif op == "refine":
+                assert beta.refine(width) == oracle.refine(width)
+            else:
+                assert beta.floor_value() == oracle.floor_value()
+            assert beta.interval() == oracle.interval()
+
+
+def test_rational_roots_keep_their_level():
+    """A midpoint root and the integer root found by floor_value end the
+    bisection at the level where they appear."""
+    from negabeta.numerics import floor_point
+
+    beta = make_beta("poly:[2,-3]@(1.25,1.75)")
+    assert beta.interval() == (Fraction(5, 4), Fraction(7, 4))
+    beta._refine_step()
+    assert beta.interval() == (Fraction(3, 2), Fraction(3, 2))
+    beta._refine_step()
+    assert beta.interval() == (Fraction(3, 2), Fraction(3, 2))
+    fresh = make_beta("poly:[2,-3]@(1.25,1.75)")
+    assert fresh.refine(Fraction(1, 2**40)) == (Fraction(3, 2), Fraction(3, 2))
+    b = fresh.beta_point()
+    assert (b * b).interval(Fraction(1, 10)) == (Fraction(9, 4), Fraction(9, 4))
+    assert floor_point(fresh, b * b) == 2 and (b - Fraction(3, 2)).sign() == 0
+    for spec in ("poly:[1,-2]@(1.5,2.75)", "poly:[1,-2,1,-2]@(1.5,2.75)"):
+        beta = make_beta(spec)
+        assert beta.floor_value() == 2
+        assert beta.interval() == (Fraction(2), Fraction(2))
+        assert beta.refine(Fraction(1, 2**30)) == (Fraction(2), Fraction(2))
+        assert floor_point(beta, beta.beta_point()) == 2
+
+
+def test_refine_step_on_a_fresh_base():
+    beta = make_beta("poly:[1,0,-1,-1]@(1.2,1.4)")
+    beta._refine_step()
+    assert beta.interval() == (Fraction(13, 10), Fraction(7, 5))
+
+
+@pytest.mark.parametrize("spec", ["poly:[2,-3]@(1.25,1.75)", "poly:[1,0,-1,-1]@(1.2,1.4)",
+                                  "poly:[3,-1,-5,-2]@(1.5,2)", "poly:[1,-2,1,-2,1]@(1.5,2)"])
+def test_product_is_reduction_mod_f(spec):
+    """The table-reduced product is poly_mod(poly_mul(..), f), padded."""
+    from negabeta.numerics import FieldPoint
+
+    beta = make_beta(spec)
+    rng = random.Random(spec)
+    for _ in range(100):
+        u, v = ([_random_rational(rng) if rng.random() < 0.8 else Fraction(0)
+                 for _ in range(beta.degree)] for _ in range(2))
+        reduced = polys.poly_mod(polys.poly_mul(polys.make_poly(u), polys.make_poly(v)),
+                                 beta.poly)
+        expected = reduced + (Fraction(0),) * (beta.degree - len(reduced))
+        got = (FieldPoint(beta, u) * FieldPoint(beta, v)).coeffs
+        assert got == expected and all(type(c) is Fraction for c in got)
+
+
+def test_orbit_enclosures_are_found_by_search(monkeypatch):
+    """The orbit of 1 of the plastic base evaluates few enclosures; a loop
+    that evaluates one per bisection step makes 89."""
+    from negabeta.expansion import orbit_of_one
+
+    calls = []
+    for name in ("poly_eval_interval", "int_eval_interval"):
+        kernel = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda *a, _k=kernel: calls.append(1) or _k(*a))
+    rec = orbit_of_one(make_beta("poly:[1,0,-1,-1]@(1.2,1.4)"))
+    assert rec.kind == "eventually-periodic"
+    assert 0 < len(calls) <= 30
 
 
 def _format_rational_oracle(r):
