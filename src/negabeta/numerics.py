@@ -13,9 +13,11 @@ enough, free of 0, or spanning at most one integer).  Cells are nested and
 interval arithmetic is inclusion-isotone, so each test is monotone in the
 level: a search that jumps ahead by the predicted number of halvings and
 then bisects over levels stops at the level, and with the rationals, of
-refining one step at a time.  A decimal base is the exact
-rational it names; its precision only sets a tie guard, which refuses a
-floor decision within 2^-precision of an integer.
+refining one step at a time.  A point of an exact base is an integer
+vector over one denominator, so field arithmetic and enclosures run on
+integers.  A decimal base is the exact rational it names; its precision
+only sets a tie guard, which refuses a floor decision within 2^-precision
+of an integer.
 
 Only this module tells the two point types apart (``FieldPoint`` for
 exact bases, ``Fraction`` for decimal ones); other modules go through the
@@ -24,16 +26,15 @@ point functions at the end of the file.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PrecisionExhausted, SpecError
 from . import polys
-from .polys import Poly
 
 DEFAULT_DECIMAL_PRECISION = 256
 # the deepest refinement level a search may reach before PrecisionExhausted
@@ -54,11 +55,20 @@ def _parse_rational(text: str) -> Fraction:
         raise SpecError(f"bad rational {text!r}") from exc
 
 
+def _int_str(n: int) -> str:
+    """str(n), or SpecError past Python's int-to-str limit."""
+    try:
+        return str(n)
+    except ValueError as exc:
+        raise SpecError("output holds an integer beyond Python's "
+                        f"{sys.get_int_max_str_digits()}-digit int-to-str limit") from exc
+
+
 def format_rational(r: Fraction) -> str:
     """Serialize as num/den, or as the float repr when that is exactly r."""
     num, den = r.numerator, r.denominator
     if den == 1:
-        return str(num)
+        return _int_str(num)
     twos = (den & -den).bit_length() - 1
     odd = den >> twos
     # with den = 2^a 5^b, r is the decimal N / 10^m for m = max(a, b) and
@@ -71,7 +81,7 @@ def format_rational(r: Fraction) -> str:
             text = repr(float(r))
             if Fraction(text) == r:
                 return text
-    return f"{num}/{den}"
+    return f"{_int_str(num)}/{_int_str(den)}"
 
 
 def _raise_endpoint(coeffs_high, q: int) -> Fraction:
@@ -234,33 +244,35 @@ class Beta:
         return self.kind == "exact"
 
     @property
-    def poly(self) -> Poly:
+    def poly(self) -> polys.IntPoly:
         if "poly" not in self._cache:
-            self._cache["poly"] = polys.make_poly(tuple(reversed(self.coeffs)))
+            self._cache["poly"] = tuple(reversed(self.coeffs))
         return self._cache["poly"]
 
     @property
-    def sturm(self) -> list[Poly]:
+    def sturm(self) -> list[polys.IntPoly]:
         """Sturm chain of the squarefree part of the defining polynomial."""
         if "sturm" not in self._cache:
             self._cache["sturm"] = polys.sturm_chain(self.poly)
         return self._cache["sturm"]
 
     @property
-    def sf_poly(self) -> Poly:
+    def sf_poly(self) -> polys.IntPoly:
         return self.sturm[0]
 
     @property
-    def _power_table(self) -> list[tuple[Fraction, ...]]:
-        """x^d, ..., x^(2d-1) mod f as d-tuples: ``FieldPoint.times_beta``
-        reduces with the first row, products with the first d - 1."""
+    def _power_table(self) -> tuple[list[tuple[int, ...]], int]:
+        """x^d, ..., x^(2d-1) mod f as integer d-tuples over one denominator;
+        ``times_beta`` reduces with the first row, products with the first d - 1."""
         if "powers" not in self._cache:
-            f = self.poly
-            x = FieldPoint._of(self, tuple(-c / f[-1] for c in f[:-1]))  # x^d mod f
-            self._cache["powers"] = rows = [x.coeffs]
-            for _ in range(self.degree - 1):
-                x = x.times_beta()
-                rows.append(x.coeffs)
+            f, d = self.poly, self.degree
+            row = first = [Fraction(-c, f[-1]) for c in f[:-1]]  # x^d mod f
+            rows = [row]
+            for _ in range(d - 1):  # a companion step: shift, add top * (x^d mod f)
+                row = [row[-1] * first[0]] + [c + row[-1] * r for c, r in zip(row, first[1:])]
+                rows.append(row)
+            ints, den = polys.cleared([c for row in rows for c in row])
+            self._cache["powers"] = [tuple(ints[i:i + d]) for i in range(0, len(ints), d)], den
         return self._cache["powers"]
 
     @property
@@ -270,7 +282,7 @@ class Beta:
     @property
     def _cells(self) -> _Cells:
         if "cells" not in self._cache:
-            self._cache["cells"] = _Cells(*self.iso, polys.primitive_int_coeffs(self.sf_poly))
+            self._cache["cells"] = _Cells(*self.iso, self.sf_poly)
         return self._cache["cells"]
 
     def interval(self) -> tuple[Fraction, Fraction]:
@@ -353,7 +365,7 @@ class Beta:
         r = Fraction(r)
         if not self.is_exact:
             return r
-        return FieldPoint._of(self, (r,) + (polys.ZERO,) * (self.degree - 1))
+        return FieldPoint._of(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     def beta_point(self):
         """beta itself in the base's point type."""
@@ -380,12 +392,15 @@ class Beta:
 class FieldPoint:
     """An element of Q[x]/(f) evaluated at the isolated root of ``f``.
 
+    Stored as integers: ``num``, a d-tuple, over one denominator ``den`` > 0
+    with no factor common to den and every entry of num, so the coordinates
+    are num_i / den and den is the lcm of their reduced denominators.
     The defining polynomial need not be minimal; equality and sign are
     decided through gcd zero tests and interval refinement, which stay
     correct in the non-minimal case.
     """
 
-    __slots__ = ("beta", "coeffs")
+    __slots__ = ("beta", "num", "den")
 
     def __init__(self, beta: Beta, coeffs):
         self.beta = beta
@@ -393,46 +408,66 @@ class FieldPoint:
         d = beta.degree
         if len(vec) > d:
             vec = polys.poly_mod(vec, beta.poly)
-        self.coeffs = vec + (polys.ZERO,) * (d - len(vec))
+        num, self.den = polys.cleared(vec)
+        self.num = tuple(num) + (0,) * (d - len(num))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates in the basis 1, beta, ..., beta^(d-1)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # arithmetic -----------------------------------------------------------
 
     @classmethod
-    def _of(cls, beta: Beta, coeffs: tuple[Fraction, ...]) -> "FieldPoint":
-        """A point from coordinates that already are a reduced d-tuple."""
+    def _of(cls, beta: Beta, num: tuple[int, ...], den: int) -> "FieldPoint":
+        """The point num / den (a d-tuple of integers, den > 0), reduced."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = tuple(c // g for c in num), den // g
         x = object.__new__(cls)
-        x.beta, x.coeffs = beta, coeffs
+        x.beta, x.num, x.den = beta, num, den
         return x
 
+    def _plus(self, o: "FieldPoint", e: int) -> "FieldPoint":
+        """self + e * o for e = 1 or -1."""
+        a, s, b, t = self.num, self.den, o.num, o.den
+        if s == t:
+            return FieldPoint._of(self.beta, tuple(x + e * y for x, y in zip(a, b)), s)
+        g = math.gcd(s, t)
+        s, t = s // g, t // g
+        return FieldPoint._of(self.beta, tuple(x * t + e * y * s for x, y in zip(a, b)), s * t * g)
+
     def __add__(self, other):
-        o = self._coerce(other)
-        return FieldPoint._of(self.beta, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldPoint._of(self.beta, tuple(-a for a in self.coeffs))
+        return FieldPoint._of(self.beta, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return self._coerce(other)._plus(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldPoint._of(self.beta, tuple(a * other for a in self.coeffs))
+            return FieldPoint._of(self.beta, tuple(a * other.numerator for a in self.num),
+                                  self.den * other.denominator)
         o, d = self._coerce(other), self.beta.degree
-        prod = [polys.ZERO] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(o.num):
                     prod[i + j] += a * b
-        out = prod[:d]  # then x^k mod f from the table for each k >= d
-        for p, row in zip(prod[d:], self.beta._power_table):
+        rows, t = self.beta._power_table
+        out = prod[:d] if t == 1 else [c * t for c in prod[:d]]
+        for p, row in zip(prod[d:], rows):  # x^k mod f from the table for each k >= d
             if p:
                 out = [c + p * r for c, r in zip(out, row)]
-        return FieldPoint._of(self.beta, tuple(out))
+        return FieldPoint._of(self.beta, tuple(out), self.den * o.den * t)
 
     __rmul__ = __mul__
 
@@ -448,24 +483,31 @@ class FieldPoint:
     def times_beta(self) -> "FieldPoint":
         """beta * self as one companion step: shift the coordinates and
         add top * (x^d mod f), the unique reduced representative."""
-        top, shifted = self.coeffs[-1], (polys.ZERO,) + self.coeffs[:-1]
-        if top:
-            shifted = tuple(c + top * r for c, r in zip(shifted, self.beta._power_table[0]))
-        return FieldPoint._of(self.beta, shifted)
+        top, shifted = self.num[-1], (0,) + self.num[:-1]
+        if not top:
+            return FieldPoint._of(self.beta, shifted, self.den)
+        rows, t = self.beta._power_table
+        return FieldPoint._of(self.beta, tuple(c * t + top * r for c, r in zip(shifted, rows[0])),
+                              self.den * t)
 
     def inverse(self) -> "FieldPoint":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        if self.is_zero():
+        """Multiplicative inverse; raises ZeroDivisionError on zero.  One integer
+        extended remainder sequence gives u c = g (mod f) for the numerator c;
+        the zero test runs only when g is not constant."""
+        c = polys.trimmed(self.num)
+        if not c:
             raise ZeroDivisionError("field point is zero")
-        c = polys.make_poly(self.coeffs)
         f = self.beta.poly
-        g, u = polys.half_ext_gcd(c, f)
-        while polys.degree(g) > 0:
+        g, u = polys.cofactor_gcd(c, f)
+        if len(g) > 1 and self.is_zero():
+            raise ZeroDivisionError("field point is zero")
+        while len(g) > 1:
             # non-minimal modulus: g divides c and c(beta) != 0, so beta is
             # a root of the cofactor f / g, where c is invertible
-            f = polys.poly_divmod(f, g)[0]
-            g, u = polys.half_ext_gcd(c, f)
-        return FieldPoint(self.beta, polys.poly_scale(u, 1 / g[0]))
+            f = polys.exact_quotient(f, polys.primitive_int_coeffs(g))
+            g, u = polys.cofactor_gcd(c, f)
+        u = tuple(u) + (0,) * (self.beta.degree - len(u))
+        return FieldPoint._of(self.beta, u, 1) * Fraction(self.den, g[0])  # den u / g
 
     def __pow__(self, n: int):
         if n < 0:
@@ -482,12 +524,12 @@ class FieldPoint:
     # decisions ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if all(c == 0 for c in self.coeffs):
+        if not any(self.num):
             return True
-        if all(c == 0 for c in self.coeffs[1:]):
+        if not any(self.num[1:]):
             return False
-        g = polys.poly_gcd(polys.make_poly(self.coeffs), self.beta.poly)
-        if polys.degree(g) == 0:
+        g = polys.poly_gcd(self.num, self.beta.poly)
+        if len(g) == 1:
             return False
         chain = polys.sturm_chain(g)
         g = chain[0]
@@ -503,13 +545,13 @@ class FieldPoint:
         """The enclosure [a/s, b/s] of this point, as (a, b, s), at the first
         level >= the current one where holds(a, b, s); the search starts
         where halving the current enclosure each level passes ``width``."""
-        ints, d = polys.cleared(polys.make_poly(self.coeffs))
-        cells = self.beta._cells
+        ints, d, cells, memo = polys.trimmed(self.num), self.den, self.beta._cells, {}
 
-        @functools.cache
         def enclosure(k):
-            a, b, s = polys.int_eval_interval(ints, *cells.cell(k))
-            return a, b, d * s
+            if k not in memo:
+                a, b, s = polys.int_eval_interval(ints, *cells.cell(k))
+                memo[k] = a, b, d * s
+            return memo[k]
 
         jump = 1
         if width is not None:
@@ -706,7 +748,7 @@ def point_decimal_str(x, digits: int = 15) -> str:
     x = abs(x)
     scaled = x * 10**digits
     n = scaled.numerator // scaled.denominator
-    s = str(n).rjust(digits + 1, "0")
+    s = _int_str(n).rjust(digits + 1, "0")
     ip, fp = s[:len(s) - digits], s[len(s) - digits:].rstrip("0")
     return ("-" if neg else "") + ip + ("." + fp if fp else "")
 

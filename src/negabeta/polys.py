@@ -1,12 +1,17 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficients are stored lowest degree first as tuples of ``Fraction``.
-Everything here is exact; these routines back the sign tests, zero tests
-and root isolation used by the rest of the package.  Point and interval
-evaluation run Horner's rule on Python integers (coefficients over one
-common denominator, the point or the interval endpoints over another) and
-build one ``Fraction`` at the end, so they return exactly the rationals a
-``Fraction`` Horner would (``sign_at`` and ``int_eval_interval`` take the integers).
+Coefficients are stored lowest degree first, as tuples of ``Fraction`` or of
+``int``.  Everything here is exact; these routines back the sign tests,
+zero tests and root isolation used by the rest of the package.  Point and
+interval evaluation run Horner's rule on Python integers (coefficients over
+one common denominator, the point or the interval endpoints over another)
+and build at most one ``Fraction`` at the end, so they return exactly the
+rationals a ``Fraction`` Horner would (``sign_at`` and ``int_eval_interval``
+take the integers).  Greatest common divisors, squarefree parts, field
+inverses and Sturm chains run on primitive integer remainder sequences
+(pseudo-division, then division by the content; Gauss's lemma keeps every
+quotient integral) and return primitive integer polynomials with the
+gcds and Sturm sign counts of the rational Euclid.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import Sequence
 Poly = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def make_poly(coeffs: Sequence) -> Poly:
@@ -83,12 +87,6 @@ def poly_sub(p: Poly, q: Poly) -> Poly:
     return poly_add(p, poly_neg(q))
 
 
-def poly_scale(p: Poly, s: Fraction) -> Poly:
-    if s == 0:
-        return ()
-    return tuple(c * s for c in p)
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
@@ -127,64 +125,125 @@ def poly_mod(p: Poly, q: Poly) -> Poly:
     return poly_divmod(p, q)[1]
 
 
-def monic(p: Poly) -> Poly:
-    if not p:
-        return p
-    return poly_scale(p, 1 / p[-1])
+# ---------------------------------------------------------------------------
+# primitive remainder sequences over the integers
+
+IntPoly = tuple[int, ...]
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    a, b = p, q
+def trimmed(a: Sequence[int]) -> IntPoly:
+    """``a`` without its trailing zero coefficients."""
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return tuple(a[:n])
+
+
+def _primitive(a: Sequence[int]) -> IntPoly:
+    """``a`` over its content, trailing zeros dropped, leading coefficient
+    positive; () for the zero polynomial."""
+    a = trimmed(a)
+    g = int_gcd(*a)
+    return tuple(c // g if a[-1] > 0 else -c // g for c in a)
+
+
+def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], IntPoly]:
+    """(m, q, r) with m a = q b + r, deg r < deg b and m = |lc b|^(deg a - deg b + 1)
+    (m = 1, q = 0, r = a when deg a < deg b): pseudo-division of integer
+    polynomials, ``b`` nonzero and normalized.  With a multiplied by m
+    every quotient coefficient is an exact integer division."""
+    db, lead = len(b) - 1, b[-1]
+    k = len(a) - 1 - db
+    if k < 0:
+        return 1, [], tuple(a)
+    m = abs(lead) ** (k + 1)
+    r = [c * m for c in a]
+    q = [0] * (k + 1)
+    for i in range(k, -1, -1):
+        c = q[i] = r[i + db] // lead
+        if c:
+            for j in range(db):
+                r[i + j] -= c * b[j]
+    return m, q, trimmed(r[:db])
+
+
+def exact_quotient(a: Sequence[int], b: Sequence[int]) -> IntPoly:
+    """a / b for integer polynomials where b divides a and is primitive, so
+    the quotient has integer coefficients (Gauss's lemma)."""
+    m, q, _ = pseudo_divmod(a, b)
+    return tuple(c // m for c in q)
+
+
+def primitive_int_coeffs(p: Poly) -> IntPoly:
+    """Clear denominators and content; leading coefficient positive."""
+    return _primitive(cleared(p)[0])
+
+
+def poly_gcd(p: Poly, q: Poly) -> IntPoly:
+    """Greatest common divisor as a primitive integer polynomial with
+    positive leading coefficient, by a primitive remainder sequence."""
+    a, b = primitive_int_coeffs(p), primitive_int_coeffs(q)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        a, b = b, poly_mod(a, b)
-    return monic(a)
+        a, b = b, _primitive(pseudo_divmod(a, b)[2])
+    return a
 
 
-def half_ext_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Return (g, u) with g = gcd(p, q) monic and u*p = g (mod q)."""
-    r0, r1 = p, q
-    u0, u1 = (ONE,), ()
-    while r1:
-        quo, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, poly_sub(u0, poly_mul(quo, u1))
-    if r0:
-        lead = r0[-1]
-        r0 = poly_scale(r0, 1 / lead)
-        u0 = poly_scale(u0, 1 / lead)
-    return r0, u0
+def cofactor_gcd(c: Sequence[int], f: Sequence[int]) -> tuple[IntPoly, list[int]]:
+    """(g, u): integer polynomials with u c = g (mod f), g a nonzero multiple
+    of gcd(c, f) and deg u < deg f - deg g; c and f nonzero, normalized.
+    An extended primitive remainder sequence: each step divides remainder
+    and cofactor by their common content."""
+    r0, r1, u0, u1 = f, c, [], [1]
+    while True:
+        m, q, r = pseudo_divmod(r0, r1)
+        if not r:
+            return r1, u1
+        u = [m * x for x in u0] + [0] * (len(q) + len(u1) - 1 - len(u0))
+        for i, a in enumerate(q):
+            for j, b in enumerate(u1):
+                u[i + j] -= a * b
+        u = trimmed(u)
+        h = int_gcd(*r, *u)
+        r0, r1, u0, u1 = r1, [x // h for x in r], u1, [x // h for x in u]
 
 
-def derivative(p: Poly) -> Poly:
-    return make_poly([i * p[i] for i in range(1, len(p))])
+def derivative(p: Sequence[int]) -> list[int]:
+    return [i * p[i] for i in range(1, len(p))]
 
 
-def squarefree_part(p: Poly) -> Poly:
-    if degree(p) <= 0:
-        return monic(p)
-    g = poly_gcd(p, derivative(p))
-    if degree(g) == 0:
-        return monic(p)
-    return monic(poly_divmod(p, g)[0])
+def squarefree_part(p: Poly) -> IntPoly:
+    """p / gcd(p, p'), primitive, with positive leading coefficient."""
+    a = primitive_int_coeffs(p)
+    if len(a) <= 1:
+        return a
+    g = poly_gcd(a, derivative(a))
+    return a if len(g) == 1 else exact_quotient(a, g)
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of the squarefree part of ``p``."""
+def sturm_chain(p: Poly) -> list[IntPoly]:
+    """Sturm chain of the squarefree part of ``p`` (first element with
+    positive leading coefficient) as a primitive remainder sequence: each
+    negated pseudo-remainder (positive multiplier |lc|^(delta+1)) over its
+    positive content, a positive multiple of the rational chain's element."""
     f = squarefree_part(p)
-    chain = [f, derivative(f)]
-    while chain[-1]:
-        chain.append(poly_neg(poly_mod(chain[-2], chain[-1])))
-    chain.pop()
+    chain = [f]
+    g = _primitive(derivative(f))  # a positive multiple: lc f > 0
+    while g:
+        chain.append(g)
+        r = pseudo_divmod(chain[-2], g)[2]
+        h = int_gcd(*r)
+        g = tuple(-c // h for c in r)
     return chain
 
 
-def _variations(values: list[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
+def _variations(chain: list[IntPoly], u: int, v: int) -> int:
+    signs = [s for s in (sign_at(g, u, v) for g in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(p: Poly, lo: Fraction, hi: Fraction, chain: list[Poly] | None = None) -> int:
+def count_roots(p: Poly, lo: Fraction, hi: Fraction, chain: list[IntPoly] | None = None) -> int:
     """Distinct real roots of ``p`` in the open interval (lo, hi).
 
     Requires p(lo) != 0 and p(hi) != 0.
@@ -193,18 +252,15 @@ def count_roots(p: Poly, lo: Fraction, hi: Fraction, chain: list[Poly] | None = 
         return 0
     if chain is None:
         chain = sturm_chain(p)
-    f = chain[0]
-    if poly_eval(f, lo) == 0 or poly_eval(f, hi) == 0:
+    u, v, s, t = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if sign_at(chain[0], u, v) == 0 or sign_at(chain[0], s, t) == 0:
         raise ValueError("Sturm count requires nonzero endpoint values")
-    va = _variations([poly_eval(g, lo) for g in chain])
-    vb = _variations([poly_eval(g, hi) for g in chain])
-    return va - vb
+    return _variations(chain, u, v) - _variations(chain, s, t)
 
 
 def root_upper_bound(p: Poly) -> Fraction:
     """Cauchy bound: every real root has absolute value below this."""
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p) / lead
+    return 1 + Fraction(max(abs(c) for c in p)) / abs(p[-1])
 
 
 def isolate_roots(p: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -266,41 +322,11 @@ def shift_poly(p: Poly, s: Fraction) -> Poly:
     return out
 
 
-def primitive_int_coeffs(p: Poly) -> tuple[int, ...]:
-    """Clear denominators and content; leading coefficient positive.
-
-    Returned lowest degree first, matching the internal convention.
-    """
-    if not p:
-        return ()
-    den = 1
-    for c in p:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
-
-
-# ---------------------------------------------------------------------------
-# interval arithmetic over rational endpoints
-
-Interval = tuple[Fraction, Fraction]
-
-
-def iv_mul(a: Interval, b: Interval) -> Interval:
-    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(prods), max(prods))
-
-
 def int_eval_interval(a: Sequence[int], lo: int, hi: int, w: int) -> tuple[int, int, int]:
     """Interval Horner of the integer polynomial ``a`` (lowest degree first)
     on [lo/w, hi/w], lo <= hi, w > 0: integers (A, B, s), s > 0, with
-    [A/s, B/s] the enclosure that iv_mul and endpoint sums give."""
+    [A/s, B/s] the enclosure that four-product interval multiplication and
+    endpoint sums give."""
     acc_lo = acc_hi = a[-1] if a else 0
     s = 1
     for c in reversed(a[:-1]):
@@ -309,17 +335,8 @@ def int_eval_interval(a: Sequence[int], lo: int, hi: int, w: int) -> tuple[int, 
             acc_lo, acc_hi = (acc_lo * (lo if acc_lo >= 0 else hi),
                               acc_hi * (hi if acc_hi >= 0 else lo))
         else:
-            acc_lo, acc_hi = iv_mul((acc_lo, acc_hi), (lo, hi))
+            prods = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+            acc_lo, acc_hi = min(prods), max(prods)
         acc_lo, acc_hi = acc_lo + c * s, acc_hi + c * s
     return acc_lo, acc_hi, s
 
-
-def poly_eval_interval(p: Poly, x: Interval) -> Interval:
-    """Interval Horner: the rationals that iv_mul and endpoint sums on
-    ``Fraction``s give, computed by ``int_eval_interval``."""
-    a, d = cleared(p)
-    lo, hi = x
-    w = lo.denominator * hi.denominator // int_gcd(lo.denominator, hi.denominator)
-    n_lo, n_hi, s = int_eval_interval(a, lo.numerator * (w // lo.denominator),
-                                      hi.numerator * (w // hi.denominator), w)
-    return (Fraction(n_lo, d * s), Fraction(n_hi, d * s))

@@ -138,6 +138,14 @@ def test_exit_codes(capsys, monkeypatch):
                  ["match", "--beta", "pisot2:p=1,q=1", "--digits", "-1"]):
         assert run(argv) == 2
         assert "--digits: must be a non-negative integer" in capsys.readouterr().err
+    # a rendering to 4300 digits or more is beyond Python's int-to-str limit
+    for argv in (["orbit", "--beta", "pisot2:p=1,q=1", "--digits", "4300"],
+                 ["density", "--beta", "pisot2:p=1,q=1", "--digits", "5000"],
+                 ["match", "--beta", "pisot2:p=1,q=1", "--digits", "5000"],
+                 ["solve", "--target", "|212", "--digits", "5000"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "int-to-str limit" in err
     # the same rational 3/2 as two degree-1 bases
     code = run(["measure-compare", "--beta1", "poly:[2,-3]@(1.25,1.75)",
                 "--beta2", "poly:[4,-6]@(1.3,1.7)"])

@@ -231,8 +231,13 @@ def _random_rational(rng, big=False):
     return Fraction(num, rng.choice([1, 1, 2, 3, 7, 12, 2**rng.randint(1, 90)]))
 
 
+def _over_one_denominator(values):
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def test_integer_horner_kernels_equal_fraction_horner():
-    """poly_eval and poly_eval_interval return exactly the rationals of a
+    """poly_eval and int_eval_interval return exactly the rationals of a
     Fraction Horner, on points and on negative, zero-straddling and
     degenerate intervals."""
     rng = random.Random(20261018)
@@ -243,10 +248,12 @@ def test_integer_horner_kernels_equal_fraction_horner():
         got = polys.poly_eval(p, x)
         assert type(got) is Fraction and got == _horner_oracle(p, x)
         a, b = sorted((_random_rational(rng), _random_rational(rng)))
+        ints, d = _over_one_denominator(p)
         for iv in ((a, b), (-b, -a), (min(a, -abs(b)), abs(b)), (a, a)):
-            got = polys.poly_eval_interval(p, iv)
-            assert got == _interval_horner_oracle(p, iv)
-            assert all(type(v) is Fraction for v in got)
+            (lo, hi), w = _over_one_denominator(iv)
+            n_lo, n_hi, s = polys.int_eval_interval(ints, lo, hi, w)
+            assert (Fraction(n_lo, d * s), Fraction(n_hi, d * s)) == \
+                _interval_horner_oracle(p, iv)
 
 
 CRITERION_BASES = [f"pisot2:p={p},q={q}" for p in range(1, 4) for q in range(p, 4)] + [
@@ -467,9 +474,8 @@ def test_orbit_enclosures_are_found_by_search(monkeypatch):
     from negabeta.expansion import orbit_of_one
 
     calls = []
-    for name in ("poly_eval_interval", "int_eval_interval"):
-        kernel = getattr(polys, name)
-        monkeypatch.setattr(polys, name, lambda *a, _k=kernel: calls.append(1) or _k(*a))
+    kernel = polys.int_eval_interval
+    monkeypatch.setattr(polys, "int_eval_interval", lambda *a: calls.append(1) or kernel(*a))
     rec = orbit_of_one(make_beta("poly:[1,0,-1,-1]@(1.2,1.4)"))
     assert rec.kind == "eventually-periodic"
     assert 0 < len(calls) <= 30
@@ -506,3 +512,159 @@ def test_format_rational_matches_reference():
                           rng.randint(-10**25, 10**25), rng.randint(-999, 999)])
         r = Fraction(num, 2**a * 5**b * rng.choice([1, 1, 1, 3, 7]))
         assert numerics.format_rational(r) == _format_rational_oracle(r)
+
+
+def test_renderings_past_the_int_to_str_limit_raise_spec_error():
+    """A rational or decimal rendering past Python's int-to-str limit raises
+    SpecError (exit 2 in the CLI), as ``orbit --beta dec:1.7`` reaches at
+    the default budget."""
+    big = Fraction(10**5000 + 1, 3)
+    for render in (numerics.format_rational, lambda r: numerics.point_decimal_str(r, 0)):
+        with pytest.raises(SpecError, match="int-to-str limit"):
+            render(big)
+
+
+def _sympy_int_poly(rng, x):
+    """A seeded integer polynomial of degree <= 12 built by sympy: a product
+    of random factors, some linear with a rational root, sometimes one
+    factor twice, times a scalar that may be negative."""
+    import sympy
+
+    factors = []
+    while not factors or rng.random() < 0.5 and len(factors) < 4:
+        if rng.random() < 0.35:
+            factors.append(rng.randint(1, 4) * x - rng.randint(-6, 6))
+        else:
+            factors.append(sum(rng.randint(-5, 5) * x**i for i in range(rng.randint(1, 3)))
+                           + rng.choice([1, -1, 2, 3]) * x**3)
+    if rng.random() < 0.4:
+        factors.append(rng.choice(factors))
+    p = sympy.Poly(rng.choice([1, -1, 2, -3]) * sympy.Mul(*factors), x)
+    return p if 1 <= p.degree() <= 12 else sympy.Poly(factors[0], x)
+
+
+def _low_first(p):
+    return tuple(int(c) for c in reversed(p.all_coeffs()))
+
+
+def test_primitive_remainder_sequences_against_sympy():
+    """count_roots, poly_gcd and squarefree_part on integer polynomials up to
+    degree 12 (repeated factors, negative leading coefficients, rational
+    roots) agree with sympy's root counts, gcd and squarefree part."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+    for _ in range(150):
+        p = _sympy_int_poly(rng, x)
+        a = _low_first(p)
+        chain = polys.sturm_chain(a)
+        assert chain[0][-1] > 0 and all(math.gcd(*g) == 1 for g in chain)
+        for _ in range(4):
+            lo, hi = sorted(Fraction(rng.randint(-60, 60), rng.choice([1, 2, 3, 8]))
+                            for _ in range(2))
+            if lo == hi or p.eval(sympy.Rational(lo.numerator, lo.denominator)) == 0 \
+                    or p.eval(sympy.Rational(hi.numerator, hi.denominator)) == 0:
+                continue
+            expected = p.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                                     sympy.Rational(hi.numerator, hi.denominator))
+            assert polys.count_roots(a, lo, hi) == expected
+            assert polys.count_roots(a, lo, hi, chain) == expected
+        sf = sympy.Poly(list(reversed(polys.squarefree_part(a))), x)
+        assert sf.degree() == sympy.sqf_part(p).degree()
+        assert sf.monic() == sympy.sqf_part(p).monic() and sf.LC() > 0
+        common = _sympy_int_poly(rng, x)
+        p, q = p * common, _sympy_int_poly(rng, x) * common
+        g = polys.poly_gcd(_low_first(p), _low_first(q))
+        expected = sympy.gcd(p, q)
+        assert len(g) - 1 == expected.degree()
+        assert sympy.Poly(list(reversed(g)), x).monic() == expected.monic() and g[-1] > 0
+
+
+def _ref_mod(p, f):
+    """p mod f over Fractions by schoolbook long division, as a d-tuple."""
+    p, d = [Fraction(c) for c in p], len(f) - 1
+    for k in range(len(p) - 1, d - 1, -1):
+        q = p[k] / f[-1]
+        for i in range(d + 1):
+            p[k - d + i] -= q * f[i]
+    return tuple(p[:d]) + (Fraction(0),) * (d - len(p))
+
+
+def _ref_product(u, v):
+    prod = [Fraction(0)] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            prod[i + j] += a * b
+    return prod
+
+
+@pytest.mark.parametrize("spec", ["poly:[1,0,-1,-1]@(1.2,1.4)", "poly:[2,-3,-1]@(1.5,2)",
+                                  "poly:[3,-1,-5,-2]@(1.5,2)", "poly:[1,-4,2,3]@(1.5,2.0)",
+                                  "poly:[1,-1,0,-1,-1]@(1.5,1.7)", "poly:[2,-3,0,4,-6]@(1.25,1.75)",
+                                  "poly:[2,-3]@(1.25,1.75)",
+                                  "|311133"])
+def test_field_point_against_fraction_reference(spec):
+    """Every FieldPoint operation gives the coordinates of a Fraction
+    reference (schoolbook product, long division mod f), on monic,
+    non-monic and reducible f; the inverse is checked in Q(beta), modulo
+    the factor of f that beta is a root of."""
+    import sympy
+
+    from negabeta.expansion import EvPeriodic
+    from negabeta.numerics import FieldPoint
+    from negabeta.solver import beta_from_expansion
+
+    beta = beta_from_expansion(EvPeriodic.parse(spec)) if spec.startswith("|") \
+        else make_beta(spec)
+    x, f, d = sympy.Symbol("x"), tuple(reversed(beta.coeffs)), beta.degree
+    lo, hi = (sympy.Rational(e.numerator, e.denominator) for e in beta.iso)
+    minimal = [m for m, _ in sympy.factor_list(sympy.Poly(beta.coeffs, x))[1]
+               if m.count_roots(lo, hi) == 1]
+    m = _low_first(minimal[0])
+    rng = random.Random(spec)
+    for trial in range(80):
+        u, v = ([_random_rational(rng, rng.random() < 0.1) if rng.random() < 0.8
+                 else Fraction(0) for _ in range(d + (trial % 7 == 0))] for _ in range(2))
+        r = _random_rational(rng)
+        a, b = FieldPoint(beta, u), FieldPoint(beta, v)
+        ru, rv = _ref_mod(u, f), _ref_mod(v, f)
+        assert a.coeffs == ru and all(type(c) is Fraction for c in a.coeffs)
+        assert a.den == math.lcm(*(c.denominator for c in ru))
+        assert a.num == tuple(int(c * a.den) for c in ru)
+        assert (a + b).coeffs == tuple(s + t for s, t in zip(ru, rv))
+        assert (a - b).coeffs == tuple(s - t for s, t in zip(ru, rv))
+        assert (a * r).coeffs == (r * a).coeffs == tuple(s * r for s in ru)
+        assert (a * b).coeffs == _ref_mod(_ref_product(ru, rv), f)
+        assert a.times_beta().coeffs == _ref_mod((0,) + ru, f)
+        if any(_ref_mod(ru, m)):  # nonzero in Q(beta)
+            inv = a.inverse().coeffs
+            one = _ref_mod(_ref_product(inv, ru), m)
+            assert one == (1,) + (0,) * (len(m) - 2)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+    if m != f:  # a point that is zero in Q(beta), and points sharing a factor with f only
+        with pytest.raises(ZeroDivisionError):
+            FieldPoint(beta, m).inverse()
+        cofactor = sympy.quo(sympy.Poly(beta.coeffs, x), minimal[0])
+        for other in (cofactor, cofactor * sympy.Poly(x + 2, x)):
+            other = _low_first(other)
+            if len(other) <= d:
+                inv = FieldPoint(beta, other).inverse().coeffs
+                assert _ref_mod(_ref_product(inv, other), m) == (1,) + (0,) * (len(m) - 2)
+
+
+def test_hot_paths_make_no_rational_polynomial_division(monkeypatch, capsys):
+    """Density of a multinacci base and the plastic orbit of 1 run on the
+    integer kernels: no poly_divmod (the Fraction Euclid) call."""
+    from negabeta import cli
+
+    calls = []
+    kernel = polys.poly_divmod
+    monkeypatch.setattr(polys, "poly_divmod", lambda *a: calls.append(1) or kernel(*a))
+    for argv in (["density", "--beta", "multinacci:q=1,m=4"],
+                 ["orbit", "--beta", "poly:[1,0,-1,-1]@(1.2,1.4)"]):
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out
+    assert calls == []
