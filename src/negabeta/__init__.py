@@ -4,8 +4,9 @@ Bases beta > 1 act on (0, 1] by x -> -beta*x + floor(beta*x) + 1.  This
 package computes digit expansions and orbits exactly, characterizes the
 admissible sequences of the induced shift, builds invariant densities and
 their coincidence criterion, compiles simple bases to finite automata
-with certified entropy, detects matching of the critical orbits, and
-solves the inverse problem of recovering a base from its expansion of 1.
+with their entropy (power iteration to a residual tolerance), detects
+matching of the critical orbits, and solves the inverse problem of
+recovering a base from its expansion of 1.
 """
 
 from .errors import (

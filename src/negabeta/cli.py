@@ -3,7 +3,8 @@
 Every verb maps onto one library operation.  Output is JSON on stdout
 (the lone exception is ``sft --emit dot``); numeric results carry exact
 forms where available plus decimal renderings at the requested precision.
-Exit codes: 0 success, 2 domain errors, 3 unresolved within budget.
+Exit codes: 0 success, 2 domain errors (an invalid pi(1) for ``sft`` and
+``entropy`` among them), 3 unresolved within budget.
 """
 
 from __future__ import annotations
@@ -78,8 +79,18 @@ def _cmd_measure_compare(args) -> int:
     return 0
 
 
+def _valid_pi1(text: str) -> EvPeriodic:
+    """The parsed sequence, or SpecError when it is the expansion of 1 of no base."""
+    pi1 = EvPeriodic.parse(text)
+    rep = is_valid_expansion_of_one(pi1)
+    if not rep.valid:
+        raise SpecError(f"pi1 is not a valid expansion of 1 "
+                        f"(condition {rep.failed_condition}, k={rep.witness})")
+    return pi1
+
+
 def _cmd_entropy(args) -> int:
-    pi1 = EvPeriodic.parse(args.pi1)
+    pi1 = _valid_pi1(args.pi1)
     est = entropy_estimate(pi1, args.n)
     _emit({
         "counts": list(est.counts),
@@ -90,7 +101,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_sft(args) -> int:
-    pi1 = EvPeriodic.parse(args.pi1)
+    pi1 = _valid_pi1(args.pi1)
     aut = build_sft(pi1)
     if args.emit == "dot":
         print(aut.to_dot())

@@ -251,55 +251,41 @@ def limits(beta: Beta, budget: int = DEFAULT_BUDGET) -> Limits:
 # exact equality of algebraic numbers across different fields
 
 
-def _mult_matrix(x: FieldPoint):
-    d = x.beta.degree
-    cols = []
-    e = x
-    basis_pows = []
-    t = x.beta.point_from_rational(1)
-    for i in range(d):
-        basis_pows.append(t)
-        t = t.times_beta()
-    for i in range(d):
-        cols.append((x * basis_pows[i]).coeffs)
+def _mult_matrix(x: FieldPoint) -> tuple[list[list[int]], int]:
+    """(N, den): the matrix of multiplication by x in the basis
+    1, beta, ..., beta^(d-1) is N / den, with N an integer matrix."""
+    cols = [x]
+    for _ in range(x.beta.degree - 1):
+        cols.append(cols[-1].times_beta())
+    den = math.lcm(*(c.den for c in cols))
     # rows indexed by basis coordinate, columns by basis power
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    return [[c.num[i] * (den // c.den) for c in cols] for i in range(len(cols))], den
 
 
-def _charpoly(m) -> polys.Poly:
-    """Characteristic polynomial (monic) by the trace recursion."""
+def _charpoly(m: list[list[int]], den: int) -> polys.IntPoly:
+    """A primitive integer multiple of the characteristic polynomial of
+    m / den, for an integer matrix m.  Faddeev-LeVerrier on m gives its
+    characteristic polynomial t^n + c_1 t^(n-1) + ... + c_n with integer
+    c_k, every trace division exact; the one of m / den has
+    x^(n-k) coefficient c_k / den^k, so den^n times it is integral."""
     n = len(m)
-
-    def mat_mul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def trace(a):
-        return sum(a[i][i] for i in range(n))
-
-    coeffs = [Fraction(1)]
-    nmat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        nmat[i][i] = Fraction(1)
-    work = nmat
-    cs = []
+    work = [[int(i == j) for j in range(n)] for i in range(n)]
+    cs = [1]
     for k in range(1, n + 1):
-        work = mat_mul(m, work)
-        c = -trace(work) / k
+        work = [[sum(m[i][l] * work[l][j] for l in range(n)) for j in range(n)]
+                for i in range(n)]
+        c = -sum(work[i][i] for i in range(n)) // k
         cs.append(c)
         for i in range(n):
             work[i][i] += c
-    # x^n + cs[0] x^(n-1) + ... + cs[n-1], lowest degree first
-    return polys.make_poly(list(reversed(cs)) + [Fraction(1)])
+    return polys.primitive([cs[n - j] * den**j for j in range(n + 1)])  # x^j: c_(n-j) den^j
 
 
 def algebraic_equal(x, y) -> bool:
     """Exact equality of two real algebraic numbers, fields may differ."""
     if same_field(x, y):
         return x == y
-    p = _charpoly(_mult_matrix(x))
+    p = _charpoly(*_mult_matrix(x))
     # y must satisfy x's characteristic polynomial...
     acc = y.beta.point_from_rational(0)
     for c in reversed(p):
@@ -308,7 +294,6 @@ def algebraic_equal(x, y) -> bool:
         return False
     # ... and be the same real root of it
     chain = polys.sturm_chain(p)
-    sf = chain[0]
     for bits in range(40, numerics.MAX_REFINE_LEVEL + 1, 8):
         width = Fraction(1, 1 << bits)
         ax, bx = point_interval(x, width)
@@ -318,8 +303,7 @@ def algebraic_equal(x, y) -> bool:
         lo, hi = min(ax, ay), max(bx, by)
         if lo == hi:
             return True  # both are exactly the rational lo
-        if polys.poly_eval(sf, lo) != 0 and polys.poly_eval(sf, hi) != 0 \
-                and polys.count_roots(sf, lo, hi, chain) == 1:
+        if polys.isolates(chain, lo, hi):
             return True
     raise PrecisionExhausted("algebraic equality not settled by width "
                              f"2^-{numerics.MAX_REFINE_LEVEL} (the level cap MAX_REFINE_LEVEL)")
@@ -335,8 +319,11 @@ class CoincidenceReport:
         return {"verdict": self.verdict, "predicted": self.predicted, "detail": self.detail}
 
 
-def _quadratic_pair_prediction(b1: Beta, b2: Beta) -> bool:
-    """Is {b1, b2} = {root of x^2 - qx - p with p <= q, that root + 1}?"""
+def _quadratic_pair_prediction(b1: Beta, b2: Beta) -> bool | None:
+    """Is {b1, b2} = {root of x^2 - qx - p with p <= q, that root + 1}?
+    None when either base is an integer: the criterion covers non-integers only."""
+    if any(point_compare(b.beta_point(), b.floor_value()) == 0 for b in (b1, b2)):
+        return None
     x1, x2 = b1.beta_point(), b2.beta_point()
     # order the pair numerically
     w = Fraction(1, 2**24)

@@ -55,6 +55,16 @@ def _parse_rational(text: str) -> Fraction:
         raise SpecError(f"bad rational {text!r}") from exc
 
 
+def _cleared(rationals) -> tuple[list[int], int]:
+    """Integers a_i and one denominator d > 0 with r_i = a_i / d, d the lcm
+    of the reduced denominators."""
+    d = 1
+    for c in rationals:
+        if d % c.denominator:
+            d = d * c.denominator // math.gcd(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in rationals], d
+
+
 def _int_str(n: int) -> str:
     """str(n), or SpecError past Python's int-to-str limit."""
     try:
@@ -90,13 +100,13 @@ def _raise_endpoint(coeffs_high, q: int) -> Fraction:
     The families passed here are negative at q and have their single root
     above it, so halving the offset eventually lands below the root.
     """
-    p = polys.make_poly(tuple(reversed(coeffs_high)))
+    p = tuple(reversed(coeffs_high))
     if q >= 2:
         return Fraction(q)
     step = Fraction(1, 2)
     while True:
         lo = q + step
-        v = polys.poly_eval(p, lo)
+        v = polys.sign_at(p, lo)
         if v < 0:
             return lo
         if v == 0:
@@ -195,7 +205,7 @@ class Beta:
             raise SpecError("isolating interval endpoints must be rationals > 1")
         beta = cls(kind="exact", coeffs=coeffs, iso=(lo, hi))
         sf = beta.sf_poly
-        if polys.poly_eval(sf, lo) == 0 or polys.poly_eval(sf, hi) == 0:
+        if polys.sign_at(sf, lo) == 0 or polys.sign_at(sf, hi) == 0:
             raise SpecError("isolating interval endpoints must not be roots")
         if polys.count_roots(sf, lo, hi, beta.sturm) != 1:
             raise SpecError("isolating interval must contain exactly one real root")
@@ -271,7 +281,7 @@ class Beta:
             for _ in range(d - 1):  # a companion step: shift, add top * (x^d mod f)
                 row = [row[-1] * first[0]] + [c + row[-1] * r for c, r in zip(row, first[1:])]
                 rows.append(row)
-            ints, den = polys.cleared([c for row in rows for c in row])
+            ints, den = _cleared([c for row in rows for c in row])
             self._cache["powers"] = [tuple(ints[i:i + d]) for i in range(0, len(ints), d)], den
         return self._cache["powers"]
 
@@ -351,8 +361,7 @@ class Beta:
         """The base beta + 1, exact when this base is exact."""
         if not self.is_exact:
             return Beta.from_decimal(self.value + 1, self.precision)
-        shifted = polys.shift_poly(self.poly, Fraction(-1))
-        ints = polys.primitive_int_coeffs(shifted)
+        ints = polys.primitive(polys.taylor_shift(self.poly, -1))
         lo, hi = self.iso
         return Beta.from_poly(tuple(reversed(ints)), lo + 1, hi + 1)
 
@@ -372,7 +381,7 @@ class Beta:
         if not self.is_exact:
             return self.value
         # x itself, reduced mod f when f is linear (the root is rational)
-        return FieldPoint(self, (Fraction(0), Fraction(1)))
+        return FieldPoint(self, (0, 1))
 
     def __eq__(self, other):
         if not isinstance(other, Beta):
@@ -403,13 +412,16 @@ class FieldPoint:
     __slots__ = ("beta", "num", "den")
 
     def __init__(self, beta: Beta, coeffs):
-        self.beta = beta
-        vec = polys.make_poly(coeffs)
+        """The point with rational coordinates ``coeffs``, reduced mod f
+        when there are more than d of them."""
+        num, den = _cleared(coeffs)
         d = beta.degree
-        if len(vec) > d:
-            vec = polys.poly_mod(vec, beta.poly)
-        num, self.den = polys.cleared(vec)
-        self.num = tuple(num) + (0,) * (d - len(num))
+        if len(num) > d:  # m num = q f + r, so num = r / m mod f
+            m, _, num = polys.pseudo_divmod(polys.trimmed(num), beta.poly)
+            den *= m
+        g = math.gcd(den, *num)
+        self.beta, self.den = beta, den // g
+        self.num = tuple(c // g for c in num) + (0,) * (d - len(num))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -504,9 +516,9 @@ class FieldPoint:
         while len(g) > 1:
             # non-minimal modulus: g divides c and c(beta) != 0, so beta is
             # a root of the cofactor f / g, where c is invertible
-            f = polys.exact_quotient(f, polys.primitive_int_coeffs(g))
+            f = polys.exact_quotient(f, polys.primitive(g))
             g, u = polys.cofactor_gcd(c, f)
-        u = tuple(u) + (0,) * (self.beta.degree - len(u))
+        u = u + (0,) * (self.beta.degree - len(u))
         return FieldPoint._of(self.beta, u, 1) * Fraction(self.den, g[0])  # den u / g
 
     def __pow__(self, n: int):
@@ -534,11 +546,11 @@ class FieldPoint:
         chain = polys.sturm_chain(g)
         g = chain[0]
         lo, hi = self.beta.interval()
-        while lo != hi and (polys.poly_eval(g, lo) == 0 or polys.poly_eval(g, hi) == 0):
+        while lo != hi and (polys.sign_at(g, lo) == 0 or polys.sign_at(g, hi) == 0):
             self.beta._refine_step()
             lo, hi = self.beta.interval()
         if lo == hi:
-            return polys.poly_eval(g, lo) == 0
+            return polys.sign_at(g, lo) == 0
         return polys.count_roots(g, lo, hi, chain) > 0
 
     def _search(self, holds, width: Fraction | None, what: str) -> tuple[int, int, int]:

@@ -24,8 +24,9 @@ from .order import is_self_admissible, is_valid_expansion_of_one
 from . import polys
 
 
-def value_equation_poly(target: EvPeriodic) -> polys.Poly:
-    """Integer polynomial in beta whose roots satisfy evaluate(target) = 1.
+def value_equation_poly(target: EvPeriodic) -> polys.IntPoly:
+    """Primitive integer polynomial in beta whose roots satisfy
+    evaluate(target) = 1.
 
     Writing s = -beta, the cleared equation is
     Q_pre(s) (s^p - 1) + Q_per(s) = s^a (s^p - 1) with
@@ -33,40 +34,39 @@ def value_equation_poly(target: EvPeriodic) -> polys.Poly:
     the sign of odd-degree coefficients.
     """
     a, p = len(target.preperiod), len(target.period)
+    g = [0] * (a + p + 1)
 
-    def q_word(word: DigitWord) -> polys.Poly:
-        return polys.make_poly([-word[len(word) - 1 - i] for i in range(len(word))])
+    def add(k: int, c: int) -> None:  # c s^k = c (-beta)^k
+        g[k] += -c if k % 2 else c
 
-    s_p = polys.make_poly([0] * p + [1])
-    s_a = polys.make_poly([0] * a + [1])
-    ring = polys.poly_sub(s_p, polys.make_poly([1]))  # s^p - 1
-    lhs = polys.poly_add(polys.poly_mul(q_word(target.preperiod), ring),
-                         q_word(target.period))
-    g_s = polys.poly_sub(lhs, polys.poly_mul(s_a, ring))
-    g_beta = tuple(c if i % 2 == 0 else -c for i, c in enumerate(g_s))
-    ints = polys.primitive_int_coeffs(polys.make_poly(g_beta))
-    return polys.make_poly(ints)
+    for i, w in enumerate(reversed(target.preperiod)):  # Q_pre(s) (s^p - 1)
+        add(i + p, -w)
+        add(i, w)
+    for i, w in enumerate(reversed(target.period)):  # Q_per(s)
+        add(i, -w)
+    add(a + p, -1)  # - s^a (s^p - 1)
+    add(a, 1)
+    return polys.primitive(g)
 
 
-def _roots_above_one(g: polys.Poly) -> tuple[polys.Poly, list[tuple[Fraction, Fraction]]]:
+def _roots_above_one(g: polys.IntPoly) -> tuple[polys.IntPoly, list[tuple[Fraction, Fraction]]]:
     """Strip factors at 0 and 1, then isolate the roots in (1, infinity).
 
-    Returns the stripped polynomial (used as the defining polynomial) and
-    one isolating interval per root above 1.
+    Returns the stripped polynomial (used as the defining polynomial; it
+    stays primitive) and one isolating interval per root above 1.
     """
-    x_minus_1 = polys.make_poly([-1, 1])
-    while g and polys.poly_eval(g, Fraction(1)) == 0:
-        g = polys.poly_divmod(g, x_minus_1)[0]
+    while g and polys.sign_at(g, 1) == 0:
+        g = polys.exact_quotient(g, (-1, 1))
     while g and g[0] == 0:
         g = g[1:]
-    if polys.degree(g) < 1:
+    if len(g) < 2:
         return g, []
     bound = polys.root_upper_bound(g)
     if bound <= 1:
         return g, []
-    while polys.poly_eval(polys.squarefree_part(g), bound) == 0:
+    while polys.sign_at(polys.squarefree_part(g), bound) == 0:
         bound += 1
-    return g, polys.isolate_roots(g, Fraction(1), bound)
+    return g, polys.isolate_roots(g, 1, bound)
 
 
 def _expand_rational_base(b: Fraction, n: int) -> DigitWord:
@@ -80,7 +80,7 @@ def _expand_rational_base(b: Fraction, n: int) -> DigitWord:
     return tuple(out)
 
 
-def _compare_base_with_target(b: Fraction, target: EvPeriodic, g: polys.Poly) -> int:
+def _compare_base_with_target(b: Fraction, target: EvPeriodic, g: polys.IntPoly) -> int:
     """Sign of pi(1) at base b against the target in alternating order.
 
     Returns 0 only when b itself solves the value equation with matching
@@ -94,7 +94,7 @@ def _compare_base_with_target(b: Fraction, target: EvPeriodic, g: polys.Poly) ->
             if a != c:
                 s = (a > c) - (a < c)
                 return s if i % 2 == 1 else -s
-        if polys.poly_eval(g, b) == 0:
+        if polys.sign_at(g, b) == 0:
             return 0
         n *= 2
         if n > 1 << 16:
@@ -104,7 +104,7 @@ def _compare_base_with_target(b: Fraction, target: EvPeriodic, g: polys.Poly) ->
 def _select_root(
     intervals: list[tuple[Fraction, Fraction]],
     target: EvPeriodic,
-    g: polys.Poly,
+    g: polys.IntPoly,
 ) -> tuple[Fraction, Fraction]:
     """Pick the isolating interval of the base the target points at.
 
@@ -148,16 +148,16 @@ def _select_root(
     raise SolveError("bisection failed to isolate the matching root")
 
 
-def _beta_from_interval(g: polys.Poly, iv: tuple[Fraction, Fraction]) -> Beta:
-    coeffs_high = tuple(reversed(polys.primitive_int_coeffs(g)))
+def _beta_from_interval(g: polys.IntPoly, iv: tuple[Fraction, Fraction]) -> Beta:
+    coeffs_high = tuple(reversed(g))
     lo, hi = iv
     if lo != hi:
         # keep the sign change while pushing the left endpoint above 1
         sf = polys.squarefree_part(g)
-        s_lo = polys.poly_eval(sf, lo)
+        s_lo = polys.sign_at(sf, lo)
         while lo <= 1:
             mid = (lo + hi) / 2
-            v = polys.poly_eval(sf, mid)
+            v = polys.sign_at(sf, mid)
             if v == 0:
                 lo = hi = mid
                 break
@@ -168,12 +168,10 @@ def _beta_from_interval(g: polys.Poly, iv: tuple[Fraction, Fraction]) -> Beta:
     if lo == hi:
         # rational root: widen to an open interval still isolating it
         chain = polys.sturm_chain(g)
-        sf = chain[0]
         eps = Fraction(1, 4)
         while True:
             a, b = lo - eps, lo + eps
-            if a > 1 and polys.poly_eval(sf, a) != 0 and polys.poly_eval(sf, b) != 0 \
-                    and polys.count_roots(sf, a, b, chain) == 1:
+            if a > 1 and polys.isolates(chain, a, b):
                 return Beta.from_poly(coeffs_high, a, b)
             eps /= 2
     return Beta.from_poly(coeffs_high, lo, hi)

@@ -22,6 +22,17 @@ def test_measure_compare_defaults_to_plus_one(capsys):
     assert data["verdict"] == "Coincide" and data["predicted"] is True
 
 
+def test_measure_compare_predicts_nothing_for_integer_bases(capsys):
+    """The quadratic-pair criterion covers non-integer bases only: with
+    beta = 2 (x^2 - x - 2) or beta = 3 (x^2 - 2x - 3) and beta + 1 the
+    measures coincide and the prediction is null."""
+    for spec in ("poly:[1,-1,-2]@(1.001,4)", "poly:[1,-2,-3]@(2.5,4)"):
+        code, out = invoke(capsys, "measure-compare", "--beta1", spec)
+        assert code == 0
+        assert json.loads(out) == {"detail": "breakpoints and values agree",
+                                   "predicted": None, "verdict": "Coincide"}
+
+
 def test_w_word(capsys):
     code, out = invoke(capsys, "w-word", "--n", "21")
     assert code == 0
@@ -119,6 +130,12 @@ def test_exit_codes(capsys, monkeypatch):
     assert code == 3
     code, _ = invoke(capsys, "validate", "--seq", "garbage")
     assert code == 2
+    # (2)^inf is the expansion of 1 of no base
+    for argv in (["sft", "--pi1", "|2"], ["entropy", "--pi1", "|2", "--n", "6"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pi1 is not a valid expansion of 1 (condition 2")
     for x in ("abc", "1/0"):
         code = run(["expand", "--beta", "pisot2:p=1,q=1", "--x", x, "--n", "5"])
         assert code == 2

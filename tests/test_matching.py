@@ -76,10 +76,10 @@ def _random_cubic_bases(rng, count):
         if (a, b, c) in seen or (a, b, c) == (0, 0, 0):
             continue
         seen.add((a, b, c))
-        p = polys.make_poly((-c, -b, -a, 1))
-        if polys.poly_eval(p, Fraction(101, 100)) == 0:
+        x = Fraction(101, 100)
+        if x**3 - a * x**2 - b * x - c == 0:
             continue
-        ivs = polys.isolate_roots(p, Fraction(101, 100), Fraction(7))
+        ivs = polys.isolate_roots((-c, -b, -a, 1), x, Fraction(7))
         if len(ivs) != 1 or ivs[0][0] == ivs[0][1]:
             continue
         out.append(Beta.from_poly((1, -a, -b, -c), *ivs[0]))

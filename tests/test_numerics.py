@@ -237,18 +237,22 @@ def _over_one_denominator(values):
 
 
 def test_integer_horner_kernels_equal_fraction_horner():
-    """poly_eval and int_eval_interval return exactly the rationals of a
-    Fraction Horner, on points and on negative, zero-straddling and
+    """sign_at gives the sign, and int_eval_interval exactly the rationals,
+    of a Fraction Horner, on points and on negative, zero-straddling and
     degenerate intervals."""
     rng = random.Random(20261018)
     for _ in range(600):
-        p = polys.make_poly([_random_rational(rng, rng.random() < 0.2) if rng.random() < 0.8
-                             else 0 for _ in range(rng.randint(0, 7))])
+        p = [_random_rational(rng, rng.random() < 0.2) if rng.random() < 0.8
+             else Fraction(0) for _ in range(rng.randint(0, 7))]
+        while p and p[-1] == 0:
+            p.pop()
         x = _random_rational(rng, rng.random() < 0.2)
-        got = polys.poly_eval(p, x)
-        assert type(got) is Fraction and got == _horner_oracle(p, x)
-        a, b = sorted((_random_rational(rng), _random_rational(rng)))
         ints, d = _over_one_denominator(p)
+        if ints:
+            v = _horner_oracle(p, x)
+            assert polys.sign_at(ints, x) == polys.sign_at(ints, x.numerator, x.denominator) \
+                == (v > 0) - (v < 0)
+        a, b = sorted((_random_rational(rng), _random_rational(rng)))
         for iv in ((a, b), (-b, -a), (min(a, -abs(b)), abs(b)), (a, a)):
             (lo, hi), w = _over_one_denominator(iv)
             n_lo, n_hi, s = polys.int_eval_interval(ints, lo, hi, w)
@@ -297,8 +301,7 @@ def test_times_beta_is_reduction_mod_f(spec):
         vec = [_random_rational(rng) for _ in range(beta.degree)]
         if rng.random() < 0.2:
             vec[-1] = Fraction(0)
-        reduced = polys.poly_mod(polys.make_poly([0] + vec), beta.poly)
-        expected = reduced + (Fraction(0),) * (beta.degree - len(reduced))
+        expected = _ref_mod([0] + vec, beta.poly)
         got = FieldPoint(beta, vec).times_beta().coeffs
         assert got == expected and all(type(c) is Fraction for c in got)
 
@@ -453,7 +456,7 @@ def test_refine_step_on_a_fresh_base():
 @pytest.mark.parametrize("spec", ["poly:[2,-3]@(1.25,1.75)", "poly:[1,0,-1,-1]@(1.2,1.4)",
                                   "poly:[3,-1,-5,-2]@(1.5,2)", "poly:[1,-2,1,-2,1]@(1.5,2)"])
 def test_product_is_reduction_mod_f(spec):
-    """The table-reduced product is poly_mod(poly_mul(..), f), padded."""
+    """The table-reduced product is the schoolbook product reduced mod f."""
     from negabeta.numerics import FieldPoint
 
     beta = make_beta(spec)
@@ -461,9 +464,7 @@ def test_product_is_reduction_mod_f(spec):
     for _ in range(100):
         u, v = ([_random_rational(rng) if rng.random() < 0.8 else Fraction(0)
                  for _ in range(beta.degree)] for _ in range(2))
-        reduced = polys.poly_mod(polys.poly_mul(polys.make_poly(u), polys.make_poly(v)),
-                                 beta.poly)
-        expected = reduced + (Fraction(0),) * (beta.degree - len(reduced))
+        expected = _ref_mod(_ref_product(u, v), beta.poly)
         got = (FieldPoint(beta, u) * FieldPoint(beta, v)).coeffs
         assert got == expected and all(type(c) is Fraction for c in got)
 
@@ -655,16 +656,62 @@ def test_field_point_against_fraction_reference(spec):
                 assert _ref_mod(_ref_product(inv, other), m) == (1,) + (0,) * (len(m) - 2)
 
 
-def test_hot_paths_make_no_rational_polynomial_division(monkeypatch, capsys):
-    """Density of a multinacci base and the plastic orbit of 1 run on the
-    integer kernels: no poly_divmod (the Fraction Euclid) call."""
-    from negabeta import cli
+def test_polynomials_are_integer_tuples():
+    """polys keeps no rational-coefficient layer, and every polynomial the
+    library builds is a tuple of int."""
+    from negabeta.expansion import EvPeriodic
+    from negabeta.measure import _charpoly, _mult_matrix
+    from negabeta.solver import value_equation_poly
 
-    calls = []
-    kernel = polys.poly_divmod
-    monkeypatch.setattr(polys, "poly_divmod", lambda *a: calls.append(1) or kernel(*a))
-    for argv in (["density", "--beta", "multinacci:q=1,m=4"],
-                 ["orbit", "--beta", "poly:[1,0,-1,-1]@(1.2,1.4)"]):
-        assert cli.run(argv) == 0
-        assert capsys.readouterr().out
-    assert calls == []
+    deleted = ("Poly", "ZERO", "make_poly", "degree", "poly_eval", "poly_add", "poly_neg",
+               "poly_sub", "poly_mul", "poly_divmod", "poly_mod", "shift_poly")
+    assert [name for name in deleted if hasattr(polys, name)] == []
+
+    def int_tuple(p):
+        return type(p) is tuple and all(type(c) is int for c in p)
+
+    f = (-2, 1, -4, 3, 6, -1, 2)
+    beta = make_beta("poly:[1,0,-1,-1]@(1.2,1.4)")
+    x = beta.beta_point() * Fraction(3, 7) + Fraction(1, 2)
+    built = [polys.primitive(f), polys.squarefree_part(f), polys.poly_gcd(f, (1, 1)),
+             polys.exact_quotient(f, (1, 2)), polys.taylor_shift(f, -1),
+             *polys.pseudo_divmod(f, (3, 2, 5))[1:], *polys.cofactor_gcd((1, 1), f),
+             polys.derivative(f), *polys.sturm_chain(f),
+             value_equation_poly(EvPeriodic.parse("21|2")), _charpoly(*_mult_matrix(x)),
+             beta.plus_one().poly, beta.plus_one().coeffs]
+    assert all(int_tuple(p) for p in built)
+
+
+def test_charpoly_against_sympy():
+    """The characteristic polynomial of an integer matrix over a denominator,
+    degrees 1 to 6, is a primitive integer multiple of sympy's."""
+    import sympy
+
+    from negabeta.measure import _charpoly
+
+    lam = sympy.Symbol("lam")
+    rng = random.Random(20261018)
+    for trial in range(60):
+        n, den = trial % 6 + 1, rng.choice([1, 2, 3, 6, 12, 2**40 + 1])
+        m = [[rng.randint(-9, 9) * rng.choice([1, 1, 1, 10**12]) for _ in range(n)]
+             for _ in range(n)]
+        p = _charpoly(m, den)
+        assert len(p) == n + 1 and p[-1] > 0 and math.gcd(*p) == 1
+        expected = (sympy.Matrix(m) / den).charpoly(lam)
+        assert sympy.Poly(list(reversed(p)), lam).monic().all_coeffs() == expected.all_coeffs()
+
+
+def test_taylor_shift_against_sympy():
+    """taylor_shift(a, -1) is a(x - 1); other shifts compose the same way."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(7)
+    for _ in range(100):
+        a = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 9))]
+        s = rng.choice([-1, -1, 1, rng.randint(-50, 50)])
+        p = sympy.Poly(list(reversed(a)), x)
+        expected = p.compose(sympy.Poly(x + s, x))
+        got = polys.taylor_shift(a, s)
+        assert len(got) == len(a)
+        assert sympy.Poly(list(reversed(got)), x) == expected

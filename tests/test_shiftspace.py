@@ -1,7 +1,6 @@
 import json
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +16,6 @@ from negabeta import (
     word_in_shift,
 )
 from negabeta.shiftspace import SftAutomaton
-from negabeta import polys
 
 E = EvPeriodic
 
@@ -83,31 +81,17 @@ def test_subword_closure():
 
 
 def _perron_log_oracle(aut: SftAutomaton) -> tuple[float, float]:
-    """Exact characteristic-polynomial bracket for the spectral radius."""
-    from negabeta.measure import _charpoly
+    """Exact characteristic-polynomial bracket for the log of the spectral
+    radius: sympy's isolating interval, narrower than 1e-10, of the largest
+    real root (the Perron root of the nonnegative transition matrix)."""
+    import sympy
 
-    m = [[Fraction(0)] * aut.n_states for _ in range(aut.n_states)]
+    m = sympy.zeros(aut.n_states, aut.n_states)
     for (s, _c), t in aut.transitions.items():
-        m[s][t] += 1
-    p = _charpoly(m)
-    bound = polys.root_upper_bound(p)
-    ivs = polys.isolate_roots(p, Fraction(1, 100), bound)
-    assert ivs, "no positive dominant root found"
-    lo, hi = ivs[-1]
-    if lo == hi:
-        return math.log(lo), math.log(hi)
-    f = polys.squarefree_part(p)
-    s_lo = polys.poly_eval(f, lo)
-    while hi - lo > Fraction(1, 10**10):
-        mid = (lo + hi) / 2
-        v = polys.poly_eval(f, mid)
-        if v == 0:
-            lo = hi = mid
-            break
-        if s_lo * v < 0:
-            hi = mid
-        else:
-            lo, s_lo = mid, v
+        m[s, t] += 1
+    ivs = m.charpoly().intervals(eps=sympy.Rational(1, 10**10))
+    assert ivs and ivs[-1][0][0] > 0, "no positive dominant root found"
+    lo, hi = ivs[-1][0]
     return math.log(lo), math.log(hi)
 
 
