@@ -9,7 +9,6 @@ digit sequence back to the real number it represents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import SpecError
 from .numerics import (
@@ -17,8 +16,8 @@ from .numerics import (
     as_point,
     floor_point,
     point_compare,
-    point_interval,
     point_inverse,
+    point_scaled_floor,
     point_sign,
     times_beta,
 )
@@ -80,7 +79,9 @@ class EvPeriodic:
         return self.period[(k - len(self.preperiod)) % len(self.period)]
 
     def prefix(self, n: int) -> DigitWord:
-        return tuple(self.digit(i) for i in range(1, n + 1))
+        """The first n digits, unrolled by repetition of the period."""
+        pre, per = self.preperiod, self.period
+        return (pre + per * -(-max(n - len(pre), 0) // len(per)))[:max(n, 0)]
 
     def shift(self, k: int = 1) -> "EvPeriodic":
         """Drop the first k digits."""
@@ -169,9 +170,7 @@ def expand(beta: Beta, x, n: int) -> DigitWord:
 
 def _point_key(x) -> int:
     # enclosures narrower than 2^-80 put equal points at most one key apart
-    lo, _hi = point_interval(x, Fraction(1, 2**80))
-    scaled = lo * 2**80
-    return scaled.numerator // scaled.denominator
+    return point_scaled_floor(x, 80)
 
 
 def orbit_of_one(beta: Beta, budget: int = DEFAULT_BUDGET) -> OrbitRecord:

@@ -581,11 +581,14 @@ class FieldPoint:
             a, b, _ = self._search(lambda a, b, s: a > 0 or b < 0, None, "sign of a field point")
         return 1 if a > 0 else -1
 
+    def _narrower(self, w: Fraction) -> tuple[int, int, int]:
+        """The enclosure (a, b, s) of ``_search`` narrower than w."""
+        return self._search(lambda a, b, s: (b - a) * w.denominator < w.numerator * s, w,
+                            "enclosure of a field point narrower than the width")
+
     def interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """A rational enclosure of this value narrower than ``width``."""
-        w = Fraction(width)
-        a, b, s = self._search(lambda a, b, s: (b - a) * w.denominator < w.numerator * s, w,
-                               "enclosure of a field point narrower than the width")
+        a, b, s = self._narrower(Fraction(width))
         return Fraction(a, s), Fraction(b, s)
 
     def compare(self, other) -> int:
@@ -679,8 +682,10 @@ def guard_tie(beta: Beta, x, y, reason: str) -> None:
     """
     if beta.is_exact:
         return
-    d = x - y
-    if d and abs(d.numerator) << beta.precision < d.denominator:
+    # |x - y| < 2^-precision on the unreduced difference; the test is
+    # invariant under the common factor a reduction would remove
+    n = x.numerator * y.denominator - y.numerator * x.denominator
+    if n and abs(n) << beta.precision < x.denominator * y.denominator:
         raise PrecisionExhausted(reason)
 
 
@@ -750,6 +755,15 @@ def point_interval(x, width: Fraction) -> tuple[Fraction, Fraction]:
         return x.interval(width)
     x = Fraction(x)
     return (x, x)
+
+
+def point_scaled_floor(x, bits: int) -> int:
+    """floor(lo * 2^bits) for the lower end lo of an enclosure of x narrower
+    than 2^-bits (lo is x itself if x is rational)."""
+    if isinstance(x, FieldPoint):
+        a, _, s = x._narrower(Fraction(1, 1 << bits))
+        return (a << bits) // s
+    return (x.numerator << bits) // x.denominator
 
 
 def point_decimal_str(x, digits: int = 15) -> str:

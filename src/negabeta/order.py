@@ -5,6 +5,10 @@ order applies at odd positions and the reversed order at even positions.
 On top of the comparator sit the self-admissibility test, the lower
 boundary word of the shift, and the full validity test deciding whether a
 sequence is the expansion of 1 for some base.
+
+Every kernel works on flat digit tuples: a sequence is unrolled once
+(``EvPeriodic.prefix``) far enough that its comparisons are decided, its
+tail k is the slice ``u[k:k+b]`` and a block match is a slice equality.
 """
 
 from __future__ import annotations
@@ -31,18 +35,24 @@ def _diff_sign(a: int, b: int, position: int) -> int:
     return s if position % 2 == 1 else -s
 
 
+def _alt_order(u: DigitWord, v: DigitWord) -> AltOrdering:
+    """Alternating comparison of two words of equal length."""
+    if u != v:
+        for i, (a, b) in enumerate(zip(u, v), 1):
+            if a != b:
+                return AltOrdering(_diff_sign(a, b, i), i)
+    return AltOrdering(0, None)
+
+
+def _decided_length(x: EvPeriodic, y: EvPeriodic) -> int:
+    """A prefix length past which x and y agree forever if they agree up to it."""
+    return len(x.preperiod) + len(y.preperiod) + math.lcm(len(x.period), len(y.period))
+
+
 def alt_compare(x: EvPeriodic, y: EvPeriodic) -> AltOrdering:
     """Exact alternating comparison of two eventually periodic sequences."""
-    bound = (
-        len(x.preperiod)
-        + len(y.preperiod)
-        + math.lcm(len(x.period), len(y.period))
-    )
-    for i in range(1, bound + 1):
-        a, b = x.digit(i), y.digit(i)
-        if a != b:
-            return AltOrdering(_diff_sign(a, b, i), i)
-    return AltOrdering(0, None)
+    n = _decided_length(x, y)
+    return _alt_order(x.prefix(n), y.prefix(n))
 
 
 def rho_distance(x: EvPeriodic, y: EvPeriodic, alphabet_max: int | None = None) -> Fraction:
@@ -75,21 +85,29 @@ def limit_word_prefix(n: int) -> DigitWord:
     return tuple(_W_CACHE[:n])
 
 
+def _against_limit_word(unroll) -> AltOrdering:
+    """Compare the sequence whose first n digits are unroll(n) against the
+    substitution word, doubling the compared length until they differ."""
+    chunk = 64
+    while chunk <= 1 << 22:
+        cmp = _alt_order(unroll(chunk), limit_word_prefix(chunk))
+        if cmp.witness is not None:
+            return cmp
+        chunk *= 2
+    raise RuntimeError("no difference against the substitution word found")
+
+
+def _repeat(block: DigitWord):
+    """n -> the first n digits of block^infinity."""
+    return lambda n: (block * (n // len(block) + 1))[:n]
+
+
 def compare_with_limit_word(seq: EvPeriodic) -> AltOrdering:
     """Compare an eventually periodic sequence against the substitution word.
 
     The word is aperiodic, so a first difference always exists.
     """
-    chunk = 64
-    while True:
-        w = limit_word_prefix(chunk)
-        for i in range(1, chunk + 1):
-            a, b = seq.digit(i), w[i - 1]
-            if a != b:
-                return AltOrdering(_diff_sign(a, b, i), i)
-        chunk *= 2
-        if chunk > 1 << 22:
-            raise RuntimeError("no difference against the substitution word found")
+    return _against_limit_word(seq.prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +120,16 @@ class SelfAdmissibility(NamedTuple):
 
 
 def is_self_admissible(seq: EvPeriodic) -> SelfAdmissibility:
-    """True iff every shifted tail is <= the sequence in alternating order."""
-    for k in range(1, seq.tail_count() + 1):
-        if alt_compare(seq.shift(k), seq).result > 0:
+    """True iff every shifted tail is <= the sequence in alternating order.
+
+    Every tail is periodic past the preperiod with the same period, so
+    preperiod + period digits decide each comparison.
+    """
+    b = seq.tail_count()
+    u = seq.prefix(2 * b)
+    head = u[:b]
+    for k in range(1, b + 1):
+        if _alt_order(u[k:k + b], head).result > 0:
             return SelfAdmissibility(False, k)
     return SelfAdmissibility(True, None)
 
@@ -132,11 +157,11 @@ def is_admissible(pi1: EvPeriodic, seq: EvPeriodic) -> bool:
     """True iff every tail of seq lies strictly above the lower boundary
     word and weakly below pi1."""
     lower = star_zero(pi1)
+    b = max(_decided_length(seq, lower), _decided_length(seq, pi1))
+    u, low, up = seq.prefix(seq.tail_count() + b), lower.prefix(b), pi1.prefix(b)
     for k in range(seq.tail_count()):
-        t = seq.shift(k)
-        if alt_compare(lower, t).result >= 0:
-            return False
-        if alt_compare(t, pi1).result > 0:
+        t = u[k:k + b]
+        if _alt_order(low, t).result >= 0 or _alt_order(t, up).result > 0:
             return False
     return True
 
@@ -145,49 +170,29 @@ def is_admissible(pi1: EvPeriodic, seq: EvPeriodic) -> bool:
 # validity of an expansion of 1
 
 
-def _in_block_closure(seq: EvPeriodic, blocks: tuple[DigitWord, ...]) -> bool:
-    """Is seq an infinite concatenation of the given blocks?
+def _in_block_closure(u: DigitWord, pre: int, per: int, blocks: tuple[DigitWord, ...]) -> bool:
+    """Is the sequence unrolled as u an infinite concatenation of the blocks?
 
-    Parse positions beyond the preperiod are identified modulo the period,
-    giving a finite position graph; membership holds iff some reachable
-    position lies on a cycle of block matches.
+    Parse positions beyond the preperiod pre are identified modulo the
+    period per, giving a finite position graph of at most pre + per nodes;
+    an infinite parse exists iff some parse of pre + per blocks does, as a
+    path that long repeats a node.  u must reach position pre + per plus
+    the longest block.
     """
-    pre, per = len(seq.preperiod), len(seq.period)
-
-    def norm(p: int) -> int:
-        return p if p < pre else pre + (p - pre) % per
-
-    def matches(p: int, block: DigitWord) -> bool:
-        return all(seq.digit(p + i + 1) == block[i] for i in range(len(block)))
-
+    blocks = [(b, len(b)) for b in blocks if min(b) >= 1]
     succ: dict[int, list[int]] = {}
-    stack, seen = [0], {0}
-    while stack:
-        p = stack.pop()
-        outs = []
-        for b in blocks:
-            if b and all(d >= 1 for d in b) and matches(p, b):
-                q = norm(p + len(b))
-                outs.append(q)
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        succ[p] = outs
-
-    color: dict[int, int] = {}
-
-    def has_cycle(p: int) -> bool:
-        color[p] = 1
-        for q in succ[p]:
-            c = color.get(q, 0)
-            if c == 1:
-                return True
-            if c == 0 and has_cycle(q):
-                return True
-        color[p] = 2
-        return False
-
-    return has_cycle(0)
+    cur = {0}
+    for _ in range(pre + per):
+        nxt = set()
+        for p in cur:
+            if p not in succ:
+                succ[p] = [q if q < pre else pre + (q - pre) % per
+                           for b, n in blocks if u[p:(q := p + n)] == b]
+            nxt.update(succ[p])
+        if not nxt:
+            return False
+        cur = nxt
+    return True
 
 
 @dataclass(frozen=True)
@@ -224,21 +229,22 @@ def is_valid_expansion_of_one(seq: EvPeriodic) -> ValidityReport:
     if cmp_w.result <= 0:
         return ValidityReport(False, 2, cmp_w.witness)
 
-    kmax = len(seq.preperiod) + 2 * len(seq.period)
+    pre, per = len(seq.preperiod), len(seq.period)
+    kmax = pre + 2 * per
+    u = seq.prefix(pre + per + kmax + 1)
     for k in range(1, kmax + 1):
-        prefix = seq.prefix(k)
-
-        gate3 = EvPeriodic((), prefix)
-        if compare_with_limit_word(gate3).result > 0:
-            blocks = (prefix[:-1] + (prefix[-1] - 1, 1), prefix)
-            if _in_block_closure(seq, blocks) and seq != gate3:
-                return ValidityReport(False, 3, k)
+        prefix = u[:k]
+        # seq is prefix^infinity itself iff it is purely periodic and k is
+        # a multiple of its period; the gates run last, as the parses
+        # almost always fail first
+        blocks = (prefix[:-1] + (prefix[-1] - 1, 1), prefix)
+        if ((pre or k % per) and _in_block_closure(u, pre, per, blocks)
+                and _against_limit_word(_repeat(prefix)).result > 0):
+            return ValidityReport(False, 3, k)
 
         bumped = prefix[:-1] + (prefix[-1] + 1,)
-        gate4 = EvPeriodic((), bumped)
-        if compare_with_limit_word(gate4).result > 0:
-            blocks = (prefix + (1,), bumped)
-            if _in_block_closure(seq, blocks):
-                return ValidityReport(False, 4, k)
+        if (_in_block_closure(u, pre, per, (prefix + (1,), bumped))
+                and _against_limit_word(_repeat(bumped)).result > 0):
+            return ValidityReport(False, 4, k)
 
     return ValidityReport(True)

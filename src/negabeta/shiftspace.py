@@ -4,6 +4,10 @@ Every sequence of the shift has all of its tails strictly above the lower
 boundary word and weakly below the expansion of 1.  For a purely periodic
 expansion of 1 the recognizer is a subshift of finite type; otherwise it
 is the sofic bound-tracking automaton, flagged as such.
+
+Bound words are read from one unrolled digit tuple.  Sets of automaton
+states are integer bitmasks: one row of successor masks per digit maps a
+set to its successor set, which is how words are run and counted.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ class _BoundTracker:
     """
 
     def __init__(self, word: EvPeriodic):
-        self.word = word
         self.pre = len(word.preperiod)
         self.mod = math.lcm(2, len(word.period))
+        self.digits = word.prefix(self.pre + self.mod + 1)
 
     def canon(self, length: int) -> int:
         if length < self.pre + self.mod:
@@ -51,7 +55,7 @@ class _BoundTracker:
         return self.pre + (length - self.pre) % self.mod
 
     def next_digit(self, tie_len: int) -> int:
-        return self.word.digit(tie_len + 1)
+        return self.digits[tie_len]
 
 
 @dataclass(frozen=True)
@@ -69,25 +73,20 @@ class SftAutomaton:
     alphabet_max: int
     sft: bool
 
-    def successors(self, state: int) -> list[tuple[int, int]]:
-        a = self.alphabet_max
-        out = []
-        for c in range(1, a + 1):
-            t = self.transitions.get((state, c))
-            if t is not None:
-                out.append((c, t))
-        return out
+    def successor_masks(self) -> list[list[int]]:
+        """rows[c - 1][s]: the bitmask of the successor of s under digit c,
+        0 where there is none."""
+        rows = [[0] * self.n_states for _ in range(self.alphabet_max)]
+        for (s, c), t in self.transitions.items():
+            rows[c - 1][s] = 1 << t
+        return rows
 
     def run_set(self, states: frozenset, word) -> frozenset:
-        cur = states
+        rows = self.successor_masks()
+        cur = sum(1 << s for s in states)
         for c in word:
-            cur = frozenset(
-                t for s in cur
-                if (t := self.transitions.get((s, c))) is not None
-            )
-            if not cur:
-                break
-        return cur
+            cur = _subset_step(rows[c - 1], cur) if 1 <= c <= self.alphabet_max else 0
+        return frozenset(s for s in range(self.n_states) if cur >> s & 1)
 
     def count_matrix(self) -> np.ndarray:
         m = np.zeros((self.n_states, self.n_states))
@@ -113,6 +112,16 @@ class SftAutomaton:
                 for (s, c), t in sorted(self.transitions.items())
             ],
         }
+
+
+def _subset_step(row: list[int], mask: int) -> int:
+    """The set of successors, under one digit's row, of the state set mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _legal_or_tie(c: int, bound_digit: int, position: int, want_below: bool) -> tuple[bool, bool]:
@@ -197,28 +206,23 @@ def count_words(pi1: EvPeriodic, n: int) -> list[int]:
 
     Words may occur anywhere inside a sequence, so counting starts from
     the set of all states; determinism makes words and set-paths match up
-    one to one.
+    one to one.  State sets are bitmasks, and each set's successors are
+    computed once per call.
     """
     if n < 1:
         raise SpecError("need n >= 1")
     aut = build_sft(pi1)
-    full = frozenset(range(aut.n_states))
-
-    @lru_cache(maxsize=None)
-    def succ(node: frozenset, c: int) -> frozenset:
-        return frozenset(
-            t for s in node if (t := aut.transitions.get((s, c))) is not None
-        )
-
+    rows = aut.successor_masks()
+    nexts: dict[int, list[int]] = {}  # state set -> its nonempty successor sets
     counts = []
-    dist = {full: 1}
+    dist = {(1 << aut.n_states) - 1: 1}
     for _ in range(n):
-        ndist: dict = {}
+        ndist: dict[int, int] = {}
         for node, cnt in dist.items():
-            for c in range(1, aut.alphabet_max + 1):
-                t = succ(node, c)
-                if t:
-                    ndist[t] = ndist.get(t, 0) + cnt
+            if node not in nexts:
+                nexts[node] = [t for row in rows if (t := _subset_step(row, node))]
+            for t in nexts[node]:
+                ndist[t] = ndist.get(t, 0) + cnt
         counts.append(sum(ndist.values()))
         dist = ndist
     return counts
@@ -233,8 +237,7 @@ def brute_force_words(pi1: EvPeriodic, n: int) -> list[int]:
     """
     if n > 12:
         raise SpecError("brute force enumeration is capped at n = 12")
-    upper = pi1
-    lower = star_zero(pi1)
+    upper, lower = pi1.prefix(n), star_zero(pi1).prefix(n)
     a = pi1.alphabet_max
     counts = [0] * (n + 1)
 
@@ -245,7 +248,7 @@ def brute_force_words(pi1: EvPeriodic, n: int) -> list[int]:
             ok = True
             nu, nl = [], []
             for m in u_ties + [0]:
-                legal, tied = _legal_or_tie(c, upper.digit(m + 1), m + 1, want_below=True)
+                legal, tied = _legal_or_tie(c, upper[m], m + 1, want_below=True)
                 if not legal:
                     ok = False
                     break
@@ -253,7 +256,7 @@ def brute_force_words(pi1: EvPeriodic, n: int) -> list[int]:
                     nu.append(m + 1)
             if ok:
                 for m in l_ties + [0]:
-                    legal, tied = _legal_or_tie(c, lower.digit(m + 1), m + 1, want_below=False)
+                    legal, tied = _legal_or_tie(c, lower[m], m + 1, want_below=False)
                     if not legal:
                         ok = False
                         break

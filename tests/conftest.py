@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +31,23 @@ def plastic():
 def refine_float(beta, digits=25):
     lo, hi = beta.refine(Fraction(1, 10**digits))
     return float((lo + hi) / 2)
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """The benchmark's workload module (corpus pools, goldens, universes)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def small_shift_universe(bench_workloads):
+    """The benchmark's ``shifts`` universe at cap 5 instead of 7: every
+    primitive periodic word and every preperiod-1 sequence over {1,2,3} of
+    total length <= 5, 555 sequences."""
+    import negabeta
+
+    return bench_workloads.shift_universe(negabeta, 5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from negabeta.cli import run
@@ -195,3 +196,19 @@ def test_precision_environment_read_per_call(monkeypatch):
     assert run(argv) == 0
     monkeypatch.setenv("NEGABETA_PRECISION", "7")
     assert run(argv) == 2
+
+
+def test_word_verbs_byte_equal_to_bench_goldens(capsys, bench_workloads):
+    """Every validate, sft (json and dot), entropy and w-word argv of the
+    benchmark corpus gives the recorded exit code and stdout bytes, so a
+    change of automaton state numbering fails here, not only in the bench."""
+    wl = bench_workloads
+    goldens = wl.load_goldens()["cli"]
+    argvs = [a for kind in ("validate", "sft", "sft-dot", "entropy", "w-word")
+             for a in wl.CLI_SLICES[kind][1]]
+    assert len(argvs) == 60
+    for argv in argvs:
+        code, out = invoke(capsys, *argv)
+        g = goldens[wl.golden_key(argv)]
+        assert code == g["exit"], argv
+        assert hashlib.sha256(out.encode()).hexdigest() == g["sha256"], argv

@@ -138,3 +138,108 @@ def test_compare_with_limit_word_sides():
     assert compare_with_limit_word(E((), (3,))).result > 0
     assert compare_with_limit_word(E((), (2,))).result < 0
     assert compare_with_limit_word(E((), (2, 1, 1))).result < 0
+
+
+# ---------------------------------------------------------------------------
+# the flat-tuple kernels against digit-by-digit references
+
+
+def _ref_first_diff(x, y, n):
+    """(result, witness) over the first n digits, read one digit() at a time."""
+    for i in range(1, n + 1):
+        a, b = x(i), y(i)
+        if a != b:
+            s = (a > b) - (a < b)
+            return (s if i % 2 == 1 else -s), i
+    return 0, None
+
+
+def _ref_alt_compare(x, y):
+    n = len(x.preperiod) + len(y.preperiod) + len(x.period) * len(y.period)
+    return _ref_first_diff(x.digit, y.digit, n)
+
+
+def _ref_limit_word(n):
+    w = [2]
+    while len(w) < n:
+        w = [s for c in w for s in ((2, 1, 1) if c == 2 else (2,))]
+    return w[:n]
+
+
+_REF_W = _ref_limit_word(4096)
+
+
+def _ref_compare_with_limit_word(digit):
+    return _ref_first_diff(digit, lambda i: _REF_W[i - 1], len(_REF_W))
+
+
+def _ref_self_admissible(seq):
+    for k in range(1, seq.tail_count() + 1):
+        if _ref_alt_compare(seq.shift(k), seq)[0] > 0:
+            return False, k
+    return True, None
+
+
+def _ref_in_block_closure(seq, blocks):
+    """Depth-first search for a cycle of block matches reachable from 0."""
+    pre, per = len(seq.preperiod), len(seq.period)
+    blocks = [b for b in blocks if min(b) >= 1]
+
+    def succ(p):
+        for b in blocks:
+            if all(seq.digit(p + i + 1) == b[i] for i in range(len(b))):
+                q = p + len(b)
+                yield q if q < pre else pre + (q - pre) % per
+
+    on_path, done = set(), set()
+
+    def cyclic(p):
+        on_path.add(p)
+        for q in succ(p):
+            if q in on_path or (q not in done and cyclic(q)):
+                return True
+        on_path.discard(p)
+        done.add(p)
+        return False
+
+    return cyclic(0)
+
+
+def _ref_validity(seq):
+    ok, k = _ref_self_admissible(seq)
+    if not ok:
+        return False, 1, k
+    r, i = _ref_compare_with_limit_word(seq.digit)
+    if r <= 0:
+        return False, 2, i
+    for k in range(1, len(seq.preperiod) + 2 * len(seq.period) + 1):
+        prefix = tuple(seq.digit(i) for i in range(1, k + 1))
+        power = E((), prefix)
+        if _ref_compare_with_limit_word(power.digit)[0] > 0 and seq != power:
+            if _ref_in_block_closure(seq, (prefix[:-1] + (prefix[-1] - 1, 1), prefix)):
+                return False, 3, k
+        bumped = prefix[:-1] + (prefix[-1] + 1,)
+        if _ref_compare_with_limit_word(E((), bumped).digit)[0] > 0:
+            if _ref_in_block_closure(seq, (prefix + (1,), bumped)):
+                return False, 4, k
+    return True, None, None
+
+
+def test_word_kernels_equal_digit_references(small_shift_universe, bench_workloads):
+    corpus = bench_workloads._SEQS + bench_workloads._BAD_SEQS  # the 16 CLI corpus sequences
+    seqs = small_shift_universe + [E.parse(t) for t in corpus]
+    for seq in seqs:
+        rep = is_valid_expansion_of_one(seq)
+        assert (rep.valid, rep.failed_condition, rep.witness) == _ref_validity(seq), seq
+        assert tuple(is_self_admissible(seq)) == _ref_self_admissible(seq), seq
+        assert tuple(compare_with_limit_word(seq)) == _ref_compare_with_limit_word(seq.digit), seq
+    assert sum(is_valid_expansion_of_one(s).valid for s in seqs) > 20
+
+
+def test_alt_compare_equals_digit_reference():
+    rng = random.Random(2024)
+    for _ in range(500):
+        x, y = _random_ev(rng), _random_ev(rng)
+        if rng.random() < 0.3:  # share a long prefix, so late witnesses occur
+            y = E(x.prefix(rng.randint(1, 8)) + y.preperiod, y.period)
+        assert tuple(alt_compare(x, y)) == _ref_alt_compare(x, y), (x, y)

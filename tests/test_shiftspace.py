@@ -142,3 +142,14 @@ def test_exports():
     data = json.loads(blob)
     assert data["sft"] is True
     assert len(data["edges"]) == len(aut.transitions)
+
+
+def test_bitmask_counts_equal_brute_force_on_small_universe(small_shift_universe):
+    # n = 8 keeps the enumeration near 1 s: at n = 10 the 91 valid
+    # sequences have 3.5 million legal words between them
+    from negabeta import is_valid_expansion_of_one
+
+    valid = [s for s in small_shift_universe if is_valid_expansion_of_one(s).valid]
+    assert len(valid) == 91
+    for pi1 in valid:
+        assert count_words(pi1, 8) == brute_force_words(pi1, 8), pi1
