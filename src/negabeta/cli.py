@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .errors import NegabetaError, OrbitUnresolved, PrecisionExhausted, SpecError
@@ -129,7 +127,10 @@ def _cmd_approx(args) -> int:
     if args.jobs <= 1:
         results = solver.approximate_simple_numbers(beta, args.count, args.prefix, args.budget)
     else:
-        # spawned workers import the library afresh and get the base by pickle
+        # spawned workers import the library afresh and get the base by pickle;
+        # the process machinery is imported only here, off the start-up path
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
             results = solver.approximate_simple_numbers(

@@ -615,8 +615,8 @@ class FieldPoint:
         return self.compare(other) >= 0
 
     def decimal_str(self, digits: int = 15) -> str:
-        lo, hi = self.interval(Fraction(1, 10 ** (digits + 2)))
-        return point_decimal_str((lo + hi) / 2, digits)
+        a, b, s = self._narrower(Fraction(1, 10 ** (digits + 2)))
+        return _ratio_decimal_str(a + b, 2 * s, digits)
 
     def __float__(self) -> float:
         lo, hi = self.interval(Fraction(1, 10**20))
@@ -769,14 +769,14 @@ def point_scaled_floor(x, bits: int) -> int:
 def point_decimal_str(x, digits: int = 15) -> str:
     if isinstance(x, FieldPoint):
         return x.decimal_str(digits)
-    x = Fraction(x)
-    neg = x < 0
-    x = abs(x)
-    scaled = x * 10**digits
-    n = scaled.numerator // scaled.denominator
-    s = _int_str(n).rjust(digits + 1, "0")
+    return _ratio_decimal_str(x.numerator, x.denominator, digits)
+
+
+def _ratio_decimal_str(num: int, den: int, digits: int) -> str:
+    """num/den (den > 0, not necessarily reduced) truncated toward zero."""
+    s = _int_str(abs(num) * 10**digits // den).rjust(digits + 1, "0")
     ip, fp = s[:len(s) - digits], s[len(s) - digits:].rstrip("0")
-    return ("-" if neg else "") + ip + ("." + fp if fp else "")
+    return ("-" if num < 0 else "") + ip + ("." + fp if fp else "")
 
 
 def point_json(x, digits: int) -> dict:

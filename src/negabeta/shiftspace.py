@@ -7,7 +7,11 @@ is the sofic bound-tracking automaton, flagged as such.
 
 Bound words are read from one unrolled digit tuple.  Sets of automaton
 states are integer bitmasks: one row of successor masks per digit maps a
-set to its successor set, which is how words are run and counted.
+set to its successor set, which is how words are run and counted.  The
+entropy of an automaton is a power iteration in plain floats: one padded
+column of successor indices per digit gathers the product with the
+transition-count matrix, so the module needs nothing outside the
+standard library.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, itemgetter, sub
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import PowerIterationError, SpecError
 from .expansion import DigitWord, EvPeriodic
@@ -87,12 +90,6 @@ class SftAutomaton:
         for c in word:
             cur = _subset_step(rows[c - 1], cur) if 1 <= c <= self.alphabet_max else 0
         return frozenset(s for s in range(self.n_states) if cur >> s & 1)
-
-    def count_matrix(self) -> np.ndarray:
-        m = np.zeros((self.n_states, self.n_states))
-        for (s, _c), t in self.transitions.items():
-            m[s, t] += 1
-        return m
 
     def to_dot(self) -> str:
         lines = ["digraph shift {", f'  start [shape=point]; start -> {self.start};']
@@ -287,24 +284,49 @@ def entropy_estimate(pi1: EvPeriodic, n: int) -> EntropyEstimate:
 
 
 def automaton_entropy(aut: SftAutomaton, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """log of the spectral radius of the transition-count matrix.
+    """log of the spectral radius of the transition-count matrix M.
 
-    Power iteration on the matrix plus the identity (the shift removes
-    periodicity without moving the dominant eigenvector); convergence is
-    checked on the residual and non-convergence is an error.
+    Power iteration on M + I (the shift removes periodicity without moving
+    the dominant eigenvector) over unnormalised vectors u_{k+1} = (M+I) u_k,
+    with lambda_k = max u_{k+1} / max u_k.  Step k stops once
+    max |u_{k+2} - lambda_k u_{k+1}| <= tol * lambda_k * max u_{k+1}, which
+    is the residual test on the normalised iterate, so each product is both
+    one step's residual and the next step's iterate.  Vectors are rescaled
+    by exact powers of two only; non-convergence is an error.
     """
-    if aut.n_states == 0:
+    n = aut.n_states
+    if n == 0:
         raise SpecError("empty automaton")
-    m = aut.count_matrix() + np.eye(aut.n_states)
-    v = np.ones(aut.n_states) / aut.n_states
-    lam = 1.0
+    if len({s for s, _c in aut.transitions}) < n:
+        raise SpecError("automaton has a state without outgoing edges")
+    if n == 1:
+        return math.log(len(aut.transitions))
+    # cols[c - 1][s]: the successor of s under digit c, or n, which reads
+    # the 0.0 that ends every vector
+    cols = [[n] * n for _ in range(aut.alphabet_max)]
+    for (s, c), t in aut.transitions.items():
+        cols[c - 1][s] = t
+    gathers = [itemgetter(*col) for col in cols]
+
+    def step(u: list[float]) -> list[float]:
+        w = u
+        for gather in gathers:
+            w = list(map(add, w, gather(u)))
+        w.append(0.0)
+        return w
+
+    top_u = 1.0
+    v = step([1.0] * n + [0.0])
+    top_v = max(v)
     for _ in range(max_iter):
-        w = m @ v
-        lam = float(np.max(w))
-        if lam == 0:
-            raise PowerIterationError("transition matrix is nilpotent")
-        w /= lam
-        if float(np.max(np.abs(m @ w - lam * w))) <= tol * lam:
+        w = step(v)
+        top_w = max(w)
+        lam = top_v / top_u
+        if max(map(abs, map(sub, w, [lam * x for x in v]))) <= tol * lam * top_v:
             return math.log(lam - 1.0)
-        v = w
+        if top_w > 2.0 ** 600:
+            w = [x * 2.0 ** -600 for x in w]
+            top_v *= 2.0 ** -600
+            top_w *= 2.0 ** -600
+        top_u, v, top_v = top_v, w, top_w
     raise PowerIterationError(f"power iteration did not converge in {max_iter} steps")

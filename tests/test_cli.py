@@ -1,5 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import negabeta
 
 from negabeta.cli import run
 
@@ -116,6 +122,29 @@ def test_approx_parallel_matches_serial(capsys):
     code, parallel = invoke(capsys, *argv, "--jobs", "2")
     assert code == 0
     assert parallel == serial
+
+
+_NO_NUMPY_SNIPPET = """
+import sys
+sys.modules["numpy"] = None  # any numpy import now fails
+import negabeta, negabeta.cli
+from negabeta import EvPeriodic, automaton_entropy, build_sft
+automaton_entropy(build_sft(EvPeriodic.parse("|32")))
+assert negabeta.cli.run(["entropy", "--pi1", "|32", "--n", "12"]) == 0
+assert "multiprocessing" not in sys.modules
+assert "concurrent.futures.process" not in sys.modules
+"""
+
+
+def test_runtime_needs_no_numpy_and_no_process_pool():
+    """The library and the CLI run without numpy, and only ``approx --jobs
+    N>1`` loads the process machinery."""
+    src = str(Path(negabeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SNIPPET], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_deterministic_output(capsys):

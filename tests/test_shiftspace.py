@@ -1,12 +1,16 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from negabeta import (
     EvPeriodic,
+    PowerIterationError,
+    SpecError,
     automaton_entropy,
+    beta_from_expansion,
     brute_force_words,
     build_sft,
     count_words,
@@ -116,6 +120,47 @@ def test_single_loop_has_zero_entropy():
     aut = SftAutomaton(n_states=1, start=0, transitions={(0, 1): 0},
                        alphabet_max=1, sft=True)
     assert abs(automaton_entropy(aut)) < 1e-12
+
+
+def test_one_state_with_two_loops_has_entropy_log_two():
+    aut = SftAutomaton(n_states=1, start=0, transitions={(0, 1): 0, (0, 2): 0},
+                       alphabet_max=2, sft=True)
+    assert abs(automaton_entropy(aut) - math.log(2.0)) < 1e-12
+
+
+def test_slow_convergence_rescales_iterates():
+    """A two-loop state beside a disjoint 5-bonacci cycle (radius 1.966):
+    the iteration needs more than 400 steps, so the iterates pass 2^600 and
+    are rescaled, and the entropy is still log 2."""
+    tr = {(i, 1): 0 for i in range(5)}
+    tr.update({(i, 2): i + 1 for i in range(4)})
+    tr.update({(5, 1): 5, (5, 2): 5})
+    aut = SftAutomaton(n_states=6, start=0, transitions=tr, alphabet_max=2, sft=True)
+    with pytest.raises(PowerIterationError):
+        automaton_entropy(aut, max_iter=400)
+    assert abs(automaton_entropy(aut) - math.log(2.0)) < 1e-9
+
+
+def test_dead_end_automaton_raises():
+    # state 1 has no outgoing edge, so the count matrix is nilpotent
+    aut = SftAutomaton(n_states=2, start=0, transitions={(0, 1): 1},
+                       alphabet_max=2, sft=True)
+    with pytest.raises(SpecError):
+        automaton_entropy(aut)
+
+
+def test_automaton_entropy_is_log_beta(small_shift_universe):
+    """h = log beta for the shift of a simple base (Ito & Sadahiro), on
+    every purely periodic valid sequence of the cap-5 universe."""
+    from negabeta import is_valid_expansion_of_one
+
+    simple = [s for s in small_shift_universe
+              if s.is_purely_periodic and is_valid_expansion_of_one(s).valid]
+    assert len(simple) == 51
+    for pi1 in simple:
+        lo, hi = beta_from_expansion(pi1).refine(Fraction(1, 10**14))
+        log_beta = math.log(float((lo + hi) / 2))
+        assert abs(automaton_entropy(build_sft(pi1)) - log_beta) <= 1e-8, pi1
 
 
 def test_entropy_estimates():
