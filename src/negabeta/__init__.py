@@ -19,7 +19,7 @@ from .errors import (
     SolveError,
     SpecError,
 )
-from .numerics import Beta, FieldPoint, compare_to_rational, floor_beta_times, make_beta
+from .numerics import Beta, FieldPoint, floor_beta_times, make_beta
 from .expansion import (
     DEFAULT_BUDGET,
     EvPeriodic,

@@ -124,17 +124,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_approx(args) -> int:
     beta = make_beta(args.beta, args.precision)
-    if args.jobs <= 1:
-        results = solver.approximate_simple_numbers(beta, args.count, args.prefix, args.budget)
-    else:
-        # spawned workers import the library afresh and get the base by pickle;
-        # the process machinery is imported only here, off the start-up path
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-            results = solver.approximate_simple_numbers(
-                beta, args.count, args.prefix, args.budget, map=pool.map)
+    results = solver.approximate_simple_numbers(beta, args.count, args.prefix, args.budget)
     _emit([r.to_json(args.digits) for r in results])
     return 0
 
@@ -224,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--prefix", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect (candidates are solved serially)")
     common(p)
     p.set_defaults(func=_cmd_approx)
 

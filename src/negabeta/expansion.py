@@ -11,16 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SpecError
-from .numerics import (
-    Beta,
-    as_point,
-    floor_point,
-    point_compare,
-    point_inverse,
-    point_scaled_floor,
-    point_sign,
-    times_beta,
-)
+from .numerics import Beta, as_point, floor_point, point_scaled_floor, times_beta
 
 DigitWord = tuple[int, ...]
 
@@ -159,7 +150,7 @@ def expand(beta: Beta, x, n: int) -> DigitWord:
     if n < 0:
         raise SpecError("digit count must be nonnegative")
     x = as_point(beta, x)
-    if point_sign(x) <= 0 or point_compare(x, 1) > 0:
+    if not 0 < x <= 1:
         raise SpecError("expansion is defined on (0, 1]")
     out = []
     for _ in range(n):
@@ -260,16 +251,16 @@ def evaluate(seq, beta: Beta):
     finite word it is the exact partial sum (see ``truncation_bound`` for
     the tail estimate).
     """
-    t = -point_inverse(beta.beta_point())
+    t = -1 / beta.beta_point()
     if isinstance(seq, EvPeriodic):
         a, p = len(seq.preperiod), len(seq.period)
         head = _word_sum(seq.preperiod, t)
         body = _word_sum(seq.period, t)
-        return head + (t**a) * body * point_inverse(1 - t**p)
+        return head + t**a * body / (1 - t**p)
     return _word_sum(tuple(seq), t)
 
 
 def truncation_bound(beta: Beta, n: int):
     """Exact bound on |x - evaluate(prefix_n(x))| for any x in (0, 1]."""
     b = beta.beta_point()
-    return beta.alphabet_max * point_inverse(b) ** n * point_inverse(b - 1)
+    return beta.alphabet_max * (1 / b) ** n / (b - 1)

@@ -66,7 +66,7 @@ def multinacci_orbit(q: int, m: int, k: int) -> FieldPoint:
         k = m - 1
         if k == 0:
             return beta.one()
-    binv = beta.beta_point().inverse()
+    binv = 1 / beta.beta_point()
     total = beta.point_from_rational(0)
     if k % 2 == 1:
         for i in range((k - 1) // 2 + 1):
@@ -104,7 +104,7 @@ def verify_multinacci_matching(q: int, m: int) -> MultinacciCheck:
             actual = rec.points[rec.pre_len]
         else:
             return MultinacciCheck(False, q, m, None, k)
-        if not (actual - expected).is_zero():
+        if actual != expected:
             return MultinacciCheck(False, q, m, None, k)
     report = matching_time(beta, budget=m + 4)
     if report.matched is not True or report.matching_time != m:

@@ -12,24 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .errors import OrbitUnresolved, PrecisionExhausted, SpecError
 from .expansion import orbit_of_one, DEFAULT_BUDGET
-from .numerics import (
-    Beta,
-    FieldPoint,
-    as_point,
-    guard_tie,
-    point_compare,
-    point_interval,
-    point_inverse,
-    point_sign,
-    same_field,
-)
+from .numerics import Beta, FieldPoint, as_point, guard_tie, point_interval, same_field
 from . import numerics, polys
-
-_BY_VALUE = cmp_to_key(point_compare)
 
 
 @dataclass(frozen=True)
@@ -50,14 +37,9 @@ class PiecewiseDensity:
     def __post_init__(self):
         if len(self.values) != len(self.breakpoints) - 1:
             raise SpecError("need one value per interval")
-        for v in self.values:
-            if point_sign(v) < 0:
-                raise SpecError("density values must be nonnegative")
-        total = None
-        for i, v in enumerate(self.values):
-            piece = v * (self.breakpoints[i + 1] - self.breakpoints[i])
-            total = piece if total is None else total + piece
-        if point_sign(total - self.K) != 0:
+        if any(v < 0 for v in self.values):
+            raise SpecError("density values must be nonnegative")
+        if _integral(self.breakpoints, self.values) != self.K:
             raise SpecError("normalization constant does not match the integral")
 
     @property
@@ -67,10 +49,10 @@ class PiecewiseDensity:
     def value_at(self, x):
         """Density on the interval containing x, for 0 < x <= 1."""
         x = as_point(self.beta, x)
-        if point_compare(x, 0) <= 0 or point_compare(x, 1) > 0:
+        if not 0 < x <= 1:
             raise SpecError("density is defined on (0, 1]")
         for i in range(len(self.values)):
-            if point_compare(x, self.breakpoints[i + 1]) <= 0:
+            if x <= self.breakpoints[i + 1]:
                 return self.values[i]
         return self.values[-1]
 
@@ -79,14 +61,14 @@ class PiecewiseDensity:
         a, b = as_point(self.beta, a), as_point(self.beta, b)
         total = 0 * self.K
         for i, v in enumerate(self.values):
-            lo = max(a, self.breakpoints[i], key=_BY_VALUE)
-            hi = min(b, self.breakpoints[i + 1], key=_BY_VALUE)
-            if point_compare(hi, lo) > 0:
+            lo = max(a, self.breakpoints[i])
+            hi = min(b, self.breakpoints[i + 1])
+            if hi > lo:
                 total = total + v * (hi - lo)
         return total
 
     def normalized_values(self) -> tuple:
-        kinv = point_inverse(self.K)
+        kinv = 1 / self.K
         return tuple(v * kinv for v in self.values)
 
 
@@ -101,10 +83,10 @@ def _orbit_weights(beta: Beta, budget: int):
         raise OrbitUnresolved(
             f"orbit of 1 did not resolve within budget {budget}"
         )
-    neg_inv = -point_inverse(beta.beta_point())
+    neg_inv = -1 / beta.beta_point()
     k = rec.pre_len if rec.kind == "eventually-periodic" else 0
     m = rec.period_len
-    cycle_scale = point_inverse(1 - neg_inv**m)
+    cycle_scale = 1 / (1 - neg_inv**m)
     pairs = []
     for n, x in enumerate(rec.points):
         w = neg_inv**n
@@ -125,42 +107,29 @@ def density(beta: Beta, budget: int = DEFAULT_BUDGET) -> PiecewiseDensity:
     rec, pairs = _orbit_weights(beta, budget)
     interior = []
     for x, _w in pairs[1:]:
-        if point_compare(x, 1) == 0:
-            continue
-        if all(point_compare(x, b) != 0 for b in interior):
+        if x != 1 and x not in interior:
             interior.append(x)
-    interior.sort(key=_BY_VALUE)
-    zero = as_point(beta, 0)
-    one = as_point(beta, 1)
-    bps = [zero] + interior + [one]
-    values = []
-    for i in range(len(bps) - 1):
-        rep = bps[i + 1]
-        total = None
-        for x, w in pairs:
-            if point_compare(x, rep) >= 0:
-                total = w if total is None else total + w
-        values.append(total)
+    interior.sort()
+    bps = [as_point(beta, 0)] + interior + [as_point(beta, 1)]
+    values = [sum(w for x, w in pairs if x >= rep) for rep in bps[1:]]
     # adjacent intervals never share a value: the density jumps at orbit points
     for a, b in zip(values, values[1:]):
-        if point_sign(a - b) == 0:
+        if a == b:
             raise SpecError("density failed to jump at an orbit breakpoint")
-    k_int = None
-    for i, v in enumerate(values):
-        piece = v * (bps[i + 1] - bps[i])
-        k_int = piece if k_int is None else k_int + piece
     k_series = _normalization_series(pairs)
-    if point_sign(k_int - k_series) != 0:
+    if _integral(bps, values) != k_series:
         raise SpecError("series and integral forms of K disagree")
     return PiecewiseDensity(beta, tuple(bps), tuple(values), k_series)
 
 
+def _integral(breakpoints, values):
+    """The integral of the step function with these values on the intervals
+    between consecutive breakpoints."""
+    return sum(v * (hi - lo) for v, lo, hi in zip(values, breakpoints, breakpoints[1:]))
+
+
 def _normalization_series(pairs):
-    total = None
-    for x, w in pairs:
-        piece = x * w
-        total = piece if total is None else total + piece
-    return total
+    return sum(x * w for x, w in pairs)
 
 
 def normalization(beta: Beta, budget: int = DEFAULT_BUDGET):
@@ -181,7 +150,7 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
     if tol <= 0:
         raise SpecError("tolerance must be positive")
     x = as_point(beta, x)
-    if point_compare(x, 0) <= 0 or point_compare(x, 1) > 0:
+    if not 0 < x <= 1:
         raise SpecError("density is defined on (0, 1]")
     lo, _hi = beta.refine(Fraction(1, 16))
     lo = max(lo, Fraction(101, 100))
@@ -191,34 +160,24 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
 
     def indicator(pt) -> bool:
         guard_tie(beta, pt, x, "x ties an orbit point within the precision")
-        return point_compare(pt, x) >= 0
+        return pt >= x
 
     try:
-        rec, pairs = _orbit_weights(beta, n_terms)
+        _rec, pairs = _orbit_weights(beta, n_terms)
     except OrbitUnresolved:
-        rec = orbit_of_one(beta, n_terms)
-        pairs = None
-    if pairs is not None:
-        total = None
-        for pt, w in pairs:
-            if indicator(pt):
-                total = w if total is None else total + w
-        return total if total is not None else as_point(beta, 0)
-    neg_inv = -point_inverse(beta.beta_point())
-    total = None
-    power = as_point(beta, 1)
-    for n, pt in enumerate(rec.points[:n_terms]):
-        if n > 0:
-            power = power * neg_inv
-        if indicator(pt):
-            total = power if total is None else total + power
-    return total if total is not None else as_point(beta, 0)
+        # the partial sum: the n-th orbit point has weight (-1/beta)^n
+        points = orbit_of_one(beta, n_terms).points[:n_terms]
+        neg_inv = -1 / beta.beta_point()
+        pairs = [(points[0], as_point(beta, 1))]
+        for pt in points[1:]:
+            pairs.append((pt, pairs[-1][1] * neg_inv))
+    # the orbit point 1 is counted for every x in (0, 1], so the sum is a point
+    return sum(w for pt, w in pairs if indicator(pt))
 
 
 def measure_interval(d: PiecewiseDensity, a, b):
     """Normalized invariant measure of the interval (a, b)."""
-    raw = d.integral_raw(a, b)
-    return raw * point_inverse(d.K)
+    return d.integral_raw(a, b) / d.K
 
 
 @dataclass(frozen=True)
@@ -234,14 +193,14 @@ def limits(beta: Beta, budget: int = DEFAULT_BUDGET) -> Limits:
     of 1 returns to 1 (periodic case) or stays below it.
     """
     b = beta.beta_point()
-    at_zero = b * point_inverse(b + 1)
+    at_zero = b / (b + 1)
     rec = orbit_of_one(beta, budget)
     if not rec.resolved:
         return Limits(at_zero, None)
     if rec.kind == "periodic":
         m = rec.period_len
         bm = b**m
-        at_one = bm * point_inverse(bm - (-1) ** m)
+        at_one = bm / (bm - (-1) ** m)
     else:
         at_one = as_point(beta, 1)
     return Limits(at_zero, at_one)
@@ -322,26 +281,15 @@ class CoincidenceReport:
 def _quadratic_pair_prediction(b1: Beta, b2: Beta) -> bool | None:
     """Is {b1, b2} = {root of x^2 - qx - p with p <= q, that root + 1}?
     None when either base is an integer: the criterion covers non-integers only."""
-    if any(point_compare(b.beta_point(), b.floor_value()) == 0 for b in (b1, b2)):
+    if any(b.beta_point() == b.floor_value() for b in (b1, b2)):
         return None
     x1, x2 = b1.beta_point(), b2.beta_point()
-    # order the pair numerically
-    w = Fraction(1, 2**24)
-    while True:
-        a1, c1 = point_interval(x1, w)
-        a2, c2 = point_interval(x2, w)
-        if c1 < a2:
-            small_b, small, big = b1, x1, x2
-            break
-        if c2 < a1:
-            small_b, small, big = b2, x2, x1
-            break
-        w /= 2**8
-    if not algebraic_equal(small + 1, big):
-        return False
-    q = small_b.floor_value()
-    z = small * small - q * small
-    return any(z == p for p in range(1, q + 1))
+    for small_b, small, big in ((b1, x1, x2), (b2, x2, x1)):
+        if algebraic_equal(small + 1, big):
+            q = small_b.floor_value()
+            z = small * small - q * small
+            return any(z == p for p in range(1, q + 1))
+    return False
 
 
 def densities_coincide(
@@ -383,22 +331,20 @@ def check_invariance(d: PiecewiseDensity) -> bool:
     preimage, assembled branch by branch from the map's linear pieces.
     """
     beta = d.beta
-    binv = point_inverse(beta.beta_point())
+    binv = 1 / beta.beta_point()
     amax = beta.alphabet_max
     one = as_point(beta, 1)
     zero = as_point(beta, 0)
     for i in range(len(d.values)):
         a, b = d.breakpoints[i], d.breakpoints[i + 1]
         direct = d.integral_raw(a, b)
-        pulled = None
+        # the digit-1 branch maps onto all of [0, 1), so some piece is nonempty
+        pulled = 0
         for dig in range(1, amax + 1):
-            lo = (dig - b) * binv
-            hi = (dig - a) * binv
-            lo = max(lo, zero, key=_BY_VALUE)
-            hi = min(hi, one, key=_BY_VALUE)
-            if point_compare(hi, lo) > 0:
-                piece = d.integral_raw(lo, hi)
-                pulled = piece if pulled is None else pulled + piece
-        if pulled is None or point_sign(direct - pulled) != 0:
+            lo = max((dig - b) * binv, zero)
+            hi = min((dig - a) * binv, one)
+            if hi > lo:
+                pulled = pulled + d.integral_raw(lo, hi)
+        if direct != pulled:
             return False
     return True

@@ -20,8 +20,12 @@ only sets a tie guard, which refuses a floor decision within 2^-precision
 of an integer.
 
 Only this module tells the two point types apart (``FieldPoint`` for
-exact bases, ``Fraction`` for decimal ones); other modules go through the
-point functions at the end of the file.
+exact bases, ``Fraction`` for decimal ones).  Both take Python's numeric
+operators (``+ - * / **``, comparisons and ``==``), which is how other
+modules build and compare points; the point functions at the end of the
+file remain only for what the operators do not give: embedding a
+rational, the certified floor of beta * x with the decimal tie guard,
+enclosures, and renderings.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ DEFAULT_DECIMAL_PRECISION = 256
 # the deepest refinement level a search may reach before PrecisionExhausted
 MAX_REFINE_LEVEL = 100_000
 
-_ORDER_LT, _ORDER_EQ, _ORDER_GT = -1, 0, 1
 _LOG2_5 = math.log2(5)
 
 
@@ -175,7 +178,7 @@ class _Cells:
         return hi
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Beta:
     """A base beta > 1, exact (polynomial + isolating interval) or decimal."""
 
@@ -383,20 +386,6 @@ class Beta:
         # x itself, reduced mod f when f is linear (the root is rational)
         return FieldPoint(self, (0, 1))
 
-    def __eq__(self, other):
-        if not isinstance(other, Beta):
-            return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.is_exact:
-            return self.coeffs == other.coeffs and self.iso == other.iso
-        return self.value == other.value and self.precision == other.precision
-
-    def __hash__(self):
-        if self.is_exact:
-            return hash(("exact", self.coeffs, self.iso))
-        return hash(("decimal", self.value, self.precision))
-
 
 class FieldPoint:
     """An element of Q[x]/(f) evaluated at the isolated root of ``f``.
@@ -453,7 +442,9 @@ class FieldPoint:
     def __add__(self, other):
         return self._plus(self._coerce(other), 1)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        # sum() starts from the int 0
+        return self if other == 0 else self + other
 
     def __neg__(self):
         return FieldPoint._of(self.beta, tuple(-a for a in self.num), self.den)
@@ -482,6 +473,14 @@ class FieldPoint:
         return FieldPoint._of(self.beta, tuple(out), self.den * o.den * t)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
     def _coerce(self, other) -> "FieldPoint":
         if isinstance(other, FieldPoint):
@@ -545,10 +544,9 @@ class FieldPoint:
             return False
         chain = polys.sturm_chain(g)
         g = chain[0]
+        # cell endpoints are never roots of the squarefree part of f, nor
+        # of g, which divides f: only a cell shrunk to the root is a point
         lo, hi = self.beta.interval()
-        while lo != hi and (polys.sign_at(g, lo) == 0 or polys.sign_at(g, hi) == 0):
-            self.beta._refine_step()
-            lo, hi = self.beta.interval()
         if lo == hi:
             return polys.sign_at(g, lo) == 0
         return polys.count_roots(g, lo, hi, chain) > 0
@@ -596,8 +594,12 @@ class FieldPoint:
         return (self - other).sign()
 
     def __eq__(self, other):
+        """Decided by the enclosure at the current level when it excludes 0,
+        else by the gcd zero test; never refines."""
         if isinstance(other, (FieldPoint, int, Fraction)):
-            return (self - other).is_zero()
+            d = self - other
+            a, b, _ = d._search(lambda *_: True, None, "")
+            return a <= 0 <= b and d.is_zero()
         return NotImplemented
 
     __hash__ = None  # exact equality is semantic, not structural
@@ -664,7 +666,7 @@ def times_beta(beta: Beta, x):
     """beta * x in the base's point type."""
     if beta.is_exact:
         return as_point(beta, x).times_beta()
-    return beta.value * Fraction(x)
+    return beta.value * x
 
 
 def as_point(beta: Beta, r):
@@ -715,38 +717,11 @@ def floor_beta_times(beta: Beta, x) -> int:
     return floor_point(beta, times_beta(beta, x))
 
 
-def compare_to_rational(x, r) -> int:
-    """Exact trichotomy (-1, 0, 1) of a point against a rational."""
-    return point_compare(x, Fraction(r))
-
-
-def point_compare(x, y) -> int:
-    """Exact trichotomy (-1, 0, 1) of two points of one base, or rationals."""
-    if isinstance(x, FieldPoint):
-        return x.compare(y)
-    if isinstance(y, FieldPoint):
-        return -y.compare(x)
-    return (x > y) - (x < y)
-
-
 def same_field(x, y) -> bool:
     """Can x and y meet in one arithmetic (not field points of two bases)?"""
     if isinstance(x, FieldPoint) and isinstance(y, FieldPoint):
         return x.beta == y.beta
     return True
-
-
-def point_sign(x) -> int:
-    if isinstance(x, FieldPoint):
-        return x.sign()
-    x = Fraction(x)
-    return (x > 0) - (x < 0)
-
-
-def point_inverse(x):
-    if isinstance(x, FieldPoint):
-        return x.inverse()
-    return 1 / Fraction(x)
 
 
 def point_interval(x, width: Fraction) -> tuple[Fraction, Fraction]:

@@ -426,7 +426,6 @@ def approximate_simple_numbers(
     count: int,
     prefix_len: int = 64,
     budget: int = DEFAULT_BUDGET,
-    map=map,
 ) -> list[ApproximantResult]:
     """Nearby simple bases from periodic approximants of the expansion of 1.
 
@@ -435,8 +434,7 @@ def approximate_simple_numbers(
     expansion at the same base, so each solved entry ends certified.
     Candidates whose value equation has no root above 1 (possible below
     the divergence index against the substitution word) are reported with
-    an empty base.  ``map`` runs ``solve_candidate`` over the candidates;
-    pass an executor's ``map`` to solve them in parallel.
+    an empty base.
     """
     pi = pi_of_one(beta, budget)
     if pi.resolved and pi.is_simple:
@@ -455,5 +453,5 @@ def approximate_simple_numbers(
                     raise
                 length *= 2
 
-    return list(map(solve_candidate, [beta] * len(plan.candidates),
-                    plan.candidates, plan.case_tags, plan.sides))
+    return [solve_candidate(beta, cand, tag, side)
+            for cand, tag, side in zip(plan.candidates, plan.case_tags, plan.sides)]

@@ -114,8 +114,9 @@ def test_approx_parallel(capsys):
 
 
 def test_approx_parallel_matches_serial(capsys):
-    # the orbit of 1 does not resolve, so candidates come from a prefix that
-    # must be doubled before the self-overlap scan fits
+    # --jobs has no effect, so any value prints the same bytes; the orbit of 1
+    # does not resolve, so candidates come from a prefix that must be doubled
+    # before the self-overlap scan fits
     argv = ("approx", "--beta", "dec:1.9", "--count", "6", "--prefix", "4")
     code, serial = invoke(capsys, *argv, "--jobs", "1")
     assert code == 0
@@ -131,14 +132,15 @@ import negabeta, negabeta.cli
 from negabeta import EvPeriodic, automaton_entropy, build_sft
 automaton_entropy(build_sft(EvPeriodic.parse("|32")))
 assert negabeta.cli.run(["entropy", "--pi1", "|32", "--n", "12"]) == 0
+assert negabeta.cli.run(["approx", "--beta", "pisot2:p=1,q=1", "--count", "2", "--jobs", "2"]) == 0
 assert "multiprocessing" not in sys.modules
 assert "concurrent.futures.process" not in sys.modules
 """
 
 
 def test_runtime_needs_no_numpy_and_no_process_pool():
-    """The library and the CLI run without numpy, and only ``approx --jobs
-    N>1`` loads the process machinery."""
+    """The library and the CLI run without numpy and never load the process
+    machinery: ``approx --jobs N`` is accepted but solves serially."""
     src = str(Path(negabeta.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -227,15 +229,15 @@ def test_precision_environment_read_per_call(monkeypatch):
     assert run(argv) == 2
 
 
-def test_word_verbs_byte_equal_to_bench_goldens(capsys, bench_workloads):
-    """Every validate, sft (json and dot), entropy and w-word argv of the
-    benchmark corpus gives the recorded exit code and stdout bytes, so a
-    change of automaton state numbering fails here, not only in the bench."""
+def test_corpus_byte_equal_to_bench_goldens(capsys, bench_workloads):
+    """Every argv of the benchmark corpus gives the recorded exit code and
+    stdout bytes, so a change of automaton state numbering, or a rendering
+    that moves with the refinement history, fails here, not only in the
+    bench."""
     wl = bench_workloads
     goldens = wl.load_goldens()["cli"]
-    argvs = [a for kind in ("validate", "sft", "sft-dot", "entropy", "w-word")
-             for a in wl.CLI_SLICES[kind][1]]
-    assert len(argvs) == 60
+    argvs = wl.cli_corpus()
+    assert len(argvs) == 232
     for argv in argvs:
         code, out = invoke(capsys, *argv)
         g = goldens[wl.golden_key(argv)]

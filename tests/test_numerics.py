@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from negabeta import SpecError, compare_to_rational, expand, floor_beta_times, make_beta
+from negabeta import SpecError, expand, floor_beta_times, make_beta
 from negabeta.errors import PrecisionExhausted
 from negabeta import numerics, polys
 from negabeta.numerics import Beta
@@ -95,15 +95,16 @@ def test_decimal_floor_and_tie_guard():
 
 def test_compare_to_rational(phi, tribonacci):
     x = 2 - phi.beta_point()
-    assert compare_to_rational(x, Fraction(1, 2)) == -1
-    assert x.compare(2 - phi.beta_point()) == 0
+    half = Fraction(1, 2)
+    assert x < half and half > x and not x >= half
+    assert x.compare(2 - phi.beta_point()) == 0 and x == 2 - phi.beta_point()
     # high-precision ordering: 1 - 1/beta^2 vs 0.70444 needs real refinement
-    y = 1 - (tribonacci.beta_point() ** 2).inverse()
+    y = 1 - 1 / tribonacci.beta_point() ** 2
     with mpmath.workdps(50):
         b = mpmath.findroot(lambda t: t**3 - t**2 - t - 1, 1.84)
-        ref = 1 - 1 / b**2
-        expected = -1 if ref < mpmath.mpf("0.70444") else 1
-    assert compare_to_rational(y, Fraction(70444, 100000)) == expected
+        below = 1 - 1 / b**2 < mpmath.mpf("0.70444")
+    r = Fraction(70444, 100000)
+    assert (y < r, y > r) == (below, not below)
 
 
 def test_pisot2_identities():
@@ -173,6 +174,24 @@ def test_field_inverse(phi):
     assert (x * x.inverse() - 1).is_zero()
     with pytest.raises(ZeroDivisionError):
         (x - x).inverse()
+    # division is multiplication by the inverse, by a point or a rational
+    assert 1 / x == x.inverse() and 3 / x == 3 * x.inverse()
+    assert x / x == 1 and (x * x) / x == x and x / Fraction(2, 3) == Fraction(3, 2) * x
+    for zero in (x - x, 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+
+
+def test_equality_never_refines():
+    """== decides from the enclosure at the current level or by the gcd zero
+    test, so it leaves the isolating interval, on which later renderings
+    depend, where it was; sum() over points starts from the int 0."""
+    beta = make_beta("poly:[1,0,-1,-1]@(1.2,1.4)")
+    b = beta.beta_point()
+    start = beta.interval()
+    assert b * b * b == b + 1 and b != Fraction(4, 3) and b * b != b + Fraction(1, 10**30)
+    assert beta.interval() == start
+    assert sum([b, b * b]) == b * (b + 1) and 0 + b is b
 
 
 def test_non_minimal_defining_polynomial():
@@ -199,7 +218,8 @@ def test_decimal_base_is_the_exact_rational():
 
 def test_point_protocol_stays_in_numerics():
     """Only numerics may tell field points from rationals or exact bases
-    from decimal ones; every other module goes through its point functions."""
+    from decimal ones; every other module builds and compares points with
+    Python's operators."""
     src = Path(numerics.__file__).parent
     pattern = re.compile(r"isinstance\([^)]*FieldPoint|\.is_exact|\bbeta[0-9]?\.value\b|\bb\.value\b")
     hits = [
