@@ -97,28 +97,6 @@ def format_rational(r: Fraction) -> str:
     return f"{_int_str(num)}/{_int_str(den)}"
 
 
-def _raise_endpoint(coeffs_high, q: int) -> Fraction:
-    """A rational lower endpoint strictly above max(1, q) but below the root.
-
-    The families passed here are negative at q and have their single root
-    above it, so halving the offset eventually lands below the root.
-    """
-    p = tuple(reversed(coeffs_high))
-    if q >= 2:
-        return Fraction(q)
-    step = Fraction(1, 2)
-    while True:
-        lo = q + step
-        v = polys.sign_at(p, lo)
-        if v < 0:
-            return lo
-        if v == 0:
-            raise SpecError("rational root hit while isolating; give poly: directly")
-        step /= 2
-        if step < Fraction(1, 2**64):
-            raise SpecError("no root above the expected endpoint")
-
-
 class _Cells:
     """Dyadic cells of an isolating interval (lo, hi) = (A/D, (A + C)/D):
     the level-k cell lo + [j, j+1] (hi - lo)/2^k is the integers A 2^k + j C
@@ -230,6 +208,38 @@ class Beta:
         return cls(kind="decimal", value=value, precision=precision)
 
     @classmethod
+    def root_above_one(cls, poly: polys.IntPoly, lo, hi) -> "Beta":
+        """The root above 1 of ``poly`` (lowest degree first) that (lo, hi)
+        isolates, or the rational root lo when lo == hi.
+
+        A left end at or below 1 is pushed above 1 by bisection, keeping the
+        sign change; a rational root is widened to an open interval above 1
+        that still isolates it.
+        """
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo != hi and lo <= 1:
+            sf = polys.squarefree_part(poly)
+            s_lo = polys.sign_at(sf, lo)
+            while lo <= 1:
+                mid = (lo + hi) / 2
+                v = polys.sign_at(sf, mid)
+                if v == 0:
+                    lo = hi = mid
+                    break
+                if s_lo * v < 0:
+                    hi = mid
+                else:
+                    lo, s_lo = mid, v
+        coeffs_high = tuple(reversed(poly))
+        if lo == hi:
+            chain = polys.sturm_chain(poly)
+            eps = Fraction(1, 4)
+            while not (lo - eps > 1 and polys.isolates(chain, lo - eps, lo + eps)):
+                eps /= 2
+            return cls.from_poly(coeffs_high, lo - eps, lo + eps)
+        return cls.from_poly(coeffs_high, lo, hi)
+
+    @classmethod
     def pisot2(cls, p: int, q: int) -> "Beta":
         """Root in (q, q+1) of x^2 - q x - p, requiring 1 <= p <= q."""
         p, q = int(p), int(q)
@@ -237,8 +247,7 @@ class Beta:
             raise SpecError("pisot2 needs p >= 1 and q >= 1")
         if p > q:
             raise SpecError("pisot2 requires p <= q")
-        lo = _raise_endpoint((1, -q, -p), q)
-        return cls.from_poly((1, -q, -p), lo, Fraction(q + 1))
+        return cls.root_above_one((-p, -q, 1), q, q + 1)
 
     @classmethod
     def multinacci(cls, q: int, m: int) -> "Beta":
@@ -246,9 +255,7 @@ class Beta:
         q, m = int(q), int(m)
         if q < 1 or m < 2:
             raise SpecError("multinacci needs q >= 1 and m >= 2")
-        coeffs = (1,) + (-q,) * m
-        lo = _raise_endpoint(coeffs, q)
-        return cls.from_poly(coeffs, lo, Fraction(q + 1))
+        return cls.root_above_one((-q,) * m + (1,), q, q + 1)
 
     # -- internals ---------------------------------------------------------
 
@@ -304,11 +311,6 @@ class Beta:
             return (self.value, self.value)
         lo, hi, den = self._cells.cell(self._cells.level)
         return Fraction(lo, den), Fraction(hi, den)
-
-    def _refine_step(self) -> None:
-        cells = self._cells
-        cells.cell(cells.level + 1)
-        cells.level = min(cells.level + 1, cells.root_level)
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """Shrink the isolating interval until it is narrower than ``width``."""

@@ -2,9 +2,9 @@
 periodic approximants to exhibit nearby simple bases.
 
 The value equation of an eventually periodic sequence clears to an
-integer polynomial in the base; the wanted root is isolated by Sturm
-counts (with a monotone digit-comparison bisection to pick among several)
-and certified by exact re-expansion.
+integer polynomial in the base; its roots above 1 are isolated by Sturm
+counts, and the wanted one is the root whose exact re-expansion of 1 is
+the sequence (the expansion of 1 determines the base, so at most one is).
 """
 
 from __future__ import annotations
@@ -69,112 +69,18 @@ def _roots_above_one(g: polys.IntPoly) -> tuple[polys.IntPoly, list[tuple[Fracti
     return g, polys.isolate_roots(g, 1, bound)
 
 
-def _expand_rational_base(b: Fraction, n: int) -> DigitWord:
-    """Digits of the expansion of 1 for an exact rational base (no guard)."""
-    x = Fraction(1)
-    out = []
-    for _ in range(n):
-        f = (b * x).numerator // (b * x).denominator
-        out.append(f + 1)
-        x = f + 1 - b * x
-    return tuple(out)
+def _root_expanding_to(g: polys.IntPoly, intervals, seq: EvPeriodic) -> Beta | None:
+    """The root above 1 of g whose expansion of 1 is seq, or None.
 
-
-def _compare_base_with_target(b: Fraction, target: EvPeriodic, g: polys.IntPoly) -> int:
-    """Sign of pi(1) at base b against the target in alternating order.
-
-    Returns 0 only when b itself solves the value equation with matching
-    expansion (rational-base corner case).
+    The expansion of 1 determines the base, so at most one root
+    re-expands to seq; the isolating intervals are tried in order.
     """
-    n = 64
-    while True:
-        w = _expand_rational_base(b, n)
-        for i in range(1, n + 1):
-            a, c = w[i - 1], target.digit(i)
-            if a != c:
-                s = (a > c) - (a < c)
-                return s if i % 2 == 1 else -s
-        if polys.sign_at(g, b) == 0:
-            return 0
-        n *= 2
-        if n > 1 << 16:
-            raise SolveError("digit comparison did not separate the base")
-
-
-def _select_root(
-    intervals: list[tuple[Fraction, Fraction]],
-    target: EvPeriodic,
-    g: polys.IntPoly,
-) -> tuple[Fraction, Fraction]:
-    """Pick the isolating interval of the base the target points at.
-
-    With a single candidate it is taken directly; otherwise the monotone
-    correspondence between bases and expansions of 1 drives a bisection
-    that shrinks a bracket around the wanted root until it meets exactly
-    one of the isolating intervals.
-    """
-    if len(intervals) == 1:
-        return intervals[0]
-    lo = Fraction(1, 1) + Fraction(1, 16)
-    for _ in range(80):
-        if _compare_base_with_target(lo, target, g) < 0:
-            break
-        lo = 1 + (lo - 1) / 2
-    else:
-        raise SolveError("no base below the target expansion")
-    hi = Fraction(target.alphabet_max + 2)
-
-    def intersecting():
-        out = []
-        for a, b in intervals:
-            if (lo < a < hi) if a == b else (a < hi and b > lo):
-                out.append((a, b))
-        return out
-
-    for _ in range(300):
-        hits = intersecting()
-        if len(hits) == 1:
-            return hits[0]
-        if not hits:
-            break
-        mid = (lo + hi) / 2
-        s = _compare_base_with_target(mid, target, g)
-        if s == 0:
-            return (mid, mid)
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
-    raise SolveError("bisection failed to isolate the matching root")
-
-
-def _beta_from_interval(g: polys.IntPoly, iv: tuple[Fraction, Fraction]) -> Beta:
-    coeffs_high = tuple(reversed(g))
-    lo, hi = iv
-    if lo != hi:
-        # keep the sign change while pushing the left endpoint above 1
-        sf = polys.squarefree_part(g)
-        s_lo = polys.sign_at(sf, lo)
-        while lo <= 1:
-            mid = (lo + hi) / 2
-            v = polys.sign_at(sf, mid)
-            if v == 0:
-                lo = hi = mid
-                break
-            if s_lo * v < 0:
-                hi = mid
-            else:
-                lo, s_lo = mid, v
-    if lo == hi:
-        # rational root: widen to an open interval still isolating it
-        chain = polys.sturm_chain(g)
-        eps = Fraction(1, 4)
-        while True:
-            a, b = lo - eps, lo + eps
-            if a > 1 and polys.isolates(chain, a, b):
-                return Beta.from_poly(coeffs_high, a, b)
-            eps /= 2
-    return Beta.from_poly(coeffs_high, lo, hi)
+    for lo, hi in intervals:
+        beta = Beta.root_above_one(g, lo, hi)
+        pi = pi_of_one(beta, budget=seq.tail_count() + 16)
+        if pi.resolved and pi.sequence == seq:
+            return beta
+    return None
 
 
 def beta_from_expansion(
@@ -184,9 +90,10 @@ def beta_from_expansion(
 ) -> Beta:
     """The exact base whose expansion of 1 equals the target.
 
-    The defining polynomial comes from clearing the value equation; the
-    result is certified by exact re-expansion, so an invalid target is
-    always rejected (before or after solving).
+    The defining polynomial comes from clearing the value equation, and
+    the result is its root above 1 whose exact re-expansion of 1 is the
+    target, so an invalid target is always rejected: by the validity test,
+    or with require_valid=False by SolveError when no root re-expands to it.
     """
     if require_valid:
         rep = is_valid_expansion_of_one(target)
@@ -195,22 +102,12 @@ def beta_from_expansion(
                 f"target is not a valid expansion of 1 "
                 f"(condition {rep.failed_condition}, k={rep.witness})"
             )
-    beta = _solve_value_equation(target)
+    g, intervals = _roots_above_one(value_equation_poly(target))
+    beta = _root_expanding_to(g, intervals, target)
     if beta is None:
-        raise SolveError("value equation has no root above 1")
-    pi = pi_of_one(beta, budget=target.tail_count() + 16)
-    if not (pi.resolved and pi.sequence == target):
-        raise SolveError("re-expansion does not reproduce the target")
+        raise SolveError("no root above 1 of the value equation re-expands to the target")
     beta.refine(Fraction(tol))
     return beta
-
-
-def _solve_value_equation(target: EvPeriodic) -> Beta | None:
-    g, intervals = _roots_above_one(value_equation_poly(target))
-    if not intervals:
-        return None
-    iv = _select_root(intervals, target, g)
-    return _beta_from_interval(g, iv)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +118,6 @@ def _solve_value_equation(target: EvPeriodic) -> Beta | None:
 class ApproximantPlan:
     """Self-admissible periodic candidates built from a certified prefix."""
 
-    source_prefix: DigitWord
     candidates: tuple[EvPeriodic, ...]
     case_tags: tuple[str, ...]
     sides: tuple[str, ...]
@@ -254,7 +150,6 @@ def periodic_approximants(
         horizon = None
         amax = pi1.digit(1)
         finitely_many = amax not in pi1.period
-        src = pi1.prefix(len(pi1.preperiod) + len(pi1.period))
     else:
         if not prefix:
             raise SpecError("need either a resolved expansion or a prefix")
@@ -268,7 +163,6 @@ def periodic_approximants(
         horizon = len(prefix)
         amax = prefix[0]
         finitely_many = amax not in prefix[2:]
-        src = prefix
 
     candidates: list[EvPeriodic] = []
     tags: list[str] = []
@@ -328,10 +222,7 @@ def periodic_approximants(
     order = sorted(range(len(candidates)), key=lambda i: len(candidates[i].period))
     candidates = [candidates[i] for i in order]
     tags = [tags[i] for i in order]
-    if pi1 is not None and candidates:
-        src = pi1.prefix(max(len(c.period) for c in candidates))
     return ApproximantPlan(
-        source_prefix=tuple(src),
         candidates=tuple(candidates),
         case_tags=tuple(tags),
         sides=tuple(_side_of(c) for c in candidates),
@@ -408,17 +299,18 @@ def _gap(beta: Beta, other: Beta) -> Fraction:
 
 
 def solve_candidate(beta: Beta, cand: EvPeriodic, tag: str, side: str) -> ApproximantResult:
-    """Solve one approximant candidate against the base it approximates."""
-    solved = _solve_value_equation(cand)
-    if solved is None:
+    """Solve one approximant candidate against the base it approximates.
+
+    The base found re-expands to the purely periodic canonical word, so it
+    is a certified simple base.
+    """
+    g, intervals = _roots_above_one(value_equation_poly(cand))
+    if not intervals:
         return ApproximantResult(cand, tag, side, None, None, False, None)
-    rep = is_valid_expansion_of_one(cand)
-    canonical = cand if rep.valid else canonicalize_expansion_candidate(cand)
-    check = pi_of_one(solved, budget=canonical.tail_count() + 16)
-    certified = bool(check.resolved and check.is_simple and check.sequence == canonical)
-    return ApproximantResult(
-        cand, tag, side, solved, _gap(beta, solved), certified, canonical
-    )
+    canonical = canonicalize_expansion_candidate(cand)
+    solved = _root_expanding_to(g, intervals, canonical)
+    gap = None if solved is None else _gap(beta, solved)
+    return ApproximantResult(cand, tag, side, solved, gap, solved is not None, canonical)
 
 
 def approximate_simple_numbers(
@@ -431,10 +323,12 @@ def approximate_simple_numbers(
 
     Every candidate's value equation is solved exactly; candidates that
     fail the validity conditions are canonicalized to the genuine simple
-    expansion at the same base, so each solved entry ends certified.
+    expansion at the same base, and the base reported is the root that
+    re-expands to that canonical word, so each solved entry is certified.
     Candidates whose value equation has no root above 1 (possible below
     the divergence index against the substitution word) are reported with
-    an empty base.
+    an empty base and no canonical word; a candidate none of whose roots
+    re-expands to its canonical word keeps that word but has no base.
     """
     pi = pi_of_one(beta, budget)
     if pi.resolved and pi.is_simple:

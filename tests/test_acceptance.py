@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 
 from negabeta import (
+    Beta,
     EvPeriodic,
     approximate_simple_numbers,
     automaton_entropy,
@@ -38,7 +39,7 @@ from negabeta import (
 )
 from negabeta.measure import algebraic_equal
 from negabeta.order import compare_with_limit_word
-from negabeta.solver import _beta_from_interval, _roots_above_one, value_equation_poly
+from negabeta.solver import _roots_above_one, value_equation_poly
 
 E = EvPeriodic
 
@@ -128,7 +129,7 @@ def _oracle_is_expansion_of_one(seq: EvPeriodic) -> bool:
     """Independent route: solve the value equation and re-expand, exactly."""
     g, intervals = _roots_above_one(value_equation_poly(seq))
     for iv in intervals:
-        beta = _beta_from_interval(g, iv)
+        beta = Beta.root_above_one(g, *iv)
         pi = pi_of_one(beta, budget=seq.tail_count() + 16)
         if pi.resolved and pi.sequence == seq:
             return True

@@ -116,6 +116,21 @@ def test_pisot2_identities():
             assert beta.floor_value() == q
 
 
+def test_family_isolating_intervals():
+    """pisot2 and multinacci bases are isolated in (q, q+1), and in
+    (3/2, 2) for q = 1, where the family polynomial is negative at 3/2."""
+    def spec(coeffs, q):
+        iso = f"({q},{q + 1})" if q >= 2 else "(1.5,2)"
+        return f"poly:[{','.join(map(str, coeffs))}]@{iso}"
+
+    for q in range(1, 7):
+        for p in range(1, q + 1):
+            assert make_beta(f"pisot2:p={p},q={q}").spec_string() == spec([1, -q, -p], q)
+    for q in range(1, 5):
+        for m in range(2, 9):
+            assert make_beta(f"multinacci:q={q},m={m}").spec_string() == spec([1] + [-q] * m, q)
+
+
 def _mp_beta(coeffs_high, approx):
     return mpmath.findroot(
         lambda t: sum(c * t ** (len(coeffs_high) - 1 - i) for i, c in enumerate(coeffs_high)),
@@ -289,8 +304,8 @@ CRITERION_BASES = [f"pisot2:p={p},q={q}" for p in range(1, 4) for q in range(p, 
 
 @pytest.mark.parametrize("spec", CRITERION_BASES)
 def test_refinement_is_fraction_bisection(spec):
-    """120 refinement steps give the nested cells of a plain bisection of the
-    isolating interval on the defining polynomial."""
+    """Refining one level at a time for 120 levels gives the nested cells of
+    a plain bisection of the isolating interval on the defining polynomial."""
     bases = [make_beta(spec)]
     if spec.startswith("pisot2"):
         bases.append(make_beta(spec).plus_one())
@@ -299,6 +314,7 @@ def test_refinement_is_fraction_bisection(spec):
         lo, hi = beta.iso
         assert beta.interval() == (lo, hi)
         for _ in range(120):
+            width = hi - lo
             mid = (lo + hi) / 2
             v = _horner_oracle(coeffs_low, mid)
             assert v != 0
@@ -306,7 +322,7 @@ def test_refinement_is_fraction_bisection(spec):
                 hi = mid
             else:
                 lo = mid
-            beta._refine_step()
+            beta.refine(3 * width / 4)  # one level: the next cell is narrower
             assert beta.interval() == (lo, hi)
 
 
@@ -450,9 +466,9 @@ def test_rational_roots_keep_their_level():
 
     beta = make_beta("poly:[2,-3]@(1.25,1.75)")
     assert beta.interval() == (Fraction(5, 4), Fraction(7, 4))
-    beta._refine_step()
+    beta.refine(Fraction(3, 8))  # one level below the width 1/2
     assert beta.interval() == (Fraction(3, 2), Fraction(3, 2))
-    beta._refine_step()
+    beta.refine(Fraction(3, 16))
     assert beta.interval() == (Fraction(3, 2), Fraction(3, 2))
     fresh = make_beta("poly:[2,-3]@(1.25,1.75)")
     assert fresh.refine(Fraction(1, 2**40)) == (Fraction(3, 2), Fraction(3, 2))
@@ -469,7 +485,7 @@ def test_rational_roots_keep_their_level():
 
 def test_refine_step_on_a_fresh_base():
     beta = make_beta("poly:[1,0,-1,-1]@(1.2,1.4)")
-    beta._refine_step()
+    beta.refine(Fraction(3, 20))  # one level below the width 1/5
     assert beta.interval() == (Fraction(13, 10), Fraction(7, 5))
 
 

@@ -55,17 +55,50 @@ def test_beta_from_expansion_rejects_invalid():
         beta_from_expansion(E((), (2, 1)))
 
 
+# every valid sequence of the {1,2,3} shift universe at cap 6 (total length
+# <= 6) whose value equation has two roots above 1, with the base it solves to
+TWO_ROOT_TARGETS = {
+    "3|1121": "poly:[1,-3,1,-1,1,2]@(2.5,4)",
+    "3|1132": "poly:[1,-3,1,-1,2,1]@(2.5,4)",
+    "3|1231": "poly:[1,-3,1,-2,2,2]@(2.5,4)",
+    "3|2111": "poly:[1,-3,2,-1,0,2]@(1.75,2.5)",
+    "3|2122": "poly:[1,-3,2,-1,1,1]@(1.75,2.5)",
+    "3|2221": "poly:[1,-3,2,-2,1,2]@(1.75,2.5)",
+    "|311213": "poly:[1,-3,1,-1,2,-1,2]@(2.5,4)",
+    "|311323": "poly:[1,-3,1,-1,3,-2,2]@(2.5,4)",
+    "|321113": "poly:[1,-3,2,-1,1,-1,2]@(1.75,2.5)",
+    "|321212": "poly:[1,-3,2,-1,2,-1,1]@(1.75,2.5)",
+    "|321223": "poly:[1,-3,2,-1,2,-2,2]@(1.75,2.5)",
+    "|322213": "poly:[1,-3,2,-2,2,-1,2]@(1.75,2.5)",
+}
+
+
 def test_beta_from_expansion_multi_root_targets():
-    """Targets whose value equation has two roots above 1: the digit
-    bisection must pick the one the alternating order points at."""
+    """Targets whose value equation has two roots above 1: the solver takes
+    the root that re-expands to the target, and the other root does not,
+    since the expansion of 1 determines the base."""
+    from negabeta.numerics import Beta
     from negabeta.solver import _roots_above_one
 
-    for text in ("|311213", "|321212", "|321113", "|322213"):
+    for text, spec in TWO_ROOT_TARGETS.items():
         target = E.parse(text)
-        _g, intervals = _roots_above_one(value_equation_poly(target))
+        g, intervals = _roots_above_one(value_equation_poly(target))
         assert len(intervals) == 2
         beta = beta_from_expansion(target)
+        assert beta.spec_string() == spec
         assert pi_of_one(beta).sequence == target
+        others = [Beta.root_above_one(g, *iv) for iv in intervals]
+        others = [b for b in others if b.spec_string() != spec]
+        assert len(others) == 1, text
+        pi = pi_of_one(others[0], budget=target.tail_count() + 16)
+        assert not (pi.resolved and pi.sequence == target), text
+
+
+def test_beta_from_expansion_without_validity_test_rejects_by_re_expansion():
+    """(21)^inf is not an expansion of 1; skipping the validity test, no
+    root of its value equation re-expands to it."""
+    with pytest.raises(SolveError):
+        beta_from_expansion(E((), (2, 1)), require_valid=False)
 
 
 def test_canonicalize():
