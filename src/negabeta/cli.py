@@ -2,9 +2,10 @@
 
 Every verb maps onto one library operation.  Output is JSON on stdout
 (the lone exception is ``sft --emit dot``); numeric results carry exact
-forms where available plus decimal renderings at the requested precision.
+forms where available plus decimal renderings to ``--digits`` places.
 Exit codes: 0 success, 2 domain errors (an invalid pi(1) for ``sft`` and
-``entropy`` among them), 3 unresolved within budget.
+``entropy`` among them), 3 unresolved within the orbit budget or the
+refinement level cap.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ def _emit(obj) -> None:
 
 
 def _cmd_expand(args) -> int:
-    beta = make_beta(args.beta, args.precision)
+    beta = make_beta(args.beta)
     digits = expand(beta, _parse_rational(args.x), args.n)
     _emit({"digits": list(digits)})
     return 0
 
 
 def _cmd_orbit(args) -> int:
-    beta = make_beta(args.beta, args.precision)
+    beta = make_beta(args.beta)
     rec = orbit_of_one(beta, args.budget)
     _emit({
         "kind": rec.kind,
@@ -57,7 +58,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    beta = make_beta(args.beta, args.precision)
+    beta = make_beta(args.beta)
     d = density(beta, args.budget)
     _emit({
         "breakpoints": [point_json(b, args.digits) for b in d.breakpoints],
@@ -70,8 +71,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_measure_compare(args) -> int:
-    beta1 = make_beta(args.beta1, args.precision)
-    beta2 = make_beta(args.beta2, args.precision) if args.beta2 else beta1.plus_one()
+    beta1 = make_beta(args.beta1)
+    beta2 = make_beta(args.beta2) if args.beta2 else beta1.plus_one()
     report = densities_coincide(beta1, beta2, args.budget)
     _emit(report.to_json())
     return 0
@@ -109,7 +110,7 @@ def _cmd_sft(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    beta = make_beta(args.beta, args.precision)
+    beta = make_beta(args.beta)
     report = matching_time(beta, args.budget)
     _emit(report.to_json(args.digits))
     return 0
@@ -123,7 +124,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    beta = make_beta(args.beta, args.precision)
+    beta = make_beta(args.beta)
     results = solver.approximate_simple_numbers(beta, args.count, args.prefix, args.budget)
     _emit([r.to_json(args.digits) for r in results])
     return 0
@@ -149,7 +150,7 @@ def _digits(text: str) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser; built once per process, as nothing in it depends on
-    the environment (decimal bases read NEGABETA_PRECISION when parsed)."""
+    the environment."""
     parser = argparse.ArgumentParser(
         prog="negabeta",
         description="negative beta-expansions: digits, densities, automata, matching, solving",
@@ -159,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, beta=True):
         p.add_argument("--digits", type=_digits, default=15,
                        help="decimal digits in renderings (default 15)")
-        p.add_argument("--precision", type=int,
-                       help="working precision in bits for decimal bases")
         if beta:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="orbit iteration budget")

@@ -10,9 +10,8 @@ class SpecError(NegabetaError, ValueError):
 
 
 class PrecisionExhausted(NegabetaError):
-    """A decimal-base decision fell inside the error radius of the stated
-    precision (raise the precision or switch to an exact base), or an
-    exact-base decision needed refinement beyond the level cap."""
+    """An exact-base decision needed refinement beyond the level cap
+    ``numerics.MAX_REFINE_LEVEL``."""
 
 
 class OrbitUnresolved(NegabetaError):

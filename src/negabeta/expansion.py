@@ -8,10 +8,11 @@ digit sequence back to the real number it represents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import SpecError
-from .numerics import Beta, as_point, floor_point, point_scaled_floor, times_beta
+from .numerics import Beta, as_point, point_scaled_floor, times_beta
 
 DigitWord = tuple[int, ...]
 
@@ -141,7 +142,7 @@ class OrbitRecord:
 def step(beta: Beta, x):
     """One application of the map: returns (digit, next point)."""
     y = times_beta(beta, x)
-    d = floor_point(beta, y) + 1
+    d = math.floor(y) + 1
     return d, d - y
 
 

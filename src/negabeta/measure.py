@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import OrbitUnresolved, PrecisionExhausted, SpecError
 from .expansion import orbit_of_one, DEFAULT_BUDGET
-from .numerics import Beta, FieldPoint, as_point, guard_tie, point_interval, same_field
+from .numerics import Beta, FieldPoint, as_point, point_interval, same_field
 from . import numerics, polys
 
 
@@ -139,9 +139,8 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
     """Density value at x: exact when the orbit of 1 resolves quickly,
     otherwise a partial sum whose tail is below tol.
 
-    Term comparisons are exact; for a decimal base a point that ties an
-    orbit point within the working precision is refused, since the
-    indicator is discontinuous there.
+    Term comparisons are exact, so a point next to an orbit point, where
+    the indicator is discontinuous, gets the side it lies on.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -155,10 +154,6 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
         math.log(1 / float(tol * (1 - 1 / lo))) / math.log(float(lo))
     ) + 2)
 
-    def indicator(pt) -> bool:
-        guard_tie(beta, pt, x, "x ties an orbit point within the precision")
-        return pt >= x
-
     try:
         _rec, pairs = _orbit_weights(beta, n_terms)
     except OrbitUnresolved:
@@ -169,7 +164,7 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
         for pt in points[1:]:
             pairs.append((pt, pairs[-1][1] * neg_inv))
     # the orbit point 1 is counted for every x in (0, 1], so the sum is a point
-    return sum(w for pt, w in pairs if indicator(pt))
+    return sum(w for pt, w in pairs if pt >= x)
 
 
 def measure_interval(d: PiecewiseDensity, a, b):

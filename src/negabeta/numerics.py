@@ -2,36 +2,33 @@
 
 A base is either *exact* (an integer polynomial together with a rational
 isolating interval containing exactly one of its real roots) or *decimal*
-(an exact rational value carrying a working precision in bits).  All sign,
-floor and comparison decisions on exact bases are certified by interval
-refinement plus polynomial gcd zero tests.  Refinement bisects the
-isolating interval into dyadic cells held as integers (the level-k cell is
-lo + [j, j+1] (hi - lo)/2^k), one sign of the squarefree part per step, and
-enclosures are the integer interval Horner of ``polys`` over a cell.  A
-decision stops at the first level where a test holds (enclosure narrow
-enough, free of 0, or spanning at most one integer).  Cells are nested and
+(the exact rational value it names).  All sign, floor and comparison
+decisions on exact bases are certified by interval refinement plus
+polynomial gcd zero tests.  Refinement bisects the isolating interval into
+dyadic cells held as integers (the level-k cell is lo + [j, j+1]
+(hi - lo)/2^k), one sign of the squarefree part per step, and enclosures
+are the integer interval Horner of ``polys`` over a cell.  A decision
+stops at the first level where a test holds (enclosure narrow enough,
+free of 0, or spanning at most one integer).  Cells are nested and
 interval arithmetic is inclusion-isotone, so each test is monotone in the
 level: a search that jumps ahead by the predicted number of halvings and
 then bisects over levels stops at the level, and with the rationals, of
 refining one step at a time.  A point of an exact base is an integer
 vector over one denominator, so field arithmetic and enclosures run on
-integers.  A decimal base is the exact rational it names; its precision
-only sets a tie guard, which refuses a floor decision within 2^-precision
-of an integer.
+integers.  A point of a decimal base is a ``Fraction``, whose floor and
+comparisons are exact.
 
 Only this module tells the two point types apart (``FieldPoint`` for
 exact bases, ``Fraction`` for decimal ones).  Both take Python's numeric
-operators (``+ - * / **``, comparisons and ``==``), which is how other
-modules build and compare points; the point functions at the end of the
-file remain only for what the operators do not give: embedding a
-rational, the certified floor of beta * x with the decimal tie guard,
-enclosures, and renderings.
+operators (``+ - * / **``, comparisons, ``==`` and ``math.floor``), which
+is how other modules build and compare points; the point functions at the
+end of the file remain only for what the operators do not give: embedding
+a rational, enclosures, and renderings.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -40,7 +37,6 @@ from fractions import Fraction
 from .errors import PrecisionExhausted, SpecError
 from . import polys
 
-DEFAULT_DECIMAL_PRECISION = 256
 # the deepest refinement level a search may reach before PrecisionExhausted
 MAX_REFINE_LEVEL = 100_000
 
@@ -164,7 +160,6 @@ class Beta:
     coeffs: tuple[int, ...] | None = None          # highest degree first
     iso: tuple[Fraction, Fraction] | None = None
     value: Fraction | None = None
-    precision: int | None = None
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- construction ------------------------------------------------------
@@ -193,19 +188,11 @@ class Beta:
         return beta
 
     @classmethod
-    def from_decimal(cls, value, precision: int | None = None) -> "Beta":
+    def from_decimal(cls, value) -> "Beta":
         value = Fraction(value)
         if value <= 1:
             raise SpecError("base must exceed 1")
-        if precision is None:
-            env = os.environ.get("NEGABETA_PRECISION", str(DEFAULT_DECIMAL_PRECISION))
-            try:
-                precision = int(env)
-            except ValueError as exc:
-                raise SpecError(f"NEGABETA_PRECISION must be an integer, got {env!r}") from exc
-        if precision < 8:
-            raise SpecError("precision must be at least 8 bits")
-        return cls(kind="decimal", value=value, precision=precision)
+        return cls(kind="decimal", value=value)
 
     @classmethod
     def root_above_one(cls, poly: polys.IntPoly, lo, hi) -> "Beta":
@@ -365,7 +352,7 @@ class Beta:
     def plus_one(self) -> "Beta":
         """The base beta + 1, exact when this base is exact."""
         if not self.is_exact:
-            return Beta.from_decimal(self.value + 1, self.precision)
+            return Beta.from_decimal(self.value + 1)
         ints = polys.primitive(polys.taylor_shift(self.poly, -1))
         lo, hi = self.iso
         return Beta.from_poly(tuple(reversed(ints)), lo + 1, hi + 1)
@@ -618,6 +605,15 @@ class FieldPoint:
     def __ge__(self, other):
         return self.compare(other) >= 0
 
+    def __floor__(self) -> int:
+        """Exact floor: refine until at most one integer is left in the
+        enclosure, then settle it by a sign test."""
+        a, b, s = self._search(lambda a, b, s: b // s - a // s <= 1, Fraction(1),
+                               "floor of a field point")
+        if a // s == b // s:
+            return a // s
+        return b // s if (self - b // s).sign() >= 0 else a // s
+
     def decimal_str(self, digits: int = 15) -> str:
         a, b, s = self._narrower(Fraction(1, 10 ** (digits + 2)))
         return _ratio_decimal_str(a + b, 2 * s, digits)
@@ -639,15 +635,20 @@ _SPEC_PISOT2 = re.compile(r"^pisot2:p=(?P<p>-?\d+),q=(?P<q>-?\d+)$")
 _SPEC_MULTINACCI = re.compile(r"^multinacci:q=(?P<q>-?\d+),m=(?P<m>-?\d+)$")
 
 
-def make_beta(spec: str, precision: int | None = None) -> Beta:
+def make_beta(spec: str, _ignored=None) -> Beta:
     """Parse a base specification string.
 
     Grammar: ``dec:<decimal>``, ``poly:[c_k,...,c_0]@(lo,hi)``,
-    ``pisot2:p=<p>,q=<q>``, ``multinacci:q=<q>,m=<m>``.
+    ``pisot2:p=<p>,q=<q>``, ``multinacci:q=<q>,m=<m>``.  A ``dec:`` base is
+    the exact rational it names.
+
+    ``_ignored`` was the working precision in bits of a decimal base and
+    has no effect; it stays because the setup timing of ``bench/run.py``
+    still calls ``make_beta(spec, 256)``.
     """
     spec = spec.strip()
     if spec.startswith("dec:"):
-        return Beta.from_decimal(_parse_rational(spec[4:]), precision)
+        return Beta.from_decimal(_parse_rational(spec[4:]))
     m = _SPEC_POLY.match(spec)
     if m:
         try:
@@ -678,45 +679,9 @@ def as_point(beta: Beta, r):
     return beta.point_from_rational(Fraction(r))
 
 
-def guard_tie(beta: Beta, x, y, reason: str) -> None:
-    """Refuse to order x against y when the base's precision cannot.
-
-    On a decimal base two distinct points closer than 2^-precision raise
-    PrecisionExhausted; exact bases decide every comparison.
-    """
-    if beta.is_exact:
-        return
-    # |x - y| < 2^-precision on the unreduced difference; the test is
-    # invariant under the common factor a reduction would remove
-    n = x.numerator * y.denominator - y.numerator * x.denominator
-    if n and abs(n) << beta.precision < x.denominator * y.denominator:
-        raise PrecisionExhausted(reason)
-
-
-def floor_point(beta: Beta, y) -> int:
-    """Certified floor of a point.
-
-    For decimal bases the decision is refused (PrecisionExhausted) whenever
-    y lies within 2^-precision of an integer without equaling it.
-    """
-    if not beta.is_exact:
-        k = y.numerator // y.denominator
-        reason = "beta*x is closer to an integer than the precision allows"
-        guard_tie(beta, y, k, reason)
-        guard_tie(beta, y, k + 1, reason)
-        return k
-    y = as_point(beta, y)
-    # at most one integer left in the enclosure, then settled by a sign test
-    a, b, s = y._search(lambda a, b, s: b // s - a // s <= 1, Fraction(1),
-                        "floor of a field point")
-    if a // s == b // s:
-        return a // s
-    return b // s if (y - Fraction(b // s)).sign() >= 0 else a // s
-
-
 def floor_beta_times(beta: Beta, x) -> int:
-    """Exact floor of beta*x for x in (0, 1], guarded as in ``floor_point``."""
-    return floor_point(beta, times_beta(beta, x))
+    """Exact floor of beta*x for x in (0, 1]."""
+    return math.floor(times_beta(beta, x))
 
 
 def same_field(x, y) -> bool:

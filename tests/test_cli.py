@@ -155,7 +155,7 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_exit_codes(capsys, monkeypatch):
+def test_exit_codes(capsys):
     code, _ = invoke(capsys, "expand", "--beta", "pisot2:p=9,q=1", "--n", "3")
     assert code == 2
     code, _ = invoke(capsys, "density", "--beta", "dec:2.5")
@@ -176,11 +176,6 @@ def test_exit_codes(capsys, monkeypatch):
     code = run(["expand", "--beta", "dec:1e999999", "--n", "3"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
-    monkeypatch.setenv("NEGABETA_PRECISION", "abc")
-    code = run(["expand", "--beta", "dec:1.5", "--n", "3"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
-    monkeypatch.delenv("NEGABETA_PRECISION")
     for argv in (["solve", "--target", "|212", "--digits", "-1"],
                  ["density", "--beta", "pisot2:p=1,q=1", "--digits", "-3"],
                  ["orbit", "--beta", "pisot2:p=1,q=1", "--digits", "-3"],
@@ -219,14 +214,44 @@ def test_refinement_level_cap_is_unresolved(capsys, monkeypatch):
     assert err.startswith("unresolved:") and "level cap" in err
 
 
-def test_precision_environment_read_per_call(monkeypatch):
-    """The parser is built once per process; NEGABETA_PRECISION is still
-    read on every call that parses a decimal base."""
+_ONE_ARGV_PER_VERB = (
+    ["expand", "--beta", "dec:1.5", "--n", "3"],
+    ["orbit", "--beta", "pisot2:p=1,q=1"],
+    ["density", "--beta", "pisot2:p=1,q=1"],
+    ["measure-compare", "--beta1", "pisot2:p=1,q=1"],
+    ["entropy", "--pi1", "2|1", "--n", "3"],
+    ["sft", "--pi1", "2|1"],
+    ["match", "--beta", "pisot2:p=1,q=1"],
+    ["solve", "--target", "|212"],
+    ["approx", "--beta", "pisot2:p=1,q=1", "--count", "1"],
+    ["validate", "--seq", "2|1"],
+    ["w-word", "--n", "4"],
+)
+
+
+def test_precision_option_and_environment_are_gone(capsys, monkeypatch):
+    """A dec: base is its exact rational: no verb takes --precision, and
+    NEGABETA_PRECISION, whatever its value, changes nothing."""
+    assert len({argv[0] for argv in _ONE_ARGV_PER_VERB}) == 11
+    for argv in _ONE_ARGV_PER_VERB:
+        assert run(argv + ["--precision", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "unrecognized arguments: --precision" in captured.err
     argv = ["expand", "--beta", "dec:1.5", "--n", "3"]
     monkeypatch.delenv("NEGABETA_PRECISION", raising=False)
-    assert run(argv) == 0
-    monkeypatch.setenv("NEGABETA_PRECISION", "7")
-    assert run(argv) == 2
+    outputs = [invoke(capsys, *argv)]
+    for value in ("abc", "7"):
+        monkeypatch.setenv("NEGABETA_PRECISION", value)
+        outputs.append(invoke(capsys, *argv))
+    assert outputs == [(0, '{"digits": [2, 1, 1]}\n')] * 3
+
+
+def test_decimal_floor_next_to_zero_is_exact(capsys):
+    """1.5 * 10^-999999 has floor 0 and 1.5 (1 - 10^-999999) has floor 1,
+    however close to an integer either lies."""
+    code, out = invoke(capsys, "expand", "--beta", "dec:1.5", "--x", "1e-999999", "--n", "2")
+    assert (code, out) == (0, '{"digits": [1, 2]}\n')
 
 
 def test_corpus_byte_equal_to_bench_goldens(capsys, bench_workloads):

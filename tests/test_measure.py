@@ -15,7 +15,7 @@ from negabeta import (
 )
 from negabeta.errors import PrecisionExhausted
 from negabeta.measure import algebraic_equal, check_invariance
-from negabeta.numerics import Beta, point_decimal_str
+from negabeta.numerics import point_decimal_str
 
 
 def test_density_golden(phi):
@@ -80,11 +80,25 @@ def test_density_at_matches_density(phi, phi2, tribonacci):
             hits += 1
 
 
-def test_density_at_decimal_tie():
-    tight = Beta.from_decimal(Fraction(5, 2), precision=16)
-    x = Fraction(1, 2) + Fraction(1, 2**40)   # nearly the first orbit point
-    with pytest.raises(PrecisionExhausted):
-        density_at(tight, x)
+def test_density_at_decimal_next_to_an_orbit_point():
+    """dec:2.5 is the rational 5/2, so x = 1/2 + 2^-40, a hair above the
+    orbit point T(1) = 1/2, is ordered exactly against every orbit point.
+    The orbit of 1 does not resolve, so the value is the partial sum of the
+    weights (-2/5)^n over the first N orbit points at or above x."""
+    beta, tol = Fraction(5, 2), Fraction(1, 10**12)
+    x = Fraction(1, 2) + Fraction(1, 2**40)
+    # N: the least count whose geometric tail (2/5)^N / (3/5) is below tol, plus 2
+    n = next(n for n in range(1, 100) if Fraction(2, 5) ** n / Fraction(3, 5) < tol) + 2
+    pt, weight, expected = Fraction(1), Fraction(1), Fraction(0)
+    for _ in range(n):
+        if pt >= x:
+            expected += weight
+        y = beta * pt
+        pt, weight = y.numerator // y.denominator + 1 - y, weight * Fraction(-2, 5)
+    d = make_beta("dec:2.5")
+    assert density_at(d, x) == expected
+    # at x = 1/2 the orbit point 1/2 adds its weight -2/5
+    assert density_at(d, Fraction(1, 2)) == expected - Fraction(2, 5)
 
 
 def test_measure_interval(phi, phi2):
