@@ -4,18 +4,19 @@ A base is either *exact* (an integer polynomial together with a rational
 isolating interval containing exactly one of its real roots) or *decimal*
 (the exact rational value it names).  All sign, floor and comparison
 decisions on exact bases are certified by interval refinement plus
-polynomial gcd zero tests.  Refinement bisects the isolating interval into
+polynomial gcd zero tests.  Refinement narrows the isolating interval to
 dyadic cells held as integers (the level-k cell is lo + [j, j+1]
-(hi - lo)/2^k), one sign of the squarefree part per step, and enclosures
-are the integer interval Horner of ``polys`` over a cell.  A decision
-stops at the first level where a test holds (enclosure narrow enough,
-free of 0, or spanning at most one integer).  Cells are nested and
-interval arithmetic is inclusion-isotone, so each test is monotone in the
-level: a search that jumps ahead by the predicted number of halvings and
-then bisects over levels stops at the level, and with the rationals, of
-refining one step at a time.  A point of an exact base is an integer
-vector over one denominator, so field arithmetic and enclosures run on
-integers.  A point of a decimal base is a ``Fraction``, whose floor and
+(hi - lo)/2^k): Newton's method proposes the level-k cell, two exact signs
+of the squarefree part at its ends certify it, and short gaps are bisected
+one sign per level.  Enclosures are the integer interval Horner of
+``polys`` over a cell.  A decision stops at the first level where a test
+holds (enclosure narrow enough, free of 0, or spanning at most one
+integer).  Cells are nested and interval arithmetic is inclusion-isotone,
+so each test is monotone in the level: a search that jumps ahead by the
+predicted number of halvings and then bisects over levels stops at the
+level, and with the rationals, of refining one step at a time.  A point
+of an exact base is an integer vector over one denominator, so field
+arithmetic and enclosures run on integers.  A point of a decimal base is a ``Fraction``, whose floor and
 comparisons are exact.
 
 Only this module tells the two point types apart (``FieldPoint`` for
@@ -39,6 +40,17 @@ from . import polys
 
 # the deepest refinement level a search may reach before PrecisionExhausted
 MAX_REFINE_LEVEL = 100_000
+
+# _Cells bisects gaps of at most this many levels instead of jumping.  A
+# jump spends this many bits per Newton doubling on the polynomial's
+# curvature, allows this many one-cell moves before its proposal fails,
+# seeds from floats while the deepest cell is wider than 2^-48, and gives
+# float Newton this many steps.
+_BISECT_GAP = 8
+_NEWTON_GUARD = 8
+_CERTIFY_MOVES = 4
+_FLOAT_BITS = 48
+_FLOAT_STEPS = 60
 
 _LOG2_5 = math.log2(5)
 
@@ -99,7 +111,16 @@ class _Cells:
     and A 2^k + (j+1) C over D 2^k.  Only the index j of the deepest cell
     computed is kept (level k has index j >> (deep - k)).  A root met as a
     midpoint, or found by ``Beta.floor_value``, is kept with its level:
-    from there on every cell is the point (root, root)."""
+    from there on every cell is the point (root, root).
+
+    A deeper cell is reached by a jump: Newton's method on the squarefree
+    part proposes the index at the target level, and two exact signs at
+    the ends of the proposed cell certify it (the proposal moves by one
+    cell until they do).  Bisection, one sign per level, covers short gaps
+    and any proposal that fails.  Either way the cell, the root and its
+    level are those of bisecting one level at a time: the level-k cell
+    holding the root is unique, and a root on the level-k grid is the
+    midpoint of a cell at the level its index's factors of 2 give."""
 
     __slots__ = ("A", "C", "D", "sf", "sign_lo", "deep", "j", "level", "root", "root_level")
 
@@ -113,6 +134,17 @@ class _Cells:
 
     def cell(self, k: int) -> tuple[int, int, int]:
         """Integers (lo, hi, den) with the level-k cell [lo/den, hi/den]."""
+        if self.deep < k < self.root_level:
+            if k - self.deep > _BISECT_GAP:
+                self._jump(k)
+            self._bisect(k)
+        if k >= self.root_level:
+            return self.root.numerator, self.root.numerator, self.root.denominator
+        lo = (self.A << k) + (self.j >> (self.deep - k)) * self.C
+        return lo, lo + self.C, self.D << k
+
+    def _bisect(self, k: int) -> None:
+        """Bisect one level per sign until level k (or the root) is reached."""
         A, C, D, deep, j = self.A, self.C, self.D, self.deep, self.j
         while deep < k < self.root_level:
             num, den = (A << deep + 1) + (2 * j + 1) * C, D << deep + 1  # the midpoint
@@ -122,10 +154,96 @@ class _Cells:
             else:
                 deep, j = deep + 1, 2 * j + 1 if v == self.sign_lo else 2 * j
         self.deep, self.j = deep, j
-        if k >= self.root_level:
-            return self.root.numerator, self.root.numerator, self.root.denominator
-        lo = (A << k) + (j >> (deep - k)) * C
-        return lo, lo + C, D << k
+
+    def _jump(self, k: int) -> None:
+        """Move to level k, or to the root if it lies on the level-k grid,
+        by a certified Newton proposal; a failed proposal moves nothing."""
+        A, C, D, sf = self.A, self.C, self.D, self.sf
+        scale = D.bit_length() - C.bit_length()  # the level-k cell is ~2^-(k + scale) wide
+        seed = self._seed(k, scale)
+        if seed is None:
+            return
+        x, q = seed
+        # Newton doubles the correct bits per step, up to a 2^-p error: an
+        # eighth of the level-k cell
+        p, steps = max(k + scale + 4, q), []
+        while p > q:
+            steps.append(p)
+            p = max(p // 2 + _NEWTON_GUARD, q) if p > 4 * _NEWTON_GUARD else q
+        for p in reversed(steps):
+            x <<= p - q
+            v, dv = _fixed_point_newton_terms(sf, x, p)
+            if not dv:
+                return
+            x, q = x - v // dv, p
+        first = self.j << (k - self.deep)  # the level-k cells inside the deepest one
+        j = min(max(((D * x - (A << q)) << k) // (C << q), first),
+                first + (1 << (k - self.deep)) - 1)
+        den = D << k
+        s_lo, s_hi = (polys.sign_at(sf, (A << k) + i * C, den) for i in (j, j + 1))
+        for _ in range(_CERTIFY_MOVES + 1):  # certify after each of 0 .. _CERTIFY_MOVES moves
+            if s_lo == 0 or s_hi == 0:  # a grid point: the midpoint of a cell at a lower level
+                i = j if s_lo == 0 else j + 1
+                level = k - ((i & -i).bit_length() - 1)
+                self.root, self.root_level = Fraction((A << k) + i * C, den), level
+                self.deep, self.j = level - 1, i >> (k - level + 1)
+                return
+            if s_lo == self.sign_lo != s_hi:
+                self.deep, self.j = k, j
+                return
+            if s_lo != self.sign_lo:  # the root is left of the cell
+                j, s_hi = j - 1, s_lo
+                s_lo = polys.sign_at(sf, (A << k) + j * C, den)
+            else:
+                j, s_lo = j + 1, s_hi
+                s_hi = polys.sign_at(sf, (A << k) + (j + 1) * C, den)
+
+    def _seed(self, k: int, scale: int) -> tuple[int, int] | None:
+        """(x, q) with x / 2^q near the root: the float Newton root inside
+        the deepest cell while that cell is wider than about 2^-48, else the
+        cell's midpoint.  When floats cannot hold the polynomial or Newton
+        does not settle, bisection first narrows the cell to 2^-48; None if
+        that reaches level k or the root."""
+        if self.deep + scale < _FLOAT_BITS:
+            x = self._float_root()
+            if x is not None:
+                q = max(_FLOAT_BITS + 4 - math.frexp(x)[1], 0)
+                return int(math.ldexp(x, q)), q
+            self._bisect(min(k, _FLOAT_BITS - scale))
+            if self.deep >= k or self.root is not None:
+                return None
+        A, C, D, deep, j = self.A, self.C, self.D, self.deep, self.j
+        q = deep + scale + 1
+        return (((A << deep + 1) + (2 * j + 1) * C) << q) // (D << deep + 1), q
+
+    def _float_root(self) -> float | None:
+        """The root in floats by Newton's method, falling back to halving
+        the bracket, inside the deepest cell; None on overflow or when 60
+        steps do not settle."""
+        A, C, D, deep, j = self.A, self.C, self.D, self.deep, self.j
+        try:
+            f = [float(c) for c in self.sf]
+            a, b = ((A << deep) + j * C) / (D << deep), ((A << deep) + (j + 1) * C) / (D << deep)
+        except OverflowError:
+            return None
+        x = (a + b) / 2
+        for _ in range(_FLOAT_STEPS):
+            v = dv = 0.0
+            for c in reversed(f):
+                dv, v = dv * x + v, v * x + c
+            if v == 0:
+                return x
+            step = v / dv if dv else math.inf
+            if abs(step) <= abs(x) * 2.0**-26:  # Newton squares the error: ~2^-52 left
+                return x - step
+            if (v > 0) == (self.sign_lo > 0):
+                a = x
+            else:
+                b = x
+            x -= step
+            if not a < x < b:  # outside the bracket, or nan
+                x = (a + b) / 2
+        return None
 
     def search(self, holds, jump: int, what: str) -> int:
         """Move to, and return, the first level >= the current one where
@@ -150,6 +268,15 @@ class _Cells:
                 lo = probe
         self.level = hi
         return hi
+
+
+def _fixed_point_newton_terms(f: tuple[int, ...], x: int, p: int) -> tuple[int, int]:
+    """(2^(pn) f(x / 2^p), 2^(p(n-1)) f'(x / 2^p)) for f of degree n, by
+    one Horner pass on integers; their quotient is 2^p f/f' at x / 2^p."""
+    v, dv = f[-1], 0
+    for i, c in enumerate(reversed(f[:-1]), 1):
+        dv, v = dv * x + v, v * x + (c << p * i)
+    return v, dv
 
 
 @dataclass(frozen=True)
@@ -300,7 +427,9 @@ class Beta:
         return Fraction(lo, den), Fraction(hi, den)
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Shrink the isolating interval until it is narrower than ``width``."""
+        """Shrink the isolating interval until it is narrower than ``width``:
+        the search goes straight to the first level whose cells are that
+        narrow, which a Newton jump reaches in a few certified steps."""
         if not self.is_exact:
             return (self.value, self.value)
         cells, width = self._cells, Fraction(width)
@@ -580,6 +709,11 @@ class FieldPoint:
 
     def compare(self, other) -> int:
         """-1, 0, or 1 against another point or a rational."""
+        if isinstance(other, (int, Fraction)):
+            # den r.den (x - r) has the sign of x - r and integer coordinates
+            n, d = other.numerator, other.denominator
+            num = self.num if d == 1 else tuple(c * d for c in self.num)
+            return FieldPoint._of(self.beta, (num[0] - n * self.den,) + num[1:], 1).sign()
         return (self - other).sign()
 
     def __eq__(self, other):

@@ -204,6 +204,18 @@ def test_zero_digits_render_the_integer_part(capsys):
     assert code == 0 and [p["decimal"] for p in json.loads(out)["points"]] == ["1", "0"]
 
 
+def test_digits_past_the_level_cap_are_unresolved_promptly(capsys):
+    """Renderings that need more refinement levels than MAX_REFINE_LEVEL
+    exit 3 with the level-cap message; a jump reaches the cap in a few
+    certified steps instead of bisecting toward it."""
+    for argv in (["density", "--beta", "pisot2:p=1,q=1", "--digits", "40000"],
+                 ["solve", "--target", "|212", "--digits", "31000"]):
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unresolved:") and "level cap" in captured.err
+
+
 def test_refinement_level_cap_is_unresolved(capsys, monkeypatch):
     """Refinement that would pass the level cap exits 3, not a traceback."""
     from negabeta import numerics

@@ -116,6 +116,33 @@ def test_compare_to_rational(phi, tribonacci):
     assert (y < r, y > r) == (below, not below)
 
 
+@pytest.mark.parametrize("spec", [
+    "pisot2:p=1,q=1", "multinacci:q=1,m=3", "poly:[1,0,-1,-1]@(1.2,1.4)",
+    "poly:[1,-2,1,-2,1]@(1.5,2)", "poly:[1,-3,2,-2]@(2.5,4)",
+    "poly:[1,-3,1,-1,1,-3,2]@(2.5,4)",  # reducible
+    "poly:[2,-3]@(1.25,1.75)", "poly:[2,-3,0,4,-6]@(1.25,1.75)",  # the root 3/2
+])
+def test_compare_to_rational_is_sign_of_difference(spec):
+    """compare against an int or a Fraction, and the comparison operators,
+    agree with the sign of the point minus the rational, on exact hits, near
+    misses and far values."""
+    from negabeta.numerics import FieldPoint
+
+    beta, rng = make_beta(spec), random.Random(spec)
+    rational_root = polys.sign_at(beta.sf_poly, Fraction(3, 2)) == 0
+    for _ in range(40):
+        vec = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 8])) for _ in range(beta.degree)]
+        x = FieldPoint(beta, vec)
+        near = Fraction(float(x)).limit_denominator(rng.choice([1, 10, 10**6, 10**15]))
+        exact = sum(c * Fraction(3, 2)**i for i, c in enumerate(vec))
+        for r in (near, math.floor(near), rng.randint(-5, 5)) + ((exact,) if rational_root else ()):
+            want = (x - r).sign()
+            assert x.compare(r) == want
+            assert (x < r, x <= r, x > r, x >= r) == (want < 0, want <= 0, want > 0, want >= 0)
+        if rational_root:
+            assert x.compare(exact) == 0
+
+
 def test_pisot2_identities():
     for p in range(1, 4):
         for q in range(p, 5):
@@ -484,6 +511,102 @@ def test_rational_roots_keep_their_level():
         assert beta.interval() == (Fraction(2), Fraction(2))
         assert beta.refine(Fraction(1, 2**30)) == (Fraction(2), Fraction(2))
         assert math.floor(beta.beta_point()) == 2
+
+
+CELL_BASES = CRITERION_BASES + [make_beta(s).plus_one().spec_string() for s in CRITERION_BASES] + [
+    "poly:[1,-3,1,-1,1,-3,2]@(2.5,4)",  # reducible: the base solved from |311133
+    "poly:[4,-7]@(1.5,2)", "poly:[16,-25]@(1.5,1.75)",  # roots at levels 1 and 4
+    "poly:[2147483648,-3221225473]@(1.5,2)",  # the root 3/2 + 2^-31 at level 30
+    f"poly:[{10**400},0,{-2 * 10**400 - 1}]@(1.25,1.5)",  # no float holds a coefficient
+    # sqrt(2 + 2^-120), a root of (x^2 - 2)(2^120 x^2 - 2^121 - 1) about 2^-122
+    # above sqrt(2), which draws Newton from afar; the left end lies between
+    f"poly:[{2**120},0,{-(2**122 + 1)},0,{2**122 + 2}]@({math.isqrt(2 << 248) + 2}/{2**124},1.5)",
+]
+
+
+def _fraction_bisection(beta, depth):
+    """Oracle: the isolating interval bisected on Fraction midpoints with the
+    defining polynomial, to the level ``depth`` or a midpoint root; the
+    cells by level, the root and its level (inf when not met).  f(n/d) has
+    the sign of d^deg(f) f(n/d), an integer."""
+    def value(x):
+        acc, scale = 0, 1
+        for c in reversed(beta.coeffs):  # d^deg(f) f(n/d), lowest degree first
+            acc = acc * x.denominator + c * scale
+            scale *= x.numerator
+        return acc
+
+    lo, hi = beta.iso
+    lo_sign = value(lo) > 0
+    cells = [(lo, hi)]
+    while len(cells) <= depth:
+        mid = (lo + hi) / 2
+        v = value(mid)
+        if v == 0:
+            return cells, mid, len(cells)
+        if (v > 0) == lo_sign:
+            lo = mid
+        else:
+            hi = mid
+        cells.append((lo, hi))
+    return cells, None, math.inf
+
+
+def _cells_match_bisection(spec, depth=3000):
+    """cell(k) on seeded level sequences up to ``depth``, in increasing,
+    mixed and decreasing order, gives the cell, root and root level of
+    bisecting one level at a time, and keeps the deepest level bisection
+    keeps."""
+    cells, root, root_level = _fraction_bisection(make_beta(spec), depth)
+    rng = random.Random(spec)
+    levels = rng.sample(range(1, depth), 14) + [depth, 5, 6, 47, 48, 49]
+    for order in (sorted(levels), levels, sorted(levels, reverse=True)):
+        state, reached = make_beta(spec)._cells, 0
+        for k in order:
+            lo, hi, den = state.cell(k)
+            reached = max(reached, k)
+            assert (Fraction(lo, den), Fraction(hi, den)) == \
+                ((root, root) if k >= root_level else cells[k])
+            assert (state.root, state.root_level) == \
+                ((root, root_level) if reached >= root_level else (None, math.inf))
+            assert state.deep == min(reached, root_level - 1)
+
+
+@pytest.mark.parametrize("spec", CELL_BASES, ids=lambda s: s if len(s) < 48 else s[:40] + "...")
+def test_jumped_cells_are_fraction_bisection(spec):
+    _cells_match_bisection(spec)
+
+
+@pytest.mark.parametrize("spec", ["pisot2:p=1,q=1", "multinacci:q=1,m=3",
+                                  "poly:[1,-5,5]@(1.25,1.5)", "poly:[16,-25]@(1.5,1.75)"])
+def test_cells_do_not_depend_on_the_newton_proposal(spec, monkeypatch):
+    """Newton only proposes: with each correction moved up to 64 units of the
+    working precision either way (up to about 4 cells at the target level),
+    the certified cells still move both ways or fall back to bisection, and
+    equal bisection's."""
+    rng, terms = random.Random(spec), numerics._fixed_point_newton_terms
+
+    def noisy(f, x, p):
+        v, dv = terms(f, x, p)
+        return v + rng.randint(-64, 64) * dv, dv
+
+    monkeypatch.setattr(numerics, "_fixed_point_newton_terms", noisy)
+    _cells_match_bisection(spec, 1000)
+
+
+@pytest.mark.parametrize("spec", CRITERION_BASES)
+def test_deep_refinement_makes_few_exact_evaluations(spec, monkeypatch):
+    """Refining to 10^-3000 (about 10,000 levels) costs a few jumps, not a
+    sign evaluation per level."""
+    beta, calls = make_beta(spec), []
+    for name in ("sign_at", "_horner"):
+        def counted(*args, _f=getattr(polys, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(polys, name, counted)
+    lo, hi = beta.refine(Fraction(1, 10**3000))
+    assert 0 < hi - lo < Fraction(1, 10**3000)
+    assert len(calls) <= 64
 
 
 def test_refine_step_on_a_fresh_base():
