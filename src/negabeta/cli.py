@@ -1,11 +1,14 @@
 """Batch command-line front end with machine-readable JSON output.
 
-Every verb maps onto one library operation.  Output is JSON on stdout
+Every verb maps onto one library operation, and ``_VERBS`` declares for
+each verb exactly the options its handler reads.  Output is JSON on stdout
 (the lone exception is ``sft --emit dot``); numeric results carry exact
-forms where available plus decimal renderings to ``--digits`` places.
-Exit codes: 0 success, 2 domain errors (an invalid pi(1) for ``sft`` and
-``entropy`` among them), 3 unresolved within the orbit budget or the
-refinement level cap.
+forms where available plus decimal renderings to ``--digits`` places
+(``orbit``, ``density``, ``match``, ``solve``, ``approx``).  ``--budget``
+bounds the orbit of 1 (``orbit``, ``density``, ``measure-compare``,
+``match``, ``approx``).  Exit codes: 0 success, 2 usage and domain errors
+(an invalid pi(1) for ``sft`` and ``entropy`` among them), 3 unresolved
+within the orbit budget or the refinement level cap.
 """
 
 from __future__ import annotations
@@ -26,56 +29,42 @@ from .shiftspace import build_sft, entropy_estimate
 from . import solver
 
 
-def _emit(obj) -> None:
+def _json_text(obj) -> str:
     try:
-        text = json.dumps(obj, sort_keys=True)
+        return json.dumps(obj, sort_keys=True)
     except ValueError as exc:
         limit = sys.get_int_max_str_digits()
         raise SpecError(f"output holds an integer beyond Python's {limit}-digit "
                         "int-to-str limit") from exc
-    print(text)
 
 
-def _cmd_expand(args) -> int:
-    beta = make_beta(args.beta)
-    digits = expand(beta, _parse_rational(args.x), args.n)
-    _emit({"digits": list(digits)})
-    return 0
-
-
-def _cmd_orbit(args) -> int:
-    beta = make_beta(args.beta)
-    rec = orbit_of_one(beta, args.budget)
-    _emit({
+def _orbit(a):
+    rec = orbit_of_one(make_beta(a.beta), a.budget)
+    return {
         "kind": rec.kind,
         "pre_len": rec.pre_len,
         "period_len": rec.period_len,
         "digits": list(rec.digits),
-        "points": [point_json(p, args.digits) for p in rec.points],
+        "points": [point_json(p, a.digits) for p in rec.points],
         "budget_used": rec.budget,
-    })
-    return 0
+    }
 
 
-def _cmd_density(args) -> int:
-    beta = make_beta(args.beta)
-    d = density(beta, args.budget)
-    _emit({
-        "breakpoints": [point_json(b, args.digits) for b in d.breakpoints],
-        "values": [point_json(v, args.digits) for v in d.values],
-        "K": point_json(d.K, args.digits),
+def _density(a):
+    d = density(make_beta(a.beta), a.budget)
+    return {
+        "breakpoints": [point_json(b, a.digits) for b in d.breakpoints],
+        "values": [point_json(v, a.digits) for v in d.values],
+        "K": point_json(d.K, a.digits),
         "normalized": False,
         "indicator": "geq",
-    })
-    return 0
+    }
 
 
-def _cmd_measure_compare(args) -> int:
-    beta1 = make_beta(args.beta1)
-    beta2 = make_beta(args.beta2) if args.beta2 else beta1.plus_one()
-    report = densities_coincide(beta1, beta2, args.budget)
-    _emit(report.to_json())
-    return 0
+def _measure_compare(a):
+    beta1 = make_beta(a.beta1)
+    beta2 = make_beta(a.beta2) if a.beta2 else beta1.plus_one()
+    return densities_coincide(beta1, beta2, a.budget).to_json()
 
 
 def _valid_pi1(text: str) -> EvPeriodic:
@@ -88,63 +77,72 @@ def _valid_pi1(text: str) -> EvPeriodic:
     return pi1
 
 
-def _cmd_entropy(args) -> int:
-    pi1 = _valid_pi1(args.pi1)
-    est = entropy_estimate(pi1, args.n)
-    _emit({
-        "counts": list(est.counts),
-        "estimate": est.estimate,
-        "upper_bound": est.upper_bound,
-    })
-    return 0
+def _entropy(a):
+    est = entropy_estimate(_valid_pi1(a.pi1), a.n)
+    return {"counts": list(est.counts), "estimate": est.estimate, "upper_bound": est.upper_bound}
 
 
-def _cmd_sft(args) -> int:
-    pi1 = _valid_pi1(args.pi1)
-    aut = build_sft(pi1)
-    if args.emit == "dot":
-        print(aut.to_dot())
-    else:
-        _emit(aut.to_json())
-    return 0
+def _sft(a):
+    aut = build_sft(_valid_pi1(a.pi1))
+    return aut.to_dot() if a.emit == "dot" else aut.to_json()
 
 
-def _cmd_match(args) -> int:
-    beta = make_beta(args.beta)
-    report = matching_time(beta, args.budget)
-    _emit(report.to_json(args.digits))
-    return 0
+def _solve(a):
+    beta = solver.beta_from_expansion(EvPeriodic.parse(a.target), Fraction(1, 10**a.digits))
+    return {"beta": beta.spec_string(), "decimal": beta.decimal_str(a.digits)}
 
 
-def _cmd_solve(args) -> int:
-    target = EvPeriodic.parse(args.target)
-    beta = solver.beta_from_expansion(target, Fraction(1, 10**args.digits))
-    _emit({"beta": beta.spec_string(), "decimal": beta.decimal_str(args.digits)})
-    return 0
-
-
-def _cmd_approx(args) -> int:
-    beta = make_beta(args.beta)
-    results = solver.approximate_simple_numbers(beta, args.count, args.prefix, args.budget)
-    _emit([r.to_json(args.digits) for r in results])
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    seq = EvPeriodic.parse(args.seq)
-    _emit(is_valid_expansion_of_one(seq).to_json())
-    return 0
-
-
-def _cmd_w_word(args) -> int:
-    _emit("".join(str(c) for c in limit_word_prefix(args.n)))
-    return 0
+def _approx(a):
+    # --jobs is not read: it is accepted for old scripts and has no effect
+    results = solver.approximate_simple_numbers(make_beta(a.beta), a.count, a.prefix, a.budget)
+    return [r.to_json(a.digits) for r in results]
 
 
 def _digits(text: str) -> int:
     if not text.strip().lstrip("+").isdigit():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
+
+
+_BETA = ("--beta", {"required": True})
+_DIGITS = ("--digits", {"type": _digits, "default": 15,
+                        "help": "decimal digits in renderings (default 15)"})
+_BUDGET = ("--budget", {"type": int, "default": DEFAULT_BUDGET, "help": "orbit iteration budget"})
+_PI1 = ("--pi1", {"required": True, "help": "expansion of 1 as 'pre|period'"})
+
+# verb -> (help, handler, the options the handler reads); each handler
+# returns its output, which run prints
+_VERBS = {
+    "expand": ("digits of the expansion of x",
+               lambda a: {"digits": list(expand(make_beta(a.beta), _parse_rational(a.x), a.n))},
+               [_BETA, ("--x", {"default": "1"}), ("--n", {"type": int, "required": True})]),
+    "orbit": ("orbit of 1 with cycle classification", _orbit, [_BETA, _DIGITS, _BUDGET]),
+    "density": ("exact invariant density", _density, [_BETA, _DIGITS, _BUDGET]),
+    "measure-compare": ("do two invariant measures coincide?", _measure_compare,
+                        [("--beta1", {"required": True}),
+                         ("--beta2", {"help": "defaults to beta1 + 1"}), _BUDGET]),
+    "entropy": ("word counts and entropy estimate of a shift", _entropy,
+                [_PI1, ("--n", {"type": int, "default": 18})]),
+    "sft": ("compile the shift automaton", _sft,
+            [_PI1, ("--emit", {"choices": ("json", "dot"), "default": "json"})]),
+    "match": ("matching of the critical orbits",
+              lambda a: matching_time(make_beta(a.beta), a.budget).to_json(a.digits),
+              [_BETA, _DIGITS, _BUDGET]),
+    "solve": ("base from a prescribed expansion of 1", _solve,
+              [("--target", {"required": True, "help": "sequence as 'pre|period'"}), _DIGITS]),
+    "approx": ("nearby simple bases via periodic approximants", _approx,
+               [_BETA, ("--count", {"type": int, "default": 8}),
+                ("--prefix", {"type": int, "default": 64}),
+                ("--jobs", {"type": int, "default": 1, "help": "accepted for compatibility; "
+                            "has no effect (candidates are solved serially)"}),
+                _DIGITS, _BUDGET]),
+    "validate": ("is a sequence the expansion of 1 of some base?",
+                 lambda a: is_valid_expansion_of_one(EvPeriodic.parse(a.seq)).to_json(),
+                 [("--seq", {"required": True})]),
+    "w-word": ("prefix of the substitution boundary word",
+               lambda a: "".join(str(c) for c in limit_word_prefix(a.n)),
+               [("--n", {"type": int, "required": True})]),
+}
 
 
 @functools.cache
@@ -156,78 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="negative beta-expansions: digits, densities, automata, matching, solving",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, beta=True):
-        p.add_argument("--digits", type=_digits, default=15,
-                       help="decimal digits in renderings (default 15)")
-        if beta:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="orbit iteration budget")
-
-    p = sub.add_parser("expand", help="digits of the expansion of x")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--x", default="1")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("orbit", help="orbit of 1 with cycle classification")
-    p.add_argument("--beta", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("density", help="exact invariant density")
-    p.add_argument("--beta", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("measure-compare", help="do two invariant measures coincide?")
-    p.add_argument("--beta1", required=True)
-    p.add_argument("--beta2", help="defaults to beta1 + 1")
-    common(p)
-    p.set_defaults(func=_cmd_measure_compare)
-
-    p = sub.add_parser("entropy", help="word counts and entropy estimate of a shift")
-    p.add_argument("--pi1", required=True, help="expansion of 1 as 'pre|period'")
-    p.add_argument("--n", type=int, default=18)
-    common(p, beta=False)
-    p.set_defaults(func=_cmd_entropy)
-
-    p = sub.add_parser("sft", help="compile the shift automaton")
-    p.add_argument("--pi1", required=True)
-    p.add_argument("--emit", choices=("json", "dot"), default="json")
-    common(p, beta=False)
-    p.set_defaults(func=_cmd_sft)
-
-    p = sub.add_parser("match", help="matching of the critical orbits")
-    p.add_argument("--beta", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_match)
-
-    p = sub.add_parser("solve", help="base from a prescribed expansion of 1")
-    p.add_argument("--target", required=True, help="sequence as 'pre|period'")
-    common(p, beta=False)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("approx", help="nearby simple bases via periodic approximants")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--prefix", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; has no effect (candidates are solved serially)")
-    common(p)
-    p.set_defaults(func=_cmd_approx)
-
-    p = sub.add_parser("validate", help="is a sequence the expansion of 1 of some base?")
-    p.add_argument("--seq", required=True)
-    common(p, beta=False)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("w-word", help="prefix of the substitution boundary word")
-    p.add_argument("--n", type=int, required=True)
-    common(p, beta=False)
-    p.set_defaults(func=_cmd_w_word)
-
+    for verb, (help_text, handler, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -238,7 +169,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        out = args.func(args)
+        print(out if getattr(args, "emit", None) == "dot" else _json_text(out))
+        return 0
     except (OrbitUnresolved, PrecisionExhausted) as exc:
         print(f"unresolved: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import SpecError
 from .expansion import DEFAULT_BUDGET, orbit_of_one
-from .numerics import Beta, FieldPoint
+from .numerics import Beta, FieldPoint, point_decimal_str
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,6 @@ class MatchingReport:
     budget_used: int
 
     def to_json(self, digits: int = 15) -> dict:
-        from .numerics import point_decimal_str
-
         return {
             "matched": self.matched,
             "matching_time": self.matching_time,

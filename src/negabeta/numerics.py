@@ -707,20 +707,25 @@ class FieldPoint:
         a, b, s = self._narrower(Fraction(width))
         return Fraction(a, s), Fraction(b, s)
 
+    def _minus(self, other) -> "FieldPoint":
+        """A positive multiple of self - other, for signs and zero tests: a
+        rational r is folded into the first coordinate, as den r.den (x - r)
+        has integer coordinates."""
+        if not isinstance(other, (int, Fraction)):
+            return self - other
+        n, d = other.numerator, other.denominator
+        num = self.num if d == 1 else tuple(c * d for c in self.num)
+        return FieldPoint._of(self.beta, (num[0] - n * self.den,) + num[1:], 1)
+
     def compare(self, other) -> int:
         """-1, 0, or 1 against another point or a rational."""
-        if isinstance(other, (int, Fraction)):
-            # den r.den (x - r) has the sign of x - r and integer coordinates
-            n, d = other.numerator, other.denominator
-            num = self.num if d == 1 else tuple(c * d for c in self.num)
-            return FieldPoint._of(self.beta, (num[0] - n * self.den,) + num[1:], 1).sign()
-        return (self - other).sign()
+        return self._minus(other).sign()
 
     def __eq__(self, other):
         """Decided by the enclosure at the current level when it excludes 0,
         else by the gcd zero test; never refines."""
         if isinstance(other, (FieldPoint, int, Fraction)):
-            d = self - other
+            d = self._minus(other)
             a, b, _ = d._search(lambda *_: True, None, "")
             return a <= 0 <= b and d.is_zero()
         return NotImplemented

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import negabeta
 
+from negabeta import cli
 from negabeta.cli import run
 
 
@@ -257,6 +258,49 @@ def test_precision_option_and_environment_are_gone(capsys, monkeypatch):
         monkeypatch.setenv("NEGABETA_PRECISION", value)
         outputs.append(invoke(capsys, *argv))
     assert outputs == [(0, '{"digits": [2, 1, 1]}\n')] * 3
+
+
+_NO_OP_OPTIONS = (("expand", "--digits", "10"), ("expand", "--budget", "10"),
+                  ("measure-compare", "--digits", "10"), ("entropy", "--digits", "10"),
+                  ("sft", "--digits", "10"), ("validate", "--digits", "10"),
+                  ("w-word", "--digits", "10"))
+
+
+def test_options_a_verb_does_not_read_are_gone(capsys):
+    """--digits and --budget are usage errors on the verbs that never read
+    them; approx --jobs stays accepted and has no effect."""
+    argvs = {argv[0]: argv for argv in _ONE_ARGV_PER_VERB}
+    for verb, *option in _NO_OP_OPTIONS:
+        assert run(argvs[verb] + option) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert f"unrecognized arguments: {option[0]}" in captured.err
+    code, out = invoke(capsys, *argvs["approx"], "--jobs", "1")
+    assert code == 0 and out == invoke(capsys, *argvs["approx"])[1]
+
+
+def test_each_verb_reads_every_option_it_declares(capsys):
+    """The handler of each verb reads exactly the options the verb table
+    declares for it, except approx --jobs, kept for old scripts."""
+    class Reads:
+        def __init__(self, args):
+            self.args, self.names = args, set()
+
+        def __getattr__(self, name):
+            self.names.add(name)
+            return getattr(self.args, name)
+
+    declared_total = 0
+    for argv in _ONE_ARGV_PER_VERB:
+        _, handler, options = cli._VERBS[argv[0]]
+        declared = {flag[2:].replace("-", "_") for flag, _ in options}
+        declared_total += len(declared)
+        reads = Reads(cli.build_parser().parse_args(argv))
+        handler(reads)
+        assert reads.names == declared - ({"jobs"} if argv[0] == "approx" else set()), argv
+    assert declared_total == 29
+    assert capsys.readouterr().out == ""
 
 
 def test_decimal_floor_next_to_zero_is_exact(capsys):

@@ -42,7 +42,7 @@ _N = st.integers(-1, 40).map(str)
 
 _VERBS = {
     "expand": ["--beta", _BASES, "--x", st.sampled_from(["1", "0", "1/2", "-1", "1/0", "abc"]),
-               "--n", _N, *_BUDGET],
+               "--n", _N],
     "orbit": ["--beta", _BASES, *_BUDGET, *_DIGITS],
     "density": ["--beta", _BASES, *_BUDGET, *_DIGITS],
     "measure-compare": ["--beta1", _BASES, *_BUDGET],

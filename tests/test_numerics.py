@@ -123,9 +123,9 @@ def test_compare_to_rational(phi, tribonacci):
     "poly:[2,-3]@(1.25,1.75)", "poly:[2,-3,0,4,-6]@(1.25,1.75)",  # the root 3/2
 ])
 def test_compare_to_rational_is_sign_of_difference(spec):
-    """compare against an int or a Fraction, and the comparison operators,
-    agree with the sign of the point minus the rational, on exact hits, near
-    misses and far values."""
+    """compare against an int or a Fraction, the comparison operators and
+    ==, agree with the sign of the point minus the rational, on exact hits,
+    near misses and far values; == never refines the base."""
     from negabeta.numerics import FieldPoint
 
     beta, rng = make_beta(spec), random.Random(spec)
@@ -139,6 +139,9 @@ def test_compare_to_rational_is_sign_of_difference(spec):
             want = (x - r).sign()
             assert x.compare(r) == want
             assert (x < r, x <= r, x > r, x >= r) == (want < 0, want <= 0, want > 0, want >= 0)
+            level = beta._cells.level
+            assert (x == r) == (want == 0)
+            assert beta._cells.level == level
         if rational_root:
             assert x.compare(exact) == 0
 
