@@ -16,8 +16,10 @@ so each test is monotone in the level: a search that jumps ahead by the
 predicted number of halvings and then bisects over levels stops at the
 level, and with the rationals, of refining one step at a time.  A point
 of an exact base is an integer vector over one denominator, so field
-arithmetic and enclosures run on integers.  A point of a decimal base is a ``Fraction``, whose floor and
-comparisons are exact.
+arithmetic (its power table x^d, ..., x^(2d-1) mod f included),
+``int``/``Fraction`` operands, floors, search widths and coordinate
+renderings run on integers and build no ``Fraction``.  A point of a
+decimal base is a ``Fraction``, whose floor and comparisons are exact.
 
 Only this module tells the two point types apart (``FieldPoint`` for
 exact bases, ``Fraction`` for decimal ones).  Both take Python's numeric
@@ -44,11 +46,13 @@ MAX_REFINE_LEVEL = 100_000
 # _Cells bisects gaps of at most this many levels instead of jumping.  A
 # jump spends this many bits per Newton doubling on the polynomial's
 # curvature, allows this many one-cell moves before its proposal fails,
-# seeds from floats while the deepest cell is wider than 2^-48, and gives
-# float Newton this many steps.
+# then this many more Newton steps at the final precision, seeds from
+# floats while the deepest cell is wider than 2^-48, and gives float Newton
+# this many steps.
 _BISECT_GAP = 8
 _NEWTON_GUARD = 8
 _CERTIFY_MOVES = 4
+_NEWTON_EXTRA = 8
 _FLOAT_BITS = 48
 _FLOAT_STEPS = 60
 
@@ -66,16 +70,6 @@ def _parse_rational(text: str) -> Fraction:
         raise SpecError(f"bad rational {text!r}") from exc
 
 
-def _cleared(rationals) -> tuple[list[int], int]:
-    """Integers a_i and one denominator d > 0 with r_i = a_i / d, d the lcm
-    of the reduced denominators."""
-    d = 1
-    for c in rationals:
-        if d % c.denominator:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-    return [c.numerator * (d // c.denominator) for c in rationals], d
-
-
 def _int_str(n: int) -> str:
     """str(n), or SpecError past Python's int-to-str limit."""
     try:
@@ -87,21 +81,27 @@ def _int_str(n: int) -> str:
 
 def format_rational(r: Fraction) -> str:
     """Serialize as num/den, or as the float repr when that is exactly r."""
-    num, den = r.numerator, r.denominator
+    return _format_ratio(r.numerator, r.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """``format_rational`` of num / den, given in lowest terms with den > 0."""
     if den == 1:
         return _int_str(num)
     twos = (den & -den).bit_length() - 1
     odd = den >> twos
     # with den = 2^a 5^b, r is the decimal N / 10^m for m = max(a, b) and
     # N = num 2^(m-a) 5^(m-b), which ends in a nonzero digit; a float repr
-    # has at most 17 significant digits, so N >= 10^17 rules it out
+    # has at most 17 significant digits, so N >= 10^17 > 2^56 rules it out.
+    # N >= 2^(bits(num) - 1 + m - a + 2 (m - b)) decides most cases before 5^b.
     fives = math.ceil((odd.bit_length() - 1) / _LOG2_5)  # 5^b has floor(b log2 5) + 1 bits
-    if odd == 5**fives:
-        m = max(twos, fives)
-        if (abs(num) << (m - twos)) * 5 ** (m - fives) < 10**17:
-            text = repr(float(r))
-            if Fraction(text) == r:
-                return text
+    m = max(twos, fives)
+    if abs(num).bit_length() - 1 + (m - twos) + 2 * (m - fives) <= 56 and odd == 5**fives \
+            and (abs(num) << (m - twos)) * 5 ** (m - fives) < 10**17:
+        text = repr(num / den)
+        t = Fraction(text)
+        if t.numerator == num and t.denominator == den:
+            return text
     return f"{_int_str(num)}/{_int_str(den)}"
 
 
@@ -116,11 +116,13 @@ class _Cells:
     A deeper cell is reached by a jump: Newton's method on the squarefree
     part proposes the index at the target level, and two exact signs at
     the ends of the proposed cell certify it (the proposal moves by one
-    cell until they do).  Bisection, one sign per level, covers short gaps
-    and any proposal that fails.  Either way the cell, the root and its
-    level are those of bisecting one level at a time: the level-k cell
-    holding the root is unique, and a root on the level-k grid is the
-    midpoint of a cell at the level its index's factors of 2 give."""
+    cell until they do).  Bisection, one sign per level, covers short gaps;
+    after a proposal that fails, even with more Newton steps, it covers a
+    chunk of the gap, twice as long as the last, before the next jump.
+    Either way the cell, the root and its level are those of bisecting one
+    level at a time: the level-k cell holding the root is unique, and a
+    root on the level-k grid is the midpoint of a cell at the level its
+    index's factors of 2 give."""
 
     __slots__ = ("A", "C", "D", "sf", "sign_lo", "deep", "j", "level", "root", "root_level")
 
@@ -134,10 +136,11 @@ class _Cells:
 
     def cell(self, k: int) -> tuple[int, int, int]:
         """Integers (lo, hi, den) with the level-k cell [lo/den, hi/den]."""
-        if self.deep < k < self.root_level:
-            if k - self.deep > _BISECT_GAP:
-                self._jump(k)
-            self._bisect(k)
+        chunk = _BISECT_GAP
+        while self.deep + _BISECT_GAP < k < self.root_level and not self._jump(k):
+            chunk *= 2
+            self._bisect(min(k, self.deep + chunk))
+        self._bisect(k)
         if k >= self.root_level:
             return self.root.numerator, self.root.numerator, self.root.denominator
         lo = (self.A << k) + (self.j >> (self.deep - k)) * self.C
@@ -155,14 +158,18 @@ class _Cells:
                 deep, j = deep + 1, 2 * j + 1 if v == self.sign_lo else 2 * j
         self.deep, self.j = deep, j
 
-    def _jump(self, k: int) -> None:
+    def _jump(self, k: int) -> bool:
         """Move to level k, or to the root if it lies on the level-k grid,
-        by a certified Newton proposal; a failed proposal moves nothing."""
-        A, C, D, sf = self.A, self.C, self.D, self.sf
-        scale = D.bit_length() - C.bit_length()  # the level-k cell is ~2^-(k + scale) wide
+        by a certified Newton proposal; False, with nothing moved, when the
+        proposal fails to certify.  Next to a second root, Newton gains
+        fewer bits per step than the schedule budgets, so a failed proposal
+        takes up to _NEWTON_EXTRA more steps at the final precision, until
+        a correction is below a level-k cell, and is certified once more."""
+        sf, scale = self.sf, self.D.bit_length() - self.C.bit_length()
+        # the level-k cell is ~2^-(k + scale) wide
         seed = self._seed(k, scale)
         if seed is None:
-            return
+            return True
         x, q = seed
         # Newton doubles the correct bits per step, up to a 2^-p error: an
         # eighth of the level-k cell
@@ -174,8 +181,24 @@ class _Cells:
             x <<= p - q
             v, dv = _fixed_point_newton_terms(sf, x, p)
             if not dv:
-                return
+                return False
             x, q = x - v // dv, p
+        if self._certify(k, x, q):
+            return True
+        for _ in range(_NEWTON_EXTRA):
+            v, dv = _fixed_point_newton_terms(sf, x, q)
+            if not dv:
+                return False
+            step = v // dv
+            x -= step
+            if abs(step) < 1 << (q - k - scale):
+                break
+        return self._certify(k, x, q)
+
+    def _certify(self, k: int, x: int, q: int) -> bool:
+        """Certify the level-k cell holding x / 2^q, moving it by one cell at
+        most _CERTIFY_MOVES times, and move there (or to a grid root)."""
+        A, C, D, sf = self.A, self.C, self.D, self.sf
         first = self.j << (k - self.deep)  # the level-k cells inside the deepest one
         j = min(max(((D * x - (A << q)) << k) // (C << q), first),
                 first + (1 << (k - self.deep)) - 1)
@@ -187,16 +210,17 @@ class _Cells:
                 level = k - ((i & -i).bit_length() - 1)
                 self.root, self.root_level = Fraction((A << k) + i * C, den), level
                 self.deep, self.j = level - 1, i >> (k - level + 1)
-                return
+                return True
             if s_lo == self.sign_lo != s_hi:
                 self.deep, self.j = k, j
-                return
+                return True
             if s_lo != self.sign_lo:  # the root is left of the cell
                 j, s_hi = j - 1, s_lo
                 s_lo = polys.sign_at(sf, (A << k) + j * C, den)
             else:
                 j, s_lo = j + 1, s_hi
                 s_hi = polys.sign_at(sf, (A << k) + (j + 1) * C, den)
+        return False
 
     def _seed(self, k: int, scale: int) -> tuple[int, int] | None:
         """(x, q) with x / 2^q near the root: the float Newton root inside
@@ -396,17 +420,26 @@ class Beta:
 
     @property
     def _power_table(self) -> tuple[list[tuple[int, ...]], int]:
-        """x^d, ..., x^(2d-1) mod f as integer d-tuples over one denominator;
+        """x^d, ..., x^(2d-1) mod f as integer d-tuples over one denominator,
+        the lcm of the reduced denominators of their coordinates;
         ``times_beta`` reduces with the first row, products with the first d - 1."""
         if "powers" not in self._cache:
             f, d = self.poly, self.degree
-            row = first = [Fraction(-c, f[-1]) for c in f[:-1]]  # x^d mod f
-            rows = [row]
-            for _ in range(d - 1):  # a companion step: shift, add top * (x^d mod f)
-                row = [row[-1] * first[0]] + [c + row[-1] * r for c, r in zip(row, first[1:])]
-                rows.append(row)
-            ints, den = _cleared([c for row in rows for c in row])
-            self._cache["powers"] = [tuple(ints[i:i + d]) for i in range(0, len(ints), d)], den
+            lc, first = (f[-1], [-c for c in f[:-1]]) if f[-1] > 0 else (-f[-1], list(f[:-1]))
+            # x^(d+k) mod f is rows[k] / lc^(k+1); a companion step shifts and
+            # adds top * (x^d mod f), over one more factor lc
+            rows = [first]
+            for _ in range(d - 1):
+                row = rows[-1]
+                top = row[-1]
+                rows.append([top * first[0]] + [lc * c + top * r for c, r in zip(row, first[1:])])
+            # over the common denominator lc^d, then reduced once
+            scale = [lc ** (d - 1 - k) for k in range(d)]
+            ints = [c * s for row, s in zip(rows, scale) for c in row]
+            den = lc ** d
+            g = math.gcd(den, *ints)
+            ints = [c // g for c in ints]
+            self._cache["powers"] = [tuple(ints[i:i + d]) for i in range(0, len(ints), d)], den // g
         return self._cache["powers"]
 
     @property
@@ -489,13 +522,12 @@ class Beta:
     # -- field points ------------------------------------------------------
 
     def one(self):
-        return self.point_from_rational(Fraction(1))
+        return self.point_from_rational(1)
 
     def point_from_rational(self, r):
-        r = Fraction(r)
         if not self.is_exact:
-            return r
-        return FieldPoint._of(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
+            return Fraction(r)
+        return FieldPoint._rational(self, r if isinstance(r, (int, Fraction)) else Fraction(r))
 
     def beta_point(self):
         """beta itself in the base's point type."""
@@ -521,7 +553,8 @@ class FieldPoint:
     def __init__(self, beta: Beta, coeffs):
         """The point with rational coordinates ``coeffs``, reduced mod f
         when there are more than d of them."""
-        num, den = _cleared(coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
         d = beta.degree
         if len(num) > d:  # m num = q f + r, so num = r / m mod f
             m, _, num = polys.pseudo_divmod(polys.trimmed(num), beta.poly)
@@ -538,15 +571,31 @@ class FieldPoint:
     # arithmetic -----------------------------------------------------------
 
     @classmethod
+    def _new(cls, beta: Beta, num: tuple[int, ...], den: int) -> "FieldPoint":
+        """The point num / den, given reduced (a d-tuple of integers, den > 0)."""
+        x = object.__new__(cls)
+        x.beta, x.num, x.den = beta, num, den
+        return x
+
+    @classmethod
     def _of(cls, beta: Beta, num: tuple[int, ...], den: int) -> "FieldPoint":
         """The point num / den (a d-tuple of integers, den > 0), reduced."""
         if den != 1:
             g = math.gcd(den, *num)
             if g != 1:
                 num, den = tuple(c // g for c in num), den // g
-        x = object.__new__(cls)
-        x.beta, x.num, x.den = beta, num, den
-        return x
+        return cls._new(beta, num, den)
+
+    @classmethod
+    def _rational(cls, beta: Beta, r) -> "FieldPoint":
+        """The int or ``Fraction`` r as a point."""
+        return cls._new(beta, (r.numerator,) + (0,) * (beta.degree - 1), r.denominator)
+
+    def _add_int(self, n: int, e: int) -> "FieldPoint":
+        """e * self + n for e = 1 or -1, reduced as it stands: num_0 + n den
+        and num_1, ... have no factor common with den that num has not."""
+        num = self.num if e == 1 else tuple(-a for a in self.num)
+        return FieldPoint._new(self.beta, (num[0] + n * self.den,) + num[1:], self.den)
 
     def _plus(self, o: "FieldPoint", e: int) -> "FieldPoint":
         """self + e * o for e = 1 or -1."""
@@ -558,6 +607,8 @@ class FieldPoint:
         return FieldPoint._of(self.beta, tuple(x * t + e * y * s for x, y in zip(a, b)), s * t * g)
 
     def __add__(self, other):
+        if isinstance(other, int):
+            return self._add_int(other, 1)
         return self._plus(self._coerce(other), 1)
 
     def __radd__(self, other):
@@ -565,12 +616,16 @@ class FieldPoint:
         return self if other == 0 else self + other
 
     def __neg__(self):
-        return FieldPoint._of(self.beta, tuple(-a for a in self.num), self.den)
+        return FieldPoint._new(self.beta, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return self._add_int(-other, 1)
         return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other):
+        if isinstance(other, int):
+            return self._add_int(other, -1)
         return self._coerce(other)._plus(self, -1)
 
     def __mul__(self, other):
@@ -594,7 +649,12 @@ class FieldPoint:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
+            n, d = other.numerator, other.denominator
+            if not n:
+                raise ZeroDivisionError("division by zero")
+            if n < 0:
+                n, d = -n, -d
+            return FieldPoint._of(self.beta, tuple(a * d for a in self.num), self.den * n)
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
@@ -606,7 +666,7 @@ class FieldPoint:
                 raise SpecError("field points belong to different bases")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.beta.point_from_rational(Fraction(other))
+            return FieldPoint._rational(self.beta, other)
         raise TypeError(f"cannot combine FieldPoint with {type(other)!r}")
 
     def times_beta(self) -> "FieldPoint":
@@ -635,13 +695,14 @@ class FieldPoint:
             # a root of the cofactor f / g, where c is invertible
             f = polys.exact_quotient(f, polys.primitive(g))
             g, u = polys.cofactor_gcd(c, f)
-        u = u + (0,) * (self.beta.degree - len(u))
-        return FieldPoint._of(self.beta, u, 1) * Fraction(self.den, g[0])  # den u / g
+        s = self.den if g[0] > 0 else -self.den  # den u / g over |g|
+        u = tuple(c * s for c in u) + (0,) * (self.beta.degree - len(u))
+        return FieldPoint._of(self.beta, u, abs(g[0]))
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.beta.point_from_rational(Fraction(1))
+        out = FieldPoint._rational(self.beta, 1)
         base = self
         while n:
             if n & 1:
@@ -669,10 +730,11 @@ class FieldPoint:
             return polys.sign_at(g, lo) == 0
         return polys.count_roots(g, lo, hi, chain) > 0
 
-    def _search(self, holds, width: Fraction | None, what: str) -> tuple[int, int, int]:
+    def _search(self, holds, width: tuple[int, int] | None, what: str) -> tuple[int, int, int]:
         """The enclosure [a/s, b/s] of this point, as (a, b, s), at the first
         level >= the current one where holds(a, b, s); the search starts
-        where halving the current enclosure each level passes ``width``."""
+        where halving the current enclosure each level passes the width
+        wn / wd given as ``width`` = (wn, wd)."""
         ints, d, cells, memo = polys.trimmed(self.num), self.den, self.beta._cells, {}
 
         def enclosure(k):
@@ -684,7 +746,7 @@ class FieldPoint:
         jump = 1
         if width is not None:
             a, b, s = enclosure(cells.level)
-            jump = ((b - a) * width.denominator).bit_length() - (s * width.numerator).bit_length()
+            jump = ((b - a) * width[1]).bit_length() - (s * width[0]).bit_length()
         return enclosure(cells.search(lambda k: holds(*enclosure(k)), jump, what))
 
     def sign(self) -> int:
@@ -697,14 +759,15 @@ class FieldPoint:
             a, b, _ = self._search(lambda a, b, s: a > 0 or b < 0, None, "sign of a field point")
         return 1 if a > 0 else -1
 
-    def _narrower(self, w: Fraction) -> tuple[int, int, int]:
-        """The enclosure (a, b, s) of ``_search`` narrower than w."""
-        return self._search(lambda a, b, s: (b - a) * w.denominator < w.numerator * s, w,
+    def _narrower(self, wn: int, wd: int) -> tuple[int, int, int]:
+        """The enclosure (a, b, s) of ``_search`` narrower than wn / wd."""
+        return self._search(lambda a, b, s: (b - a) * wd < wn * s, (wn, wd),
                             "enclosure of a field point narrower than the width")
 
     def interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """A rational enclosure of this value narrower than ``width``."""
-        a, b, s = self._narrower(Fraction(width))
+        width = Fraction(width)
+        a, b, s = self._narrower(width.numerator, width.denominator)
         return Fraction(a, s), Fraction(b, s)
 
     def _minus(self, other) -> "FieldPoint":
@@ -747,14 +810,14 @@ class FieldPoint:
     def __floor__(self) -> int:
         """Exact floor: refine until at most one integer is left in the
         enclosure, then settle it by a sign test."""
-        a, b, s = self._search(lambda a, b, s: b // s - a // s <= 1, Fraction(1),
+        a, b, s = self._search(lambda a, b, s: b // s - a // s <= 1, (1, 1),
                                "floor of a field point")
         if a // s == b // s:
             return a // s
-        return b // s if (self - b // s).sign() >= 0 else a // s
+        return b // s if self.compare(b // s) >= 0 else a // s
 
     def decimal_str(self, digits: int = 15) -> str:
-        a, b, s = self._narrower(Fraction(1, 10 ** (digits + 2)))
+        a, b, s = self._narrower(1, 10 ** (digits + 2))
         return _ratio_decimal_str(a + b, 2 * s, digits)
 
     def __float__(self) -> float:
@@ -815,7 +878,7 @@ def as_point(beta: Beta, r):
     """Embed a rational into the base's point type."""
     if isinstance(r, FieldPoint):
         return r
-    return beta.point_from_rational(Fraction(r))
+    return beta.point_from_rational(r)
 
 
 def floor_beta_times(beta: Beta, x) -> int:
@@ -842,7 +905,7 @@ def point_scaled_floor(x, bits: int) -> int:
     """floor(lo * 2^bits) for the lower end lo of an enclosure of x narrower
     than 2^-bits (lo is x itself if x is rational)."""
     if isinstance(x, FieldPoint):
-        a, _, s = x._narrower(Fraction(1, 1 << bits))
+        a, _, s = x._narrower(1, 1 << bits)
         return (a << bits) // s
     return (x.numerator << bits) // x.denominator
 
@@ -864,7 +927,8 @@ def point_json(x, digits: int) -> dict:
     """JSON form: the decimal rendering plus the exact coordinates."""
     out = {"decimal": point_decimal_str(x, digits)}
     if isinstance(x, FieldPoint):
-        out["coeffs"] = [format_rational(c) for c in x.coeffs]
+        gs = [math.gcd(c, x.den) for c in x.num]
+        out["coeffs"] = [_format_ratio(c // g, x.den // g) for c, g in zip(x.num, gs)]
     else:
-        out["exact"] = format_rational(Fraction(x))
+        out["exact"] = format_rational(x)
     return out

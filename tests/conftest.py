@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,22 @@ def tribonacci():
 def plastic():
     # real root of x^3 - x - 1, about 1.324717
     return make_beta("poly:[1,0,-1,-1]@(1.2,1.4)")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, *names) wraps each named attribute of ``owner`` (a
+    module or a class, ``Fraction.__new__`` included) for the rest of the
+    test and returns a Counter of calls by name."""
+    def count(owner, *names):
+        calls = collections.Counter()
+        for name in names:
+            def counted(*args, _f=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+    return count
 
 
 def refine_float(beta, digits=25):

@@ -598,18 +598,31 @@ def test_cells_do_not_depend_on_the_newton_proposal(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("spec", CRITERION_BASES)
-def test_deep_refinement_makes_few_exact_evaluations(spec, monkeypatch):
+def test_deep_refinement_makes_few_exact_evaluations(spec, count_calls):
     """Refining to 10^-3000 (about 10,000 levels) costs a few jumps, not a
     sign evaluation per level."""
-    beta, calls = make_beta(spec), []
-    for name in ("sign_at", "_horner"):
-        def counted(*args, _f=getattr(polys, name), _name=name):
-            calls.append(_name)
-            return _f(*args)
-        monkeypatch.setattr(polys, name, counted)
+    beta = make_beta(spec)
+    calls = count_calls(polys, "sign_at", "_horner")
     lo, hi = beta.refine(Fraction(1, 10**3000))
     assert 0 < hi - lo < Fraction(1, 10**3000)
-    assert len(calls) <= 64
+    assert 0 < calls.total() <= 64
+
+
+def test_failed_jumps_take_more_newton_steps_then_retry(count_calls):
+    """Next to a second root 2^-122 away (the last ``CELL_BASES`` entry),
+    Newton gains fewer bits than a jump budgets: more steps at the final
+    precision certify the jump from level 200, and from a fresh base, whose
+    float seed cannot tell the two roots apart, a few doubling chunks of
+    bisection reach a level where they do, instead of bisecting every level
+    (3,007 and 2,807 signs before)."""
+    fresh, deep = (make_beta(CELL_BASES[-1])._cells for _ in range(2))
+    deep.cell(200)
+    calls = count_calls(polys, "sign_at")
+    fresh.cell(3000)
+    assert 0 < calls["sign_at"] <= 400
+    calls.clear()
+    deep.cell(3000)
+    assert 0 < calls["sign_at"] <= 16
 
 
 def test_refine_step_on_a_fresh_base():
@@ -634,17 +647,117 @@ def test_product_is_reduction_mod_f(spec):
         assert got == expected and all(type(c) is Fraction for c in got)
 
 
-def test_orbit_enclosures_are_found_by_search(monkeypatch):
+def test_orbit_enclosures_are_found_by_search(count_calls):
     """The orbit of 1 of the plastic base evaluates few enclosures; a loop
     that evaluates one per bisection step makes 89."""
     from negabeta.expansion import orbit_of_one
 
-    calls = []
-    kernel = polys.int_eval_interval
-    monkeypatch.setattr(polys, "int_eval_interval", lambda *a: calls.append(1) or kernel(*a))
+    calls = count_calls(polys, "int_eval_interval")
     rec = orbit_of_one(make_beta("poly:[1,0,-1,-1]@(1.2,1.4)"))
     assert rec.kind == "eventually-periodic"
-    assert 0 < len(calls) <= 30
+    assert 0 < calls["int_eval_interval"] <= 30
+
+
+def test_orbit_steps_build_no_fraction(count_calls):
+    """Steps of the orbit of 1 (products, integer operands, floors, bucket
+    keys and equality tests) run on integers: a truncated orbit builds as
+    many Fractions at budget 50 as at budget 100 (210 and 410 when each
+    step built them)."""
+    from negabeta.expansion import orbit_of_one
+
+    calls, built = count_calls(Fraction, "__new__"), []
+    for budget in (50, 100):
+        beta = make_beta("poly:[1,-5,5]@(3.5,4)")
+        calls.clear()
+        assert orbit_of_one(beta, budget).kind == "truncated"
+        built.append(calls["__new__"])
+    assert built[0] == built[1]
+
+
+def _fraction_power_table(f):
+    """Oracle: x^d, ..., x^(2d-1) mod f (lowest degree first) by Fraction
+    companion steps: shift, then add the top coordinate times x^d mod f."""
+    row = first = [Fraction(-c, f[-1]) for c in f[:-1]]
+    rows = [row]
+    for _ in range(len(f) - 2):
+        row = [row[-1] * first[0]] + [c + row[-1] * r for c, r in zip(row, first[1:])]
+        rows.append(row)
+    return rows
+
+
+def _value_equations(count, degree, seed):
+    """Seeded value equations of eventually periodic words over {1, 2, 3}
+    whose polynomial has the given degree."""
+    from negabeta.expansion import EvPeriodic
+    from negabeta.solver import value_equation_poly
+
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        cut = rng.randint(0, degree - 1)
+        digits = "".join(rng.choice("123") for _ in range(degree))
+        f = value_equation_poly(EvPeriodic.parse(digits[:cut] + "|" + digits[cut:]))
+        if len(f) == degree + 1:
+            out.append(f)
+    return out
+
+
+def test_power_table_is_fraction_companion_recurrence():
+    """The integer power table gives the rationals of Fraction companion
+    steps, over the lcm of their denominators: on the criterion bases and
+    their +1 bases, the reducible |311133 base, a leading coefficient
+    2^120, a negative and a non-unit leading coefficient, linear f, and 20
+    seeded degree-40 value equations."""
+    from negabeta.expansion import EvPeriodic
+    from negabeta.solver import beta_from_expansion
+
+    bases = [make_beta(s) for s in CRITERION_BASES]
+    fs = [b.poly for b in bases] + [b.plus_one().poly for b in bases] + [
+        beta_from_expansion(EvPeriodic.parse("|311133")).poly,
+        make_beta(CELL_BASES[-1]).poly,  # leading coefficient 2^120
+        make_beta("poly:[-1,1,1]@(1.5,2)").poly, make_beta("poly:[3,-1,-5,-2]@(1.5,2)").poly,
+        make_beta("poly:[2,-3]@(1.25,1.75)").poly, make_beta("poly:[1,-5]@(4.5,5.5)").poly,
+    ] + _value_equations(20, 40, 2026)
+    for f in fs:
+        beta = Beta(kind="exact", coeffs=tuple(reversed(f)))
+        rows, den = beta._power_table
+        want = _fraction_power_table(f)
+        assert den == math.lcm(*(c.denominator for row in want for c in row))
+        assert [[Fraction(c, den) for c in row] for row in rows] == want
+        assert all(type(row) is tuple and all(type(c) is int for c in row) for row in rows)
+
+
+@pytest.mark.parametrize("spec", ["pisot2:p=1,q=1", "poly:[1,0,-1,-1]@(1.2,1.4)",
+                                  "poly:[3,-1,-5,-2]@(1.5,2)", "poly:[2,-3]@(1.25,1.75)",
+                                  "poly:[1,-3,1,-1,1,-3,2]@(2.5,4)"])
+def test_rational_operands_act_as_embedded_points(spec):
+    """An int or Fraction operand (negative, huge, zero) gives the num/den,
+    or the decision, of the same operation on its embedded point; the
+    embedding is the rational in the first coordinate, and the JSON
+    rendering of a point is format_rational of its coordinates."""
+    from negabeta.numerics import FieldPoint, format_rational, point_json
+
+    beta, rng = make_beta(spec), random.Random(spec)
+    d = beta.degree
+    for trial in range(30):
+        x = FieldPoint(beta, [_random_rational(rng, trial % 3 == 0) for _ in range(d)])
+        for r in (0, 1, -1, rng.randint(-9, 9), -10**40 - 7, Fraction(-3, 8),
+                  Fraction(10**30 + 1, 7 * 2**70), _random_rational(rng), Fraction(0),
+                  Fraction(float(x)).limit_denominator(10**6)):
+            p, q = beta.point_from_rational(r), Fraction(r)
+            assert p.coeffs == (q,) + (Fraction(0),) * (d - 1)
+            assert (p.num, p.den) == ((q.numerator,) + (0,) * (d - 1), q.denominator)
+            for got, want in ((x + r, x + p), (r + x, p + x), (x - r, x - p), (r - x, p - x),
+                              (x * r, x * p), (r * x, p * x)):
+                assert (got.num, got.den) == (want.num, want.den)
+            if r:
+                for got, want in ((x / r, x / p), (r / x, p / x)):
+                    assert (got.num, got.den) == (want.num, want.den)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / r
+            assert (x == r) == (x == p) and (x < r) == (x < p) and (x >= r) == (x >= p)
+            assert math.floor(x + r) == math.floor(x + p)
+        assert point_json(x, 6)["coeffs"] == [format_rational(c) for c in x.coeffs]
 
 
 def _format_rational_oracle(r):
