@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .errors import NegabetaError, OrbitUnresolved, PrecisionExhausted, SpecError
 from .expansion import DEFAULT_BUDGET, EvPeriodic, expand, orbit_of_one
@@ -88,7 +87,7 @@ def _sft(a):
 
 
 def _solve(a):
-    beta = solver.beta_from_expansion(EvPeriodic.parse(a.target), Fraction(1, 10**a.digits))
+    beta = solver.beta_from_expansion(EvPeriodic.parse(a.target))
     return {"beta": beta.spec_string(), "decimal": beta.decimal_str(a.digits)}
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import OrbitUnresolved, PrecisionExhausted, SpecError
 from .expansion import orbit_of_one, DEFAULT_BUDGET
-from .numerics import Beta, FieldPoint, as_point, point_interval, same_field
+from .numerics import Beta, FieldPoint, as_point, same_field
 from . import numerics, polys
 
 
@@ -73,28 +73,34 @@ class PiecewiseDensity:
 
 
 def _orbit_weights(beta: Beta, budget: int):
-    """Orbit points of 1 paired with their total series weight.
-
-    Summing over all iterates with a fixed eventually periodic index class
-    collapses to one geometric factor per class.
-    """
+    """The pairs of ``_weights`` for the orbit of 1, which must resolve."""
     rec = orbit_of_one(beta, budget)
     if not rec.resolved:
         raise OrbitUnresolved(
             f"orbit of 1 did not resolve within budget {budget}"
         )
+    return _weights(beta, rec)
+
+
+def _weights(beta: Beta, rec):
+    """Orbit points of 1 paired with their total series weight.
+
+    The n-th point has weight (-1/beta)^n.  In a resolved orbit, summing
+    over all iterates with a fixed eventually periodic index class
+    collapses to one geometric factor per class; a truncated orbit gives
+    the partial sum over its first ``budget`` points.
+    """
     neg_inv = -1 / beta.beta_point()
-    k = rec.pre_len if rec.kind == "eventually-periodic" else 0
-    m = rec.period_len
-    cycle_scale = 1 / (1 - neg_inv**m)
-    pairs = []
-    for n, x in enumerate(rec.points):
-        w = neg_inv**n
-        if n < k:
-            pairs.append((x, w))
-        else:
-            pairs.append((x, w * cycle_scale))
-    return rec, pairs
+    if rec.resolved:
+        k = rec.pre_len
+        cycle_scale = 1 / (1 - neg_inv**rec.period_len)
+    else:
+        k = rec.budget
+    pairs, w = [], as_point(beta, 1)
+    for n, x in enumerate(rec.points[:rec.budget]):
+        pairs.append((x, w if n < k else w * cycle_scale))
+        w = w * neg_inv
+    return pairs
 
 
 def density(beta: Beta, budget: int = DEFAULT_BUDGET) -> PiecewiseDensity:
@@ -104,7 +110,7 @@ def density(beta: Beta, budget: int = DEFAULT_BUDGET) -> PiecewiseDensity:
     convention is "orbit point >= x", so each value is attached to the
     half open interval ending at its right breakpoint.
     """
-    rec, pairs = _orbit_weights(beta, budget)
+    pairs = _orbit_weights(beta, budget)
     interior = []
     for x, _w in pairs[1:]:
         if x != 1 and x not in interior:
@@ -131,8 +137,7 @@ def _normalization_series(pairs):
 
 def normalization(beta: Beta, budget: int = DEFAULT_BUDGET):
     """K = sum of orbit-point / (-beta)^n in exact closed form."""
-    _rec, pairs = _orbit_weights(beta, budget)
-    return _normalization_series(pairs)
+    return _normalization_series(_orbit_weights(beta, budget))
 
 
 def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
@@ -154,15 +159,7 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
         math.log(1 / float(tol * (1 - 1 / lo))) / math.log(float(lo))
     ) + 2)
 
-    try:
-        _rec, pairs = _orbit_weights(beta, n_terms)
-    except OrbitUnresolved:
-        # the partial sum: the n-th orbit point has weight (-1/beta)^n
-        points = orbit_of_one(beta, n_terms).points[:n_terms]
-        neg_inv = -1 / beta.beta_point()
-        pairs = [(points[0], as_point(beta, 1))]
-        for pt in points[1:]:
-            pairs.append((pt, pairs[-1][1] * neg_inv))
+    pairs = _weights(beta, orbit_of_one(beta, n_terms))
     # the orbit point 1 is counted for every x in (0, 1], so the sum is a point
     return sum(w for pt, w in pairs if pt >= x)
 
@@ -247,8 +244,8 @@ def algebraic_equal(x, y) -> bool:
     chain = polys.sturm_chain(p)
     for bits in range(40, numerics.MAX_REFINE_LEVEL + 1, 8):
         width = Fraction(1, 1 << bits)
-        ax, bx = point_interval(x, width)
-        ay, by = point_interval(y, width)
+        ax, bx = x.interval(width)
+        ay, by = y.interval(width)
         if bx < ay or by < ax:
             return False
         lo, hi = min(ax, ay), max(bx, by)

@@ -26,7 +26,9 @@ exact bases, ``Fraction`` for decimal ones).  Both take Python's numeric
 operators (``+ - * / **``, comparisons, ``==`` and ``math.floor``), which
 is how other modules build and compare points; the point functions at the
 end of the file remain only for what the operators do not give: embedding
-a rational, enclosures, and renderings.
+a rational, enclosures, and renderings.  A decimal rendering is the exact
+truncation of the value, decided by an exact floor, so it does not depend
+on how far the base was refined before.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PrecisionExhausted, SpecError
 from . import polys
@@ -311,7 +314,6 @@ class Beta:
     coeffs: tuple[int, ...] | None = None          # highest degree first
     iso: tuple[Fraction, Fraction] | None = None
     value: Fraction | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -401,56 +403,48 @@ class Beta:
     def is_exact(self) -> bool:
         return self.kind == "exact"
 
-    @property
+    @cached_property
     def poly(self) -> polys.IntPoly:
-        if "poly" not in self._cache:
-            self._cache["poly"] = tuple(reversed(self.coeffs))
-        return self._cache["poly"]
+        return tuple(reversed(self.coeffs))
 
-    @property
+    @cached_property
     def sturm(self) -> list[polys.IntPoly]:
         """Sturm chain of the squarefree part of the defining polynomial."""
-        if "sturm" not in self._cache:
-            self._cache["sturm"] = polys.sturm_chain(self.poly)
-        return self._cache["sturm"]
+        return polys.sturm_chain(self.poly)
 
     @property
     def sf_poly(self) -> polys.IntPoly:
         return self.sturm[0]
 
-    @property
+    @cached_property
     def _power_table(self) -> tuple[list[tuple[int, ...]], int]:
         """x^d, ..., x^(2d-1) mod f as integer d-tuples over one denominator,
         the lcm of the reduced denominators of their coordinates;
         ``times_beta`` reduces with the first row, products with the first d - 1."""
-        if "powers" not in self._cache:
-            f, d = self.poly, self.degree
-            lc, first = (f[-1], [-c for c in f[:-1]]) if f[-1] > 0 else (-f[-1], list(f[:-1]))
-            # x^(d+k) mod f is rows[k] / lc^(k+1); a companion step shifts and
-            # adds top * (x^d mod f), over one more factor lc
-            rows = [first]
-            for _ in range(d - 1):
-                row = rows[-1]
-                top = row[-1]
-                rows.append([top * first[0]] + [lc * c + top * r for c, r in zip(row, first[1:])])
-            # over the common denominator lc^d, then reduced once
-            scale = [lc ** (d - 1 - k) for k in range(d)]
-            ints = [c * s for row, s in zip(rows, scale) for c in row]
-            den = lc ** d
-            g = math.gcd(den, *ints)
-            ints = [c // g for c in ints]
-            self._cache["powers"] = [tuple(ints[i:i + d]) for i in range(0, len(ints), d)], den // g
-        return self._cache["powers"]
+        f, d = self.poly, self.degree
+        lc, first = (f[-1], [-c for c in f[:-1]]) if f[-1] > 0 else (-f[-1], list(f[:-1]))
+        # x^(d+k) mod f is rows[k] / lc^(k+1); a companion step shifts and
+        # adds top * (x^d mod f), over one more factor lc
+        rows = [first]
+        for _ in range(d - 1):
+            row = rows[-1]
+            top = row[-1]
+            rows.append([top * first[0]] + [lc * c + top * r for c, r in zip(row, first[1:])])
+        # over the common denominator lc^d, then reduced once
+        scale = [lc ** (d - 1 - k) for k in range(d)]
+        ints = [c * s for row, s in zip(rows, scale) for c in row]
+        den = lc ** d
+        g = math.gcd(den, *ints)
+        ints = [c // g for c in ints]
+        return [tuple(ints[i:i + d]) for i in range(0, len(ints), d)], den // g
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.is_exact else 1
 
-    @property
+    @cached_property
     def _cells(self) -> _Cells:
-        if "cells" not in self._cache:
-            self._cache["cells"] = _Cells(*self.iso, self.sf_poly)
-        return self._cache["cells"]
+        return _Cells(*self.iso, self.sf_poly)
 
     def interval(self) -> tuple[Fraction, Fraction]:
         """Current refined isolating interval (a point for rational bases)."""
@@ -475,25 +469,25 @@ class Beta:
 
     def floor_value(self) -> int:
         """Exact floor of beta."""
-        if "floor" in self._cache:
-            return self._cache["floor"]
+        return self._floor
+
+    @cached_property
+    def _floor(self) -> int:
         if not self.is_exact:
-            f = self.value.numerator // self.value.denominator
-        else:
-            cells = self._cells
+            return self.value.numerator // self.value.denominator
+        cells = self._cells
 
-            def decided(k):
-                # the floors agree, or the integer between them is a root: beta
-                lo, hi, den = cells.cell(k)
-                return lo // den == hi // den or polys.sign_at(cells.sf, lo // den + 1, 1) == 0
-
-            k = cells.search(decided, 1, "floor of beta")
+        def decided(k):
+            # the floors agree, or the integer between them is a root: beta
             lo, hi, den = cells.cell(k)
-            f = lo // den
-            if hi // den != f:
-                f += 1
-                cells.root, cells.root_level = Fraction(f), k
-        self._cache["floor"] = f
+            return lo // den == hi // den or polys.sign_at(cells.sf, lo // den + 1, 1) == 0
+
+        k = cells.search(decided, 1, "floor of beta")
+        lo, hi, den = cells.cell(k)
+        f = lo // den
+        if hi // den != f:
+            f += 1
+            cells.root, cells.root_level = Fraction(f), k
         return f
 
     @property
@@ -501,8 +495,7 @@ class Beta:
         return self.floor_value() + 1
 
     def decimal_str(self, digits: int = 15) -> str:
-        lo, hi = self.refine(Fraction(1, 10 ** (digits + 2)))
-        return point_decimal_str((lo + hi) / 2, digits)
+        return point_decimal_str(self.beta_point(), digits)
 
     def spec_string(self) -> str:
         if self.is_exact:
@@ -816,10 +809,6 @@ class FieldPoint:
             return a // s
         return b // s if self.compare(b // s) >= 0 else a // s
 
-    def decimal_str(self, digits: int = 15) -> str:
-        a, b, s = self._narrower(1, 10 ** (digits + 2))
-        return _ratio_decimal_str(a + b, 2 * s, digits)
-
     def __float__(self) -> float:
         lo, hi = self.interval(Fraction(1, 10**20))
         return float((lo + hi) / 2)
@@ -893,14 +882,6 @@ def same_field(x, y) -> bool:
     return True
 
 
-def point_interval(x, width: Fraction) -> tuple[Fraction, Fraction]:
-    """A rational enclosure of x narrower than ``width`` (a point if rational)."""
-    if isinstance(x, FieldPoint):
-        return x.interval(width)
-    x = Fraction(x)
-    return (x, x)
-
-
 def point_scaled_floor(x, bits: int) -> int:
     """floor(lo * 2^bits) for the lower end lo of an enclosure of x narrower
     than 2^-bits (lo is x itself if x is rational)."""
@@ -911,16 +892,21 @@ def point_scaled_floor(x, bits: int) -> int:
 
 
 def point_decimal_str(x, digits: int = 15) -> str:
+    """x truncated toward zero to ``digits`` decimals, trailing zeros dropped
+    ("-0" for -10^-digits < x < 0): the exact floor of |x| 10^digits, so the
+    digits depend on the value alone, never on how far its base was refined."""
     if isinstance(x, FieldPoint):
-        return x.decimal_str(digits)
-    return _ratio_decimal_str(x.numerator, x.denominator, digits)
-
-
-def _ratio_decimal_str(num: int, den: int, digits: int) -> str:
-    """num/den (den > 0, not necessarily reduced) truncated toward zero."""
-    s = _int_str(abs(num) * 10**digits // den).rjust(digits + 1, "0")
+        y = x * 10**digits
+        n = math.floor(y)
+        negative = n < 0
+        if negative:
+            n = math.floor(-y)
+    else:
+        negative = x < 0
+        n = abs(x.numerator) * 10**digits // x.denominator
+    s = _int_str(n).rjust(digits + 1, "0")
     ip, fp = s[:len(s) - digits], s[len(s) - digits:].rstrip("0")
-    return ("-" if num < 0 else "") + ip + ("." + fp if fp else "")
+    return ("-" if negative else "") + ip + ("." + fp if fp else "")
 
 
 def point_json(x, digits: int) -> dict:

@@ -9,6 +9,7 @@ the sequence (the expansion of 1 determines the base, so at most one is).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,11 +84,7 @@ def _root_expanding_to(g: polys.IntPoly, intervals, seq: EvPeriodic) -> Beta | N
     return None
 
 
-def beta_from_expansion(
-    target: EvPeriodic,
-    tol: Fraction = Fraction(1, 10**12),
-    require_valid: bool = True,
-) -> Beta:
+def beta_from_expansion(target: EvPeriodic, require_valid: bool = True) -> Beta:
     """The exact base whose expansion of 1 equals the target.
 
     The defining polynomial comes from clearing the value equation, and
@@ -106,7 +103,6 @@ def beta_from_expansion(
     beta = _root_expanding_to(g, intervals, target)
     if beta is None:
         raise SolveError("no root above 1 of the value equation re-expands to the target")
-    beta.refine(Fraction(tol))
     return beta
 
 
@@ -292,10 +288,11 @@ class ApproximantResult:
 
 
 def _gap(beta: Beta, other: Beta) -> Fraction:
-    width = Fraction(1, 10**30)
-    a1, b1 = beta.refine(width)
-    a2, b2 = other.refine(width)
-    return abs((a1 + b1) / 2 - (a2 + b2) / 2)
+    """|beta - other| to within 2^-100, from the exact floors of both bases
+    scaled by 2^100."""
+    scale = 1 << 100
+    return Fraction(abs(math.floor(beta.beta_point() * scale)
+                        - math.floor(other.beta_point() * scale)), scale)
 
 
 def solve_candidate(beta: Beta, cand: EvPeriodic, tag: str, side: str) -> ApproximantResult:

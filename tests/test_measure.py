@@ -101,6 +101,18 @@ def test_density_at_decimal_next_to_an_orbit_point():
     assert density_at(d, Fraction(1, 2)) == expected - Fraction(2, 5)
 
 
+@pytest.mark.parametrize("spec", ["dec:2.5", "pisot2:p=1,q=1"])
+def test_density_at_runs_the_orbit_once(spec, count_calls):
+    """An orbit of 1 that does not resolve within the term count (dec:2.5)
+    gives the partial sum from the same record: one orbit, as for the
+    golden ratio, whose orbit resolves."""
+    from negabeta import measure
+
+    calls = count_calls(measure, "orbit_of_one")
+    density_at(make_beta(spec), Fraction(1, 3))
+    assert calls["orbit_of_one"] == 1
+
+
 def test_measure_interval(phi, phi2):
     d = density(phi)
     b = phi.beta_point()

@@ -281,6 +281,172 @@ def test_point_protocol_stays_in_numerics():
     assert hits == []
 
 
+def test_renderings_stay_in_numerics():
+    """A decimal is rendered in numerics alone, from an exact floor: no
+    other module takes the midpoint of an enclosure, and neither the CLI
+    nor the solver refines a base to make a midpoint close enough.  polys
+    is left out because its midpoints are the bisection points of root
+    isolation, where a sign is taken and nothing is rendered."""
+    src = Path(numerics.__file__).parent
+    midpoint = re.compile(r"\(\s*(lo|a)\d*\s*\+\s*(hi|b)\d*\s*\)\s*/\s*2")
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(src.glob("*.py")) if path.name not in ("numerics.py", "polys.py")
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if midpoint.search(line) or path.name in ("cli.py", "solver.py") and ".refine(" in line
+    ]
+    assert hits == []
+
+
+def test_one_decimal_rendering():
+    """point_decimal_str is the only decimal rendering: the midpoint
+    renderings, the enclosure helper for rationals and the solver's
+    refinement tolerance are gone, and Beta.decimal_str renders beta."""
+    import inspect
+
+    from negabeta.numerics import FieldPoint
+    from negabeta.solver import beta_from_expansion
+
+    assert not hasattr(FieldPoint, "decimal_str")
+    assert not hasattr(numerics, "_ratio_decimal_str")
+    assert not hasattr(numerics, "point_interval")
+    assert "tol" not in inspect.signature(beta_from_expansion).parameters
+    beta = make_beta("poly:[1,0,-1,-1]@(1.2,1.4)")
+    assert beta.decimal_str(20) == numerics.point_decimal_str(beta.beta_point(), 20)
+
+
+def _mp_root(beta, dps):
+    """beta at ``dps`` digits: sympy's real root of its polynomial inside the
+    isolating interval, as an mpmath number."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    lo, hi = (sympy.Rational(e) for e in beta.iso)
+    roots = {r for r in sympy.Poly(beta.coeffs, x).real_roots() if lo < r < hi}
+    assert len(roots) == 1
+    with mpmath.workdps(dps):
+        return mpmath.mpf(str(roots.pop().evalf(dps + 10)))
+
+
+def _truncation_oracle(coeffs, root, digits, dps=80):
+    """The point with rational ``coeffs`` at the mpmath number ``root``,
+    truncated toward zero to ``digits`` decimals and printed as the CLI
+    prints decimals.  A rational point is truncated exactly; any other must
+    lie 10^-30 or more from the nearest truncation boundary."""
+    if not any(coeffs[1:]):
+        v = coeffs[0]
+        n, negative = abs(v.numerator) * 10**digits // v.denominator, v < 0
+    else:
+        with mpmath.workdps(dps):
+            v = sum(mpmath.mpf(c.numerator) / c.denominator * root**i for i, c in enumerate(coeffs))
+            scaled = abs(v) * mpmath.mpf(10) ** digits
+            n = int(mpmath.floor(scaled))
+            assert min(scaled - n, n + 1 - scaled) > mpmath.mpf(10) ** -30
+            negative = v < 0
+    s = str(n).rjust(digits + 1, "0")
+    ip, fp = s[:len(s) - digits], s[len(s) - digits:].rstrip("0")
+    return ("-" if negative else "") + ip + ("." + fp if fp else "")
+
+
+def test_decimal_is_the_exact_truncation_next_to_a_boundary():
+    """x = beta - t + 1/1000, with t the plastic number truncated to 9
+    decimals, lies just above 1/1000: it truncates to 0.001 on a fresh base
+    and after its base was refined to 10^-30 alike (the truncated midpoint
+    of an enclosure 10^-5 wide printed 0 on the fresh base)."""
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda y: y**3 - y - 1, mpmath.mpf("1.3247"))
+        t = Fraction(int(mpmath.floor(root * 10**9)), 10**9)
+    oracle = _truncation_oracle((Fraction(1, 1000) - t, Fraction(1)), root, 3, dps=50)
+    assert oracle == "0.001"
+    for prior in (None, Fraction(1, 10**30)):
+        beta = make_beta("poly:[1,0,-1,-1]@(1.2,1.4)")
+        x = beta.beta_point() - t + Fraction(1, 1000)
+        if prior is not None:
+            beta.beta_point().interval(prior)
+        assert numerics.point_decimal_str(x, 3) == oracle
+        assert numerics.point_decimal_str(-x, 3) == "-" + oracle
+
+
+def test_decimal_renderings_do_not_depend_on_refinement(bench_workloads):
+    """Orbit points of 1 (and their negatives), density values, K and beta
+    over the benchmark's CLI bases, at 0, 3, 15 and 40 digits: each
+    rendering from a fresh base equals the rendering after a seeded prior
+    refinement of the base or of a point, to a random depth, and both equal
+    the truncation of a sympy/mpmath oracle."""
+    from negabeta.expansion import orbit_of_one
+    from negabeta.measure import density
+
+    def points(spec):
+        beta = make_beta(spec)
+        orbit = orbit_of_one(beta).points
+        d = density(beta)
+        return beta, list(orbit) + [-x for x in orbit] + list(d.values) + [d.K, beta.beta_point()]
+
+    rng = random.Random(15)
+    for spec in bench_workloads.CLI_BASES:
+        beta, xs = points(spec)
+        root = _mp_root(beta, 80)
+        for digits in (0, 3, 15, 40):
+            oracle = [_truncation_oracle(x.coeffs, root, digits) for x in xs]
+            fresh = [numerics.point_decimal_str(x, digits) for x in points(spec)[1]]
+            refined_beta, refined = points(spec)
+            width = Fraction(1, 10 ** rng.randint(1, 120))
+            if rng.random() < 0.5:
+                refined_beta.refine(width)
+            else:
+                rng.choice(refined).interval(width)
+            assert fresh == oracle, (spec, digits)
+            again = [numerics.point_decimal_str(x, digits) for x in refined]
+            assert again == oracle, (spec, digits)
+
+
+def test_beta_caches_are_not_fields():
+    """Beta caches its polynomial, Sturm chain, power table, cells and floor
+    per object, outside the dataclass fields: equality and hashing see only
+    the base, whatever has been computed or refined."""
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(Beta)] == ["kind", "coeffs", "iso", "value"]
+    a, b = make_beta("multinacci:q=1,m=3"), make_beta("multinacci:q=1,m=3")
+    a.refine(Fraction(1, 10**40))
+    assert a.floor_value() == 1 and (a.beta_point() * a.beta_point()).num == (0, 0, 1)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.interval() != b.interval()
+
+
+def test_isolate_roots_splits_at_a_rational_root():
+    """(x - 2)(x^2 - 3) on (1, 3): the first midpoint 2 is a root, so the
+    split shrinks around it until sqrt(3) is left out, then reports it as
+    the point (2, 2); each interval holds exactly one of sympy's roots."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    p = (6, -3, -2, 1)
+    out = polys.isolate_roots(p, 1, 3)
+    assert out == [(1, Fraction(7, 4)), (2, 2)]
+    roots = [r for r in sympy.Poly(list(reversed(p)), x).real_roots() if 1 < r < 3]
+    assert len(roots) == len(out)
+    for lo, hi in out:
+        lo, hi = sympy.Rational(lo), sympy.Rational(hi)
+        inside = [r for r in roots if (lo < r < hi if lo < hi else r == lo)]
+        assert len(inside) == 1
+
+
+def test_root_above_one_shrinks_around_a_rational_root():
+    """The rational root 2 of (x - 2)(10 x - 21) is widened to an open
+    interval that leaves out the root 2.1: halving from 1/4 stops at 1/16."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = (42, -41, 10)
+    beta = Beta.root_above_one(poly, 2, 2)
+    assert beta.spec_string() == "poly:[10,-41,42]@(1.9375,2.0625)"
+    assert beta.beta_point() == 2 and beta.floor_value() == 2
+    lo, hi = (sympy.Rational(e) for e in beta.iso)
+    roots = sympy.Poly(list(reversed(poly)), x).real_roots()
+    assert [r for r in roots if lo < r < hi] == [2]
+
+
 def _horner_oracle(p, x):
     acc = Fraction(0)
     for c in reversed(p):

@@ -175,6 +175,31 @@ def test_approximate_simple_numbers_golden(phi):
             assert r.simple_certified
 
 
+def test_gap_is_within_two_to_the_minus_100(plastic):
+    """The gap of each approximant is |beta - beta_n| to within 2^-100 (a
+    50-digit sympy oracle), and the same on a fresh base as after the base
+    was refined to 10^-60."""
+    import sympy
+
+    def root(beta):
+        x = sympy.Symbol("x")
+        lo, hi = (sympy.Rational(e) for e in beta.iso)
+        return next(r for r in sympy.Poly(beta.coeffs, x).real_roots() if lo < r < hi)
+
+    spec = plastic.spec_string()
+    fresh = approximate_simple_numbers(make_beta(spec), 6)
+    refined_beta = make_beta(spec)
+    refined_beta.refine(Fraction(1, 10**60))
+    refined = approximate_simple_numbers(refined_beta, 6)
+    assert [r.gap for r in fresh] == [r.gap for r in refined]
+    target = root(plastic)
+    solved = [r for r in fresh if r.beta_n is not None]
+    assert solved
+    for r in solved:
+        exact = abs(target - root(r.beta_n)).evalf(50)
+        assert abs(sympy.Rational(r.gap) - exact) <= sympy.Rational(1, 2**100)
+
+
 def test_sides_match_actual_positions(phi, plastic):
     for beta in (phi, plastic):
         width = Fraction(1, 10**30)
