@@ -3,8 +3,11 @@
 The density of the unique absolutely continuous invariant measure is a
 piecewise constant function whose interior breakpoints are the orbit of 1
 (excluding 1 itself).  When the orbit resolves to a finite set the density
-and its normalization constant are computed in closed form, exactly;
-comparison of two densities across different number fields is also exact.
+and its normalization constant are computed in closed form, exactly: the
+orbit points are certified distinct, so one sort orders the breakpoints
+and the values are suffix sums of the orbit weights.  Comparison of two
+densities across different number fields is also exact, and distinct
+values are told apart by enclosures before any exact work.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import OrbitUnresolved, PrecisionExhausted, SpecError
 from .expansion import orbit_of_one, DEFAULT_BUDGET
@@ -108,16 +112,15 @@ def density(beta: Beta, budget: int = DEFAULT_BUDGET) -> PiecewiseDensity:
 
     Requires the orbit of 1 to resolve within the budget; the indicator
     convention is "orbit point >= x", so each value is attached to the
-    half open interval ending at its right breakpoint.
+    half open interval ending at its right breakpoint.  The orbit record
+    certifies its points pairwise distinct, with points[0] = 1 the
+    largest: one sort puts them in breakpoint order, and the value at a
+    breakpoint is the sum of the weights from it to the right.
     """
     pairs = _orbit_weights(beta, budget)
-    interior = []
-    for x, _w in pairs[1:]:
-        if x != 1 and x not in interior:
-            interior.append(x)
-    interior.sort()
-    bps = [as_point(beta, 0)] + interior + [as_point(beta, 1)]
-    values = [sum(w for x, w in pairs if x >= rep) for rep in bps[1:]]
+    ordered = sorted(pairs[1:], key=lambda pair: pair[0]) + pairs[:1]
+    bps = [as_point(beta, 0)] + [x for x, _w in ordered]
+    values = list(accumulate(w for _x, w in reversed(ordered)))[::-1]
     # adjacent intervals never share a value: the density jumps at orbit points
     for a, b in zip(values, values[1:]):
         if a == b:
@@ -233,6 +236,17 @@ def algebraic_equal(x, y) -> bool:
     """Exact equality of two real algebraic numbers, fields may differ."""
     if same_field(x, y):
         return x == y
+
+    def hull(bits):
+        """The hull of both enclosures narrower than 2^-bits, or None when
+        they are disjoint."""
+        width = Fraction(1, 1 << bits)
+        (ax, bx), (ay, by) = x.interval(width), y.interval(width)
+        return None if bx < ay or by < ax else (min(ax, ay), max(bx, by))
+
+    # distinct values are told apart before the exact characteristic polynomial
+    if hull(40) is None:
+        return False
     p = _charpoly(*_mult_matrix(x))
     # y must satisfy x's characteristic polynomial...
     acc = y.beta.point_from_rational(0)
@@ -243,12 +257,10 @@ def algebraic_equal(x, y) -> bool:
     # ... and be the same real root of it
     chain = polys.sturm_chain(p)
     for bits in range(40, numerics.MAX_REFINE_LEVEL + 1, 8):
-        width = Fraction(1, 1 << bits)
-        ax, bx = x.interval(width)
-        ay, by = y.interval(width)
-        if bx < ay or by < ax:
+        box = hull(bits)
+        if box is None:
             return False
-        lo, hi = min(ax, ay), max(bx, by)
+        lo, hi = box
         if lo == hi:
             return True  # both are exactly the rational lo
         if polys.isolates(chain, lo, hi):

@@ -318,8 +318,12 @@ class Beta:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_poly(cls, coeffs, lo, hi) -> "Beta":
-        coeffs = tuple(int(c) for c in coeffs)
+    def from_poly(cls, coeffs, lo, hi, chain: list[polys.IntPoly] | None = None) -> "Beta":
+        """The root of ``coeffs`` (highest degree first) that (lo, hi)
+        isolates.  ``chain``, when given, is the Sturm chain of the
+        polynomial as ``sturm_chain`` builds it, kept as ``sturm`` unless
+        roots at zero are stripped from the polynomial."""
+        coeffs = given = tuple(int(c) for c in coeffs)
         while coeffs and coeffs[0] == 0:
             coeffs = coeffs[1:]
         if len(coeffs) < 2:
@@ -333,6 +337,8 @@ class Beta:
         if not 1 < lo < hi:
             raise SpecError("isolating interval endpoints must be rationals > 1")
         beta = cls(kind="exact", coeffs=coeffs, iso=(lo, hi))
+        if chain is not None and coeffs[-1] == given[-1]:
+            beta.__dict__["sturm"] = chain
         sf = beta.sf_poly
         if polys.sign_at(sf, lo) == 0 or polys.sign_at(sf, hi) == 0:
             raise SpecError("isolating interval endpoints must not be roots")
@@ -348,17 +354,21 @@ class Beta:
         return cls(kind="decimal", value=value)
 
     @classmethod
-    def root_above_one(cls, poly: polys.IntPoly, lo, hi) -> "Beta":
+    def root_above_one(cls, poly: polys.IntPoly, lo, hi,
+                       chain: list[polys.IntPoly] | None = None) -> "Beta":
         """The root above 1 of ``poly`` (lowest degree first) that (lo, hi)
         isolates, or the rational root lo when lo == hi.
 
         A left end at or below 1 is pushed above 1 by bisection, keeping the
         sign change; a rational root is widened to an open interval above 1
-        that still isolates it.
+        that still isolates it.  ``chain``, when given, is
+        ``sturm_chain(poly)``; it is built here otherwise.
         """
         lo, hi = Fraction(lo), Fraction(hi)
+        if chain is None:
+            chain = polys.sturm_chain(poly)
         if lo != hi and lo <= 1:
-            sf = polys.squarefree_part(poly)
+            sf = chain[0]
             s_lo = polys.sign_at(sf, lo)
             while lo <= 1:
                 mid = (lo + hi) / 2
@@ -372,12 +382,11 @@ class Beta:
                     lo, s_lo = mid, v
         coeffs_high = tuple(reversed(poly))
         if lo == hi:
-            chain = polys.sturm_chain(poly)
             eps = Fraction(1, 4)
             while not (lo - eps > 1 and polys.isolates(chain, lo - eps, lo + eps)):
                 eps /= 2
-            return cls.from_poly(coeffs_high, lo - eps, lo + eps)
-        return cls.from_poly(coeffs_high, lo, hi)
+            lo, hi = lo - eps, lo + eps
+        return cls.from_poly(coeffs_high, lo, hi, chain)
 
     @classmethod
     def pisot2(cls, p: int, q: int) -> "Beta":
@@ -808,10 +817,6 @@ class FieldPoint:
         if a // s == b // s:
             return a // s
         return b // s if self.compare(b // s) >= 0 else a // s
-
-    def __float__(self) -> float:
-        lo, hi = self.interval(Fraction(1, 10**20))
-        return float((lo + hi) / 2)
 
     def __repr__(self):
         return f"FieldPoint({list(self.coeffs)})"

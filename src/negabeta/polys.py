@@ -5,10 +5,13 @@ every polynomial returned is a tuple of ``int``.  Rational points enter as
 ``Fraction``s or as integer pairs u / v.  Point and interval evaluation run
 Horner's rule on Python integers (the point or the interval endpoints over
 one denominator), so a sign is exact without building a rational.
-Greatest common divisors, squarefree parts, field inverses and Sturm
-chains run on primitive integer remainder sequences (pseudo-division,
-then division by the content; Gauss's lemma keeps every quotient
-integral) and have the gcds and Sturm sign counts of the rational Euclid.
+Greatest common divisors, field inverses and Sturm chains run on
+primitive integer remainder sequences (pseudo-division, then division by
+the content; Gauss's lemma keeps every quotient integral) and have the
+gcds and Sturm sign counts of the rational Euclid.  A Sturm chain is one
+remainder sequence of (p, p'): it ends in gcd(p, p'), so the squarefree
+part it is built on (its first element) costs a second sequence only
+when p has a repeated factor.
 Root isolation bisects at exact rational midpoints.
 """
 
@@ -124,28 +127,24 @@ def derivative(p: Sequence[int]) -> IntPoly:
     return tuple(i * p[i] for i in range(1, len(p)))
 
 
-def squarefree_part(p: Sequence[int]) -> IntPoly:
-    """p / gcd(p, p'), primitive, with positive leading coefficient."""
-    a = primitive(p)
-    if len(a) <= 1:
-        return a
-    g = poly_gcd(a, derivative(a))
-    return a if len(g) == 1 else exact_quotient(a, g)
-
-
 def sturm_chain(p: Sequence[int]) -> list[IntPoly]:
     """Sturm chain of the squarefree part of ``p`` (first element with
     positive leading coefficient) as a primitive remainder sequence: each
     negated pseudo-remainder (positive multiplier |lc|^(delta+1)) over its
-    positive content, a positive multiple of the rational chain's element."""
-    f = squarefree_part(p)
-    chain = [f]
-    g = primitive(derivative(f))  # a positive multiple: lc f > 0
+    positive content, a positive multiple of the rational chain's element.
+
+    The chain of primitive(p) is a remainder sequence of (p, p'), so its
+    last element is a multiple of gcd(p, p'); only when that is not a
+    constant, i.e. p is not squarefree, is the chain rebuilt on p / gcd."""
+    chain = [primitive(p)]
+    g = primitive(derivative(chain[0]))  # a positive multiple: lc > 0
     while g:
         chain.append(g)
         r = pseudo_divmod(chain[-2], g)[2]
         h = int_gcd(*r)
         g = tuple(-c // h for c in r)
+    if len(chain[-1]) > 1:
+        return sturm_chain(exact_quotient(chain[0], primitive(chain[-1])))
     return chain
 
 
@@ -180,13 +179,16 @@ def root_upper_bound(p: Sequence[int]) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in p)) / abs(p[-1])
 
 
-def isolate_roots(p: Sequence[int], lo, hi) -> list[tuple[Fraction, Fraction]]:
+def isolate_roots(p: Sequence[int], lo, hi,
+                  chain: list[IntPoly] | None = None) -> list[tuple[Fraction, Fraction]]:
     """Isolating open intervals, one per distinct root of ``p`` in (lo, hi).
 
     A rational root r is reported as a degenerate pair (r, r).  Endpoint
-    roots are excluded; callers pick lo/hi off the root set.
+    roots are excluded; callers pick lo/hi off the root set.  ``chain``,
+    when given, is ``sturm_chain(p)``.
     """
-    chain = sturm_chain(p)
+    if chain is None:
+        chain = sturm_chain(p)
     f = chain[0]
 
     def split(a: Fraction, b: Fraction, n: int, out: list) -> None:

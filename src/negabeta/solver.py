@@ -50,34 +50,38 @@ def value_equation_poly(target: EvPeriodic) -> polys.IntPoly:
     return polys.primitive(g)
 
 
-def _roots_above_one(g: polys.IntPoly) -> tuple[polys.IntPoly, list[tuple[Fraction, Fraction]]]:
+def _roots_above_one(g: polys.IntPoly) -> tuple[polys.IntPoly, list[polys.IntPoly],
+                                                 list[tuple[Fraction, Fraction]]]:
     """Strip factors at 0 and 1, then isolate the roots in (1, infinity).
 
     Returns the stripped polynomial (used as the defining polynomial; it
-    stays primitive) and one isolating interval per root above 1.
+    stays primitive), its Sturm chain and one isolating interval per root
+    above 1.
     """
     while g and polys.sign_at(g, 1) == 0:
         g = polys.exact_quotient(g, (-1, 1))
     while g and g[0] == 0:
         g = g[1:]
     if len(g) < 2:
-        return g, []
+        return g, [], []
     bound = polys.root_upper_bound(g)
     if bound <= 1:
-        return g, []
-    while polys.sign_at(polys.squarefree_part(g), bound) == 0:
+        return g, [], []
+    chain = polys.sturm_chain(g)
+    while polys.sign_at(chain[0], bound) == 0:
         bound += 1
-    return g, polys.isolate_roots(g, 1, bound)
+    return g, chain, polys.isolate_roots(g, 1, bound, chain)
 
 
-def _root_expanding_to(g: polys.IntPoly, intervals, seq: EvPeriodic) -> Beta | None:
-    """The root above 1 of g whose expansion of 1 is seq, or None.
+def _root_expanding_to(g: polys.IntPoly, chain, intervals, seq: EvPeriodic) -> Beta | None:
+    """The root above 1 of g (with Sturm chain ``chain``) whose expansion
+    of 1 is seq, or None.
 
     The expansion of 1 determines the base, so at most one root
     re-expands to seq; the isolating intervals are tried in order.
     """
     for lo, hi in intervals:
-        beta = Beta.root_above_one(g, lo, hi)
+        beta = Beta.root_above_one(g, lo, hi, chain)
         pi = pi_of_one(beta, budget=seq.tail_count() + 16)
         if pi.resolved and pi.sequence == seq:
             return beta
@@ -99,8 +103,7 @@ def beta_from_expansion(target: EvPeriodic, require_valid: bool = True) -> Beta:
                 f"target is not a valid expansion of 1 "
                 f"(condition {rep.failed_condition}, k={rep.witness})"
             )
-    g, intervals = _roots_above_one(value_equation_poly(target))
-    beta = _root_expanding_to(g, intervals, target)
+    beta = _root_expanding_to(*_roots_above_one(value_equation_poly(target)), target)
     if beta is None:
         raise SolveError("no root above 1 of the value equation re-expands to the target")
     return beta
@@ -244,7 +247,7 @@ def canonicalize_expansion_candidate(seq: EvPeriodic) -> EvPeriodic:
                 g0 = value_equation_poly(seq)
                 g1 = value_equation_poly(cur)
                 shared = polys.poly_gcd(g0, g1)
-                if not _roots_above_one(shared)[1]:
+                if not _roots_above_one(shared)[2]:
                     raise SolveError("rewritten candidate lost the base root")
             return cur
         if rep.failed_condition == 3:
@@ -301,11 +304,11 @@ def solve_candidate(beta: Beta, cand: EvPeriodic, tag: str, side: str) -> Approx
     The base found re-expands to the purely periodic canonical word, so it
     is a certified simple base.
     """
-    g, intervals = _roots_above_one(value_equation_poly(cand))
+    g, chain, intervals = _roots_above_one(value_equation_poly(cand))
     if not intervals:
         return ApproximantResult(cand, tag, side, None, None, False, None)
     canonical = canonicalize_expansion_candidate(cand)
-    solved = _root_expanding_to(g, intervals, canonical)
+    solved = _root_expanding_to(g, chain, intervals, canonical)
     gap = None if solved is None else _gap(beta, solved)
     return ApproximantResult(cand, tag, side, solved, gap, solved is not None, canonical)
 

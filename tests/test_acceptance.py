@@ -127,7 +127,7 @@ def _primitive(word):
 
 def _oracle_is_expansion_of_one(seq: EvPeriodic) -> bool:
     """Independent route: solve the value equation and re-expand, exactly."""
-    g, intervals = _roots_above_one(value_equation_poly(seq))
+    g, _chain, intervals = _roots_above_one(value_equation_poly(seq))
     for iv in intervals:
         beta = Beta.root_above_one(g, *iv)
         pi = pi_of_one(beta, budget=seq.tail_count() + 16)

@@ -54,6 +54,32 @@ def test_density_integer_like():
     assert normalization(make_beta("dec:2")) == Fraction(2, 3)
 
 
+def test_density_values_are_the_direct_definition(bench_workloads):
+    """On the 20 benchmark bases, the simple bases approx solves from two
+    of them and dec:2, the breakpoints run from 0 to 1, strictly
+    increasing, through every orbit point of 1, and each value is the
+    direct definition: the weights of the orbit points at or right of its
+    breakpoint, summed by comparing every point with every breakpoint."""
+    from negabeta import approximate_simple_numbers
+    from negabeta.expansion import DEFAULT_BUDGET
+    from negabeta.measure import _orbit_weights
+
+    bases = [make_beta(spec) for spec in bench_workloads.CLI_BASES] + [make_beta("dec:2")]
+    for spec, count in (("pisot2:p=1,q=1", 8), ("poly:[1,0,-1,-1]@(1.2,1.4)", 6)):
+        bases += [r.beta_n for r in approximate_simple_numbers(make_beta(spec), count)
+                  if r.beta_n is not None]
+    assert len(bases) >= 30
+    for beta in bases:
+        d, pairs = density(beta), _orbit_weights(beta, DEFAULT_BUDGET)
+        bps = d.breakpoints
+        assert bps[0] == 0 and bps[-1] == 1 and len(bps) == len(pairs) + 1
+        assert all(a < b for a, b in zip(bps, bps[1:]))
+        assert all(any(x == bp for bp in bps[1:]) for x, _w in pairs)
+        expected = [sum(w for x, w in pairs if x >= rep) for rep in bps[1:]]
+        assert len(d.values) == len(expected)
+        assert all(v == e for v, e in zip(d.values, expected))
+
+
 def test_density_unresolved():
     with pytest.raises(OrbitUnresolved):
         density(make_beta("dec:2.5"), budget=300)
@@ -217,3 +243,31 @@ def test_algebraic_equal_cross_field(phi, phi2):
     assert not algebraic_equal(b, b2)
     assert algebraic_equal(Fraction(1, 2), Fraction(1, 2))
     assert algebraic_equal(2 - b, 3 - b2)
+
+
+def test_algebraic_equal_rejects_by_enclosure_first(bench_workloads, count_calls):
+    """Across fields, equal points are equal and distinct ones are not: on
+    the measure-compare pairs, and on each benchmark base beta against
+    beta + 1.  Points whose enclosures are apart at 2^-40 never reach the
+    characteristic polynomial; a rational within 2^-70 of the golden ratio,
+    in another field, still does and is unequal."""
+    from negabeta import measure
+
+    calls = count_calls(measure, "_charpoly")
+    for a, b in bench_workloads.CLI_MC_PAIRS:
+        x, y = make_beta(a).beta_point(), make_beta(b).beta_point()
+        assert not algebraic_equal(x, y) and not algebraic_equal(y + 1, x + 1)
+    assert not calls
+    for spec in bench_workloads.CLI_BASES:
+        beta = make_beta(spec)
+        b, b1 = beta.beta_point(), beta.plus_one().beta_point()
+        calls.clear()
+        assert not algebraic_equal(b, b1) and not algebraic_equal(b1 / 2, b + 1)
+        assert not calls
+        assert algebraic_equal(b + 1, b1) and algebraic_equal(b1 - 1, b)
+        assert calls == {"_charpoly": 2}
+    golden, tribonacci = make_beta("pisot2:p=1,q=1"), make_beta("multinacci:q=1,m=3")
+    near = tribonacci.point_from_rational(golden.refine(Fraction(1, 2**70))[0])
+    calls.clear()
+    assert not algebraic_equal(golden.beta_point(), near)
+    assert calls == {"_charpoly": 1}

@@ -31,6 +31,13 @@ def bisect_root(coeffs_high, lo, hi, width):
     return (lo + hi) / 2
 
 
+def midpoint_float(x):
+    """The float of the midpoint of an enclosure of the field point x
+    narrower than 10^-20 (a nearby rational to probe comparisons with)."""
+    lo, hi = x.interval(Fraction(1, 10**20))
+    return float((lo + hi) / 2)
+
+
 def test_make_beta_golden_ratio(phi):
     b = phi.beta_point()
     assert (b * b - b - 1).is_zero()
@@ -133,7 +140,7 @@ def test_compare_to_rational_is_sign_of_difference(spec):
     for _ in range(40):
         vec = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 8])) for _ in range(beta.degree)]
         x = FieldPoint(beta, vec)
-        near = Fraction(float(x)).limit_denominator(rng.choice([1, 10, 10**6, 10**15]))
+        near = Fraction(midpoint_float(x)).limit_denominator(rng.choice([1, 10, 10**6, 10**15]))
         exact = sum(c * Fraction(3, 2)**i for i, c in enumerate(vec))
         for r in (near, math.floor(near), rng.randint(-5, 5)) + ((exact,) if rational_root else ()):
             want = (x - r).sign()
@@ -908,7 +915,7 @@ def test_rational_operands_act_as_embedded_points(spec):
         x = FieldPoint(beta, [_random_rational(rng, trial % 3 == 0) for _ in range(d)])
         for r in (0, 1, -1, rng.randint(-9, 9), -10**40 - 7, Fraction(-3, 8),
                   Fraction(10**30 + 1, 7 * 2**70), _random_rational(rng), Fraction(0),
-                  Fraction(float(x)).limit_denominator(10**6)):
+                  Fraction(midpoint_float(x)).limit_denominator(10**6)):
             p, q = beta.point_from_rational(r), Fraction(r)
             assert p.coeffs == (q,) + (Fraction(0),) * (d - 1)
             assert (p.num, p.den) == ((q.numerator,) + (0,) * (d - 1), q.denominator)
@@ -993,9 +1000,10 @@ def _low_first(p):
 
 
 def test_primitive_remainder_sequences_against_sympy():
-    """count_roots, poly_gcd and squarefree_part on integer polynomials up to
-    degree 12 (repeated factors, negative leading coefficients, rational
-    roots) agree with sympy's root counts, gcd and squarefree part."""
+    """count_roots, poly_gcd and the squarefree part that heads a Sturm
+    chain, on integer polynomials up to degree 12 (repeated factors,
+    negative leading coefficients, rational roots), agree with sympy's root
+    counts, gcd and squarefree part."""
     import sympy
 
     x = sympy.Symbol("x")
@@ -1015,7 +1023,7 @@ def test_primitive_remainder_sequences_against_sympy():
                                      sympy.Rational(hi.numerator, hi.denominator))
             assert polys.count_roots(a, lo, hi) == expected
             assert polys.count_roots(a, lo, hi, chain) == expected
-        sf = sympy.Poly(list(reversed(polys.squarefree_part(a))), x)
+        sf = sympy.Poly(list(reversed(chain[0])), x)
         assert sf.degree() == sympy.sqf_part(p).degree()
         assert sf.monic() == sympy.sqf_part(p).monic() and sf.LC() > 0
         common = _sympy_int_poly(rng, x)
@@ -1024,6 +1032,54 @@ def test_primitive_remainder_sequences_against_sympy():
         expected = sympy.gcd(p, q)
         assert len(g) - 1 == expected.degree()
         assert sympy.Poly(list(reversed(g)), x).monic() == expected.monic() and g[-1] > 0
+
+
+def test_sturm_chain_against_sympy_sturm():
+    """sturm_chain, one remainder sequence of (p, p') that restarts on
+    p / gcd(p, p') only for a repeated factor, has the length and the sign
+    sequences at seeded rationals of sympy's Sturm sequence, which is built
+    on the monic squarefree part; inputs are seeded products with repeated
+    factors, times negative and non-unit scalars."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(20261019)
+    repeated = 0
+    for _ in range(120):
+        p = sympy.Integer(rng.choice([1, -1, 2, -3, 6, -10]))
+        for _ in range(rng.randint(1, 3)):
+            factor = sum(rng.randint(-4, 4) * x**i for i in range(rng.randint(1, 3)))
+            factor += rng.choice([1, -1, 2]) * x**rng.randint(1, 3)
+            p *= factor ** rng.choice([1, 1, 2, 3])
+        p = sympy.Poly(p, x)
+        if not 1 <= p.degree() <= 14:
+            continue
+        repeated += sympy.sqf_part(p).degree() < p.degree()
+        chain = polys.sturm_chain(_low_first(p))
+        expected = sympy.sturm(p)
+        assert len(chain) == len(expected)
+        for _ in range(6):
+            r = Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 16]))
+            q = sympy.Rational(r.numerator, r.denominator)
+            assert [polys.sign_at(g, r) for g in chain] == \
+                [int(sympy.sign(e.eval(q))) for e in expected]
+    assert repeated >= 30
+
+
+def test_squarefree_sturm_chain_is_one_remainder_sequence(count_calls):
+    """A squarefree polynomial's chain costs one pseudo-division per element
+    after the first and no gcd; a repeated factor costs one more chain, on
+    the squarefree part, which is the same chain."""
+    calls = count_calls(polys, "pseudo_divmod", "poly_gcd")
+    f = (-1, -1, 0, 1)  # x^3 - x - 1
+    chain = polys.sturm_chain(f)
+    assert calls == {"pseudo_divmod": len(chain) - 1}
+    square = (1, 2, 1, -2, -2, 0, 1)  # (x^3 - x - 1)^2
+    calls.clear()
+    assert polys.sturm_chain(tuple(-3 * c for c in square)) == chain
+    # the square's sequence (degrees 6, 5, 4, then 3: a multiple of f), the
+    # exact quotient by f, then the chain of f
+    assert calls == {"pseudo_divmod": 3 + 1 + len(chain) - 1}
 
 
 def _ref_mod(p, f):
@@ -1108,7 +1164,8 @@ def test_polynomials_are_integer_tuples():
     from negabeta.solver import value_equation_poly
 
     deleted = ("Poly", "ZERO", "make_poly", "degree", "poly_eval", "poly_add", "poly_neg",
-               "poly_sub", "poly_mul", "poly_divmod", "poly_mod", "shift_poly")
+               "poly_sub", "poly_mul", "poly_divmod", "poly_mod", "shift_poly",
+               "squarefree_part")
     assert [name for name in deleted if hasattr(polys, name)] == []
 
     def int_tuple(p):
@@ -1117,7 +1174,7 @@ def test_polynomials_are_integer_tuples():
     f = (-2, 1, -4, 3, 6, -1, 2)
     beta = make_beta("poly:[1,0,-1,-1]@(1.2,1.4)")
     x = beta.beta_point() * Fraction(3, 7) + Fraction(1, 2)
-    built = [polys.primitive(f), polys.squarefree_part(f), polys.poly_gcd(f, (1, 1)),
+    built = [polys.primitive(f), polys.poly_gcd(f, (1, 1)),
              polys.exact_quotient(f, (1, 2)), polys.taylor_shift(f, -1),
              *polys.pseudo_divmod(f, (3, 2, 5))[1:], *polys.cofactor_gcd((1, 1), f),
              polys.derivative(f), *polys.sturm_chain(f),

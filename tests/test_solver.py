@@ -82,7 +82,7 @@ def test_beta_from_expansion_multi_root_targets():
 
     for text, spec in TWO_ROOT_TARGETS.items():
         target = E.parse(text)
-        g, intervals = _roots_above_one(value_equation_poly(target))
+        g, _chain, intervals = _roots_above_one(value_equation_poly(target))
         assert len(intervals) == 2
         beta = beta_from_expansion(target)
         assert beta.spec_string() == spec
@@ -93,6 +93,41 @@ def test_beta_from_expansion_multi_root_targets():
         pi = pi_of_one(others[0], budget=target.tail_count() + 16)
         assert not (pi.resolved and pi.sequence == target), text
 
+
+def test_solved_roots_carry_their_sturm_chain(count_calls):
+    """The chain _roots_above_one isolates with travels into the base:
+    root_above_one and from_poly given it build no chain of their own, and
+    a Beta equal to the one built without it, with the same squarefree part
+    and Sturm chain; also for a repeated factor.  from_poly does not keep
+    the chain of a polynomial whose root at zero it strips."""
+    from negabeta import polys
+    from negabeta.numerics import Beta
+    from negabeta.solver import _roots_above_one
+
+    words = (*TWO_ROOT_TARGETS, "|212", "2|1", "|2112", "|2122", "|323", "21|2", "211|2",
+             "|311133", "|32")
+    gs = [value_equation_poly(E.parse(w)) for w in words]
+    golden_sq, plastic = (1, 2, -1, -2, 1), (-1, -1, 0, 1)  # (x^2 - x - 1)^2, x^3 - x - 1
+    gs.append(tuple(sum(golden_sq[i] * plastic[k - i] for i in range(len(golden_sq))
+                        if 0 <= k - i < len(plastic)) for k in range(8)))
+    calls = count_calls(polys, "sturm_chain")
+    for g0 in gs:
+        g, chain, intervals = _roots_above_one(g0)
+        assert intervals and chain == polys.sturm_chain(g)
+        for lo, hi in intervals:
+            calls.clear()
+            with_chain = Beta.root_above_one(g, lo, hi, chain)
+            via_poly = Beta.from_poly(with_chain.coeffs, *with_chain.iso, chain)
+            assert not calls
+            without = Beta.root_above_one(g, lo, hi)
+            for beta in (with_chain, via_poly):
+                assert beta == without
+                assert (beta.sf_poly, beta.sturm) == (without.sf_poly, without.sturm)
+    assert len(gs[-1]) == 8 and len(_roots_above_one(gs[-1])[2]) == 2
+    times_x = (0,) + plastic
+    beta = Beta.from_poly(tuple(reversed(times_x)), Fraction(6, 5), Fraction(7, 5),
+                          polys.sturm_chain(times_x))
+    assert beta.sturm == polys.sturm_chain(plastic)
 
 def test_beta_from_expansion_without_validity_test_rejects_by_re_expansion():
     """(21)^inf is not an expansion of 1; skipping the validity test, no
