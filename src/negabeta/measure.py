@@ -289,7 +289,8 @@ def _quadratic_pair_prediction(b1: Beta, b2: Beta) -> bool | None:
         if algebraic_equal(small + 1, big):
             q = small_b.floor_value()
             z = small * small - q * small
-            return any(z == p for p in range(1, q + 1))
+            p = math.floor(z)
+            return 1 <= p <= q and z == p
     return False
 
 

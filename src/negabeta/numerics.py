@@ -2,9 +2,10 @@
 
 A base is either *exact* (an integer polynomial together with a rational
 isolating interval containing exactly one of its real roots) or *decimal*
-(the exact rational value it names).  All sign, floor and comparison
-decisions on exact bases are certified by interval refinement plus
-polynomial gcd zero tests.  Refinement narrows the isolating interval to
+(the exact rational value it names).  Every sign, floor, comparison and
+equality on an exact base is one position test, the sign of x - n/d read
+off x's enclosures, certified by refinement plus one zero test through
+the gcd inverses use.  Refinement narrows the isolating interval to
 dyadic cells held as integers (the level-k cell is lo + [j, j+1]
 (hi - lo)/2^k): Newton's method proposes the level-k cell, two exact signs
 of the squarefree part at its ends certify it, and short gaps are bisected
@@ -455,6 +456,17 @@ class Beta:
     def _cells(self) -> _Cells:
         return _Cells(*self.iso, self.sf_poly)
 
+    def _is_root_of(self, g: polys.IntPoly) -> bool:
+        """Is beta a root of g, a divisor of f?  A Sturm count in the current
+        cell, or a sign when the cell is a point: no cell endpoint is a root
+        of the squarefree part of f, nor of g."""
+        if len(g) < 2:
+            return False
+        lo, hi = self.interval()
+        if lo == hi:
+            return polys.sign_at(g, lo) == 0
+        return polys.count_roots(g, lo, hi) > 0
+
     def interval(self) -> tuple[Fraction, Fraction]:
         """Current refined isolating interval (a point for rational bases)."""
         if not self.is_exact:
@@ -517,9 +529,11 @@ class Beta:
         """The base beta + 1, exact when this base is exact."""
         if not self.is_exact:
             return Beta.from_decimal(self.value + 1)
+        # x -> x - 1 commutes with pseudo-division, derivative and content
+        chain = [polys.taylor_shift(g, -1) for g in self.sturm]
         ints = polys.primitive(polys.taylor_shift(self.poly, -1))
         lo, hi = self.iso
-        return Beta.from_poly(tuple(reversed(ints)), lo + 1, hi + 1)
+        return Beta.from_poly(tuple(reversed(ints)), lo + 1, hi + 1, chain)
 
     # -- field points ------------------------------------------------------
 
@@ -683,14 +697,14 @@ class FieldPoint:
 
     def inverse(self) -> "FieldPoint":
         """Multiplicative inverse; raises ZeroDivisionError on zero.  One integer
-        extended remainder sequence gives u c = g (mod f) for the numerator c;
-        the zero test runs only when g is not constant."""
+        extended remainder sequence gives u c = g (mod f) for the numerator c,
+        and the zero test asks whether beta is a root of that g."""
         c = polys.trimmed(self.num)
         if not c:
             raise ZeroDivisionError("field point is zero")
         f = self.beta.poly
         g, u = polys.cofactor_gcd(c, f)
-        if len(g) > 1 and self.is_zero():
+        if self.beta._is_root_of(g):
             raise ZeroDivisionError("field point is zero")
         while len(g) > 1:
             # non-minimal modulus: g divides c and c(beta) != 0, so beta is
@@ -716,21 +730,11 @@ class FieldPoint:
     # decisions ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if not any(self.num):
-            return True
-        if not any(self.num[1:]):
-            return False
-        g = polys.poly_gcd(self.num, self.beta.poly)
-        if len(g) == 1:
-            return False
-        chain = polys.sturm_chain(g)
-        g = chain[0]
-        # cell endpoints are never roots of the squarefree part of f, nor
-        # of g, which divides f: only a cell shrunk to the root is a point
-        lo, hi = self.beta.interval()
-        if lo == hi:
-            return polys.sign_at(g, lo) == 0
-        return polys.count_roots(g, lo, hi, chain) > 0
+        """Is this point 0?  Exactly when beta is a root of gcd(c, f) for the
+        numerator c, which one extended remainder sequence gives."""
+        c = polys.trimmed(self.num)
+        g = polys.cofactor_gcd(c, self.beta.poly)[0] if len(c) > 1 else c
+        return not c or self.beta._is_root_of(g)
 
     def _search(self, holds, width: tuple[int, int] | None, what: str) -> tuple[int, int, int]:
         """The enclosure [a/s, b/s] of this point, as (a, b, s), at the first
@@ -751,15 +755,28 @@ class FieldPoint:
             jump = ((b - a) * width[1]).bit_length() - (s * width[0]).bit_length()
         return enclosure(cells.search(lambda k: holds(*enclosure(k)), jump, what))
 
-    def sign(self) -> int:
-        """-1, 0 or 1; the gcd zero test runs only once an enclosure
-        contains 0, and refinement resumes after it."""
-        a, b, _ = self._search(lambda *_: True, None, "")
-        if a <= 0 <= b:
-            if self.is_zero():
+    def _side(self, n: int, d: int, refine: bool = True) -> int | None:
+        """The sign of self - n/d (d > 0) read off this point's enclosures:
+        scaled and shifted, they are those of the folded point d den (self -
+        n/d), so the test stops at that point's level.  An enclosure holding
+        n/d costs one gcd zero test of the folded point, then refinement
+        until one excludes n/d (or None, with ``refine`` false)."""
+        def apart(a, b, s):
+            return d * a > n * s or d * b < n * s
+
+        a, b, s = self._search(lambda *_: True, None, "")
+        if not apart(a, b, s):
+            num = self.num if d == 1 else tuple(c * d for c in self.num)
+            if FieldPoint._new(self.beta, (num[0] - n * self.den,) + num[1:], 1).is_zero():
                 return 0
-            a, b, _ = self._search(lambda a, b, s: a > 0 or b < 0, None, "sign of a field point")
-        return 1 if a > 0 else -1
+            if not refine:
+                return None
+            a, b, s = self._search(apart, None, "sign of a field point")
+        return 1 if d * a > n * s else -1
+
+    def sign(self) -> int:
+        """-1, 0 or 1: the position test against 0."""
+        return self._side(0, 1)
 
     def _narrower(self, wn: int, wd: int) -> tuple[int, int, int]:
         """The enclosure (a, b, s) of ``_search`` narrower than wn / wd."""
@@ -772,28 +789,19 @@ class FieldPoint:
         a, b, s = self._narrower(width.numerator, width.denominator)
         return Fraction(a, s), Fraction(b, s)
 
-    def _minus(self, other) -> "FieldPoint":
-        """A positive multiple of self - other, for signs and zero tests: a
-        rational r is folded into the first coordinate, as den r.den (x - r)
-        has integer coordinates."""
-        if not isinstance(other, (int, Fraction)):
-            return self - other
-        n, d = other.numerator, other.denominator
-        num = self.num if d == 1 else tuple(c * d for c in self.num)
-        return FieldPoint._of(self.beta, (num[0] - n * self.den,) + num[1:], 1)
-
     def compare(self, other) -> int:
         """-1, 0, or 1 against another point or a rational."""
-        return self._minus(other).sign()
+        if isinstance(other, (int, Fraction)):
+            return self._side(other.numerator, other.denominator)
+        return (self - other)._side(0, 1)
 
     def __eq__(self, other):
-        """Decided by the enclosure at the current level when it excludes 0,
-        else by the gcd zero test; never refines."""
-        if isinstance(other, (FieldPoint, int, Fraction)):
-            d = self._minus(other)
-            a, b, _ = d._search(lambda *_: True, None, "")
-            return a <= 0 <= b and d.is_zero()
-        return NotImplemented
+        """The position test at the current level, never refining: the
+        enclosure decides when it excludes the other value, else the zero test."""
+        if not isinstance(other, (FieldPoint, int, Fraction)):
+            return NotImplemented
+        x, r = (self - other, 0) if isinstance(other, FieldPoint) else (self, other)
+        return x._side(r.numerator, r.denominator, refine=False) == 0
 
     __hash__ = None  # exact equality is semantic, not structural
 
@@ -810,13 +818,12 @@ class FieldPoint:
         return self.compare(other) >= 0
 
     def __floor__(self) -> int:
-        """Exact floor: refine until at most one integer is left in the
-        enclosure, then settle it by a sign test."""
+        """Exact floor: refine until at most one integer m is left in the
+        enclosure, then settle it by the position test against m."""
         a, b, s = self._search(lambda a, b, s: b // s - a // s <= 1, (1, 1),
                                "floor of a field point")
-        if a // s == b // s:
-            return a // s
-        return b // s if self.compare(b // s) >= 0 else a // s
+        m = b // s
+        return m if m != a // s and self._side(m, 1) >= 0 else a // s
 
     def __repr__(self):
         return f"FieldPoint({list(self.coeffs)})"

@@ -5,13 +5,13 @@ every polynomial returned is a tuple of ``int``.  Rational points enter as
 ``Fraction``s or as integer pairs u / v.  Point and interval evaluation run
 Horner's rule on Python integers (the point or the interval endpoints over
 one denominator), so a sign is exact without building a rational.
-Greatest common divisors, field inverses and Sturm chains run on
-primitive integer remainder sequences (pseudo-division, then division by
-the content; Gauss's lemma keeps every quotient integral) and have the
-gcds and Sturm sign counts of the rational Euclid.  A Sturm chain is one
-remainder sequence of (p, p'): it ends in gcd(p, p'), so the squarefree
-part it is built on (its first element) costs a second sequence only
-when p has a repeated factor.
+Greatest common divisors and Sturm chains run on integer remainder
+sequences (pseudo-division, then division by the content; Gauss's lemma
+keeps every quotient integral) with the gcds and Sturm sign counts of the
+rational Euclid; one extended sequence, ``cofactor_gcd``, serves gcds and
+field inverses.  A Sturm chain is one remainder sequence of (p, p'): it
+ends in gcd(p, p'), so the squarefree part it is built on (its first
+element) costs a second sequence only when p has a repeated factor.
 Root isolation bisects at exact rational midpoints.
 """
 
@@ -91,17 +91,6 @@ def exact_quotient(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     the quotient has integer coefficients (Gauss's lemma)."""
     m, q, _ = pseudo_divmod(a, b)
     return tuple(c // m for c in q)
-
-
-def poly_gcd(p: Sequence[int], q: Sequence[int]) -> IntPoly:
-    """Greatest common divisor as a primitive integer polynomial with
-    positive leading coefficient, by a primitive remainder sequence."""
-    a, b = primitive(p), primitive(q)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, primitive(pseudo_divmod(a, b)[2])
-    return a
 
 
 def cofactor_gcd(c: Sequence[int], f: Sequence[int]) -> tuple[IntPoly, IntPoly]:

@@ -246,7 +246,7 @@ def canonicalize_expansion_candidate(seq: EvPeriodic) -> EvPeriodic:
             if cur != seq:
                 g0 = value_equation_poly(seq)
                 g1 = value_equation_poly(cur)
-                shared = polys.poly_gcd(g0, g1)
+                shared = polys.primitive(polys.cofactor_gcd(g0, g1)[0])
                 if not _roots_above_one(shared)[2]:
                     raise SolveError("rewritten candidate lost the base root")
             return cur

@@ -177,6 +177,24 @@ def test_quadratic_pairs_coincide(p, q):
     assert report.predicted is True
 
 
+def test_quadratic_pair_prediction_takes_one_floor(count_calls):
+    """"z = beta^2 - q beta is an integer p with 1 <= p <= q" is one floor and
+    one equality, not an equality per candidate p: at most 3 == per
+    prediction (with the two integer-base checks) whatever q is."""
+    from negabeta.measure import _quadratic_pair_prediction
+    from negabeta.numerics import FieldPoint
+
+    calls = count_calls(FieldPoint, "__eq__")
+    for spec, predicted in (("pisot2:p=50,q=50", True), ("pisot2:p=1000,q=1000", True),
+                            ("pisot2:p=7,q=1000", True), ("poly:[1,-3,1]@(2.5,3)", False),
+                            ("multinacci:q=1,m=3", False)):
+        beta = make_beta(spec)
+        calls.clear()
+        assert _quadratic_pair_prediction(beta, beta.plus_one()) is predicted
+        assert calls["__eq__"] <= 3
+    assert _quadratic_pair_prediction(make_beta("dec:2.5"), make_beta("dec:3.5")) is False
+
+
 def test_non_pairs_differ(phi, tribonacci):
     report = densities_coincide(phi, tribonacci)
     assert report.verdict == "Differ"

@@ -1000,7 +1000,7 @@ def _low_first(p):
 
 
 def test_primitive_remainder_sequences_against_sympy():
-    """count_roots, poly_gcd and the squarefree part that heads a Sturm
+    """count_roots, cofactor_gcd and the squarefree part that heads a Sturm
     chain, on integer polynomials up to degree 12 (repeated factors,
     negative leading coefficients, rational roots), agree with sympy's root
     counts, gcd and squarefree part."""
@@ -1028,7 +1028,7 @@ def test_primitive_remainder_sequences_against_sympy():
         assert sf.monic() == sympy.sqf_part(p).monic() and sf.LC() > 0
         common = _sympy_int_poly(rng, x)
         p, q = p * common, _sympy_int_poly(rng, x) * common
-        g = polys.poly_gcd(_low_first(p), _low_first(q))
+        g = polys.primitive(polys.cofactor_gcd(_low_first(p), _low_first(q))[0])
         expected = sympy.gcd(p, q)
         assert len(g) - 1 == expected.degree()
         assert sympy.Poly(list(reversed(g)), x).monic() == expected.monic() and g[-1] > 0
@@ -1070,7 +1070,7 @@ def test_squarefree_sturm_chain_is_one_remainder_sequence(count_calls):
     """A squarefree polynomial's chain costs one pseudo-division per element
     after the first and no gcd; a repeated factor costs one more chain, on
     the squarefree part, which is the same chain."""
-    calls = count_calls(polys, "pseudo_divmod", "poly_gcd")
+    calls = count_calls(polys, "pseudo_divmod", "cofactor_gcd")
     f = (-1, -1, 0, 1)  # x^3 - x - 1
     chain = polys.sturm_chain(f)
     assert calls == {"pseudo_divmod": len(chain) - 1}
@@ -1080,6 +1080,103 @@ def test_squarefree_sturm_chain_is_one_remainder_sequence(count_calls):
     # the square's sequence (degrees 6, 5, 4, then 3: a multiple of f), the
     # exact quotient by f, then the chain of f
     assert calls == {"pseudo_divmod": 3 + 1 + len(chain) - 1}
+
+
+def _int_product(*factors):
+    out = (1,)
+    for g in factors:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+        out = tuple(prod)
+    return out
+
+
+def test_plus_one_shifts_the_base_chain(bench_workloads, count_calls):
+    """x -> x - 1 commutes with pseudo-division, the derivative and the
+    content, so the shifted Sturm chain of f is the chain of f(x - 1): on
+    the 20 CLI_BASES and 300 seeded products (repeated factors, negative
+    and non-unit scalars).  plus_one builds beta + 1 from the shifted chain
+    with no pseudo-division, unless it strips a root at zero (f(-1) = 0)."""
+    rng = random.Random(20261020)
+    fs = [make_beta(s).poly for s in bench_workloads.CLI_BASES]
+    assert len(fs) == 20
+    for _ in range(300):
+        factors = [(rng.choice([1, -1, 2, -3, 6]),)]
+        for _ in range(rng.randint(1, 3)):
+            g = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 3))) + (rng.choice([1, -1, 2]),)
+            factors += [g] * rng.choice([1, 1, 2, 3])
+        fs.append(_int_product(*factors))
+    repeated = 0
+    for f in fs:
+        chain = polys.sturm_chain(f)
+        repeated += len(chain[0]) < len(f)
+        assert [polys.taylor_shift(g, -1) for g in chain] == \
+            polys.sturm_chain(polys.taylor_shift(f, -1))
+    assert repeated >= 100
+
+    beta = make_beta("multinacci:q=1,m=4")
+    chain = beta.sturm
+    calls = count_calls(polys, "pseudo_divmod")
+    up = beta.plus_one()
+    assert calls == {} and up.sturm is not chain
+    assert up.sturm == polys.sturm_chain(up.poly)
+    assert up == Beta.from_poly(up.coeffs, *up.iso)
+    # (x + 1)(x^2 - x - 1): beta + 1 strips the root at zero, then builds its chain
+    up = make_beta("poly:[1,0,-2,-1]@(1.5,2)").plus_one()
+    assert up.degree == 2 and up.sturm == polys.sturm_chain(up.poly)
+
+
+def test_floor_settles_by_the_position_test(count_calls):
+    """An enclosure that holds one integer m is settled by the sign of
+    x - m read off x's own enclosures: compare is never called.  On fresh
+    bases, points within 2^-140 of an integer, on both sides, and integers
+    with non-rational coordinates (reducible f) each take one position
+    test and get the right floor."""
+    from negabeta.numerics import FieldPoint
+
+    points = []
+    for spec in ("pisot2:p=1,q=1", "multinacci:q=1,m=3", "poly:[1,0,-1,-1]@(1.2,1.4)",
+                 "poly:[1,-3,1,-1,1,-3,2]@(2.5,4)"):
+        beta = make_beta(spec)
+        mid, eps = bisect_root(beta.coeffs, *beta.iso, Fraction(1, 2**80)), Fraction(1, 2**80)
+        for r in (mid - eps, mid + eps):
+            above = polys.sign_at(beta.sf_poly, r) == polys.sign_at(beta.sf_poly, beta.iso[0])
+            for k in (-2, 0, 3):
+                points.append((spec, lambda b, k=k, r=r: k + (b - r) / 2**60, k if above else k - 1))
+    # integers with non-rational coordinates on reducible f: beta is a root
+    # of x^2 - x - 1 = f / (x - 3) and of q = f / (x^2 - x + 1)
+    q = polys.exact_quotient((2, -3, 1, -1, 1, -3, 1), (1, -1, 1))
+    for spec, g in (("poly:[1,-4,2,3]@(1.5,2.0)", (-1, -1, 1)),
+                    ("poly:[1,-3,1,-1,1,-3,2]@(2.5,4)", q)):
+        points += [(spec, lambda b, k=k, g=g: sum(c * b**i for i, c in enumerate(g)) + k, k)
+                   for k in (-2, 0, 3)]
+    points = [(point(make_beta(spec).beta_point()), want) for spec, point, want in points]
+    calls = count_calls(FieldPoint, "compare", "_side")
+    assert [math.floor(x) for x, _ in points] == [want for _, want in points]
+    assert calls == {"_side": len(points)}
+
+
+def test_inverse_on_a_reducible_modulus_tests_its_own_gcd(count_calls):
+    """On the base solved from |311133, f = (x^2 - x + 1) q(x) and beta is a
+    root of q: the inverse of beta^2 - beta + 1 zero-tests the g of its own
+    extended remainder sequence (one pseudo-division gives g, two build the
+    Sturm chain of g), divides f by g (one) and runs the sequence mod q
+    (three); no zero test runs a second sequence."""
+    from negabeta.expansion import EvPeriodic
+    from negabeta.numerics import FieldPoint
+    from negabeta.solver import beta_from_expansion
+
+    beta = beta_from_expansion(EvPeriodic.parse("|311133"))
+    assert beta.coeffs == (1, -3, 1, -1, 1, -3, 2)
+    b = beta.beta_point()
+    x = b * b - b + 1
+    calls = count_calls(polys, "pseudo_divmod", "cofactor_gcd", "sturm_chain")
+    calls.update(count_calls(FieldPoint, "is_zero"))
+    y = x.inverse()
+    assert calls == {"pseudo_divmod": 7, "cofactor_gcd": 2, "sturm_chain": 1}
+    assert x * y == 1
 
 
 def _ref_mod(p, f):
@@ -1165,7 +1262,7 @@ def test_polynomials_are_integer_tuples():
 
     deleted = ("Poly", "ZERO", "make_poly", "degree", "poly_eval", "poly_add", "poly_neg",
                "poly_sub", "poly_mul", "poly_divmod", "poly_mod", "shift_poly",
-               "squarefree_part")
+               "squarefree_part", "poly_gcd")
     assert [name for name in deleted if hasattr(polys, name)] == []
 
     def int_tuple(p):
@@ -1174,7 +1271,7 @@ def test_polynomials_are_integer_tuples():
     f = (-2, 1, -4, 3, 6, -1, 2)
     beta = make_beta("poly:[1,0,-1,-1]@(1.2,1.4)")
     x = beta.beta_point() * Fraction(3, 7) + Fraction(1, 2)
-    built = [polys.primitive(f), polys.poly_gcd(f, (1, 1)),
+    built = [polys.primitive(f), polys.cofactor_gcd(f, (1, 1))[0],
              polys.exact_quotient(f, (1, 2)), polys.taylor_shift(f, -1),
              *polys.pseudo_divmod(f, (3, 2, 5))[1:], *polys.cofactor_gcd((1, 1), f),
              polys.derivative(f), *polys.sturm_chain(f),
