@@ -6,8 +6,11 @@ piecewise constant function whose interior breakpoints are the orbit of 1
 and its normalization constant are computed in closed form, exactly: the
 orbit points are certified distinct, so one sort orders the breakpoints
 and the values are suffix sums of the orbit weights.  Comparison of two
-densities across different number fields is also exact, and distinct
-values are told apart by enclosures before any exact work.
+densities is also exact.  Bases that differ by an integer, as beta and
+beta + 1 do, generate one field, so their points meet in it through a
+Taylor shift and one field equality decides; only points of fields that
+share no such shift take a characteristic polynomial, after enclosures
+have failed to tell them apart.
 """
 
 from __future__ import annotations
@@ -233,7 +236,12 @@ def _charpoly(m: list[list[int]], den: int) -> polys.IntPoly:
 
 
 def algebraic_equal(x, y) -> bool:
-    """Exact equality of two real algebraic numbers, fields may differ."""
+    """Exact equality of two real algebraic numbers, fields may differ.
+
+    Points of one base, or of two bases that differ by an integer, meet in
+    one field (``same_field``) and one field equality decides.  Otherwise
+    disjoint enclosures say no; x's characteristic polynomial must vanish
+    at y, and a hull of both enclosures must isolate one of its roots."""
     if same_field(x, y):
         return x == y
 
@@ -284,14 +292,18 @@ def _quadratic_pair_prediction(b1: Beta, b2: Beta) -> bool | None:
     None when either base is an integer: the criterion covers non-integers only."""
     if any(b.beta_point() == b.floor_value() for b in (b1, b2)):
         return None
-    x1, x2 = b1.beta_point(), b2.beta_point()
-    for small_b, small, big in ((b1, x1, x2), (b2, x2, x1)):
-        if algebraic_equal(small + 1, big):
-            q = small_b.floor_value()
-            z = small * small - q * small
-            p = math.floor(z)
-            return 1 <= p <= q and z == p
-    return False
+    # b2 = b1 + t: t = 1 or -1 names the smaller base
+    t = b1.shift_to(b2)
+    if t is None:
+        x1, x2 = b1.beta_point(), b2.beta_point()
+        t = 1 if algebraic_equal(x1 + 1, x2) else -1 if algebraic_equal(x2 + 1, x1) else None
+    if t not in (1, -1):
+        return False
+    small_b = b1 if t == 1 else b2
+    small, q = small_b.beta_point(), small_b.floor_value()
+    z = small * small - q * small
+    p = math.floor(z)
+    return 1 <= p <= q and z == p
 
 
 def densities_coincide(

@@ -525,6 +525,43 @@ class Beta:
             return f"poly:[{body}]@({format_rational(lo)},{format_rational(hi)})"
         return f"dec:{format_rational(self.value)}"
 
+    @cached_property
+    def _shifts(self) -> dict:
+        """``shift_to``'s answers, by the other base."""
+        return {}
+
+    def shift_to(self, other: "Beta") -> int | None:
+        """The integer t with other = self + t, or None.
+
+        The candidate t is read off the two polynomials (f(x - t) has
+        x^(d-1) coefficient f_(d-1) - d t f_d), so x -> x - t must carry f
+        onto other's polynomial up to a scalar, which makes self + t a root
+        of it; it is other's root when other's interval and self's shifted
+        by t hold exactly one root between them.  An interval that is a
+        point, or a hull holding more roots, is decided by the position of
+        self + t against other's isolating interval.  None for a decimal
+        base, and when the polynomials are not shifts of each other even if
+        the values are (a non-minimal f can give this)."""
+        shifts = self._shifts
+        if other not in shifts:
+            shifts[other] = self._find_shift(other)
+        return shifts[other]
+
+    def _find_shift(self, other: "Beta") -> int | None:
+        if not (self.is_exact and other.is_exact) or self.degree != other.degree:
+            return None
+        f, g, d = self.poly, other.poly, self.degree
+        t, r = divmod(f[d - 1] * g[d] - g[d - 1] * f[d], d * f[d] * g[d])
+        if r or polys.primitive(polys.taylor_shift(f, -t)) != polys.primitive(g):
+            return None
+        # no cell endpoint is a root, so neither is a shifted one of self's
+        (a, b), (c, e) = self.interval(), other.interval()
+        if a < b and c < e and polys.count_roots(
+                other.sf_poly, min(a + t, c), max(b + t, e), other.sturm) == 1:
+            return t
+        lo, hi = other.iso
+        return t if lo < self.beta_point() + t < hi else None
+
     def plus_one(self) -> "Beta":
         """The base beta + 1, exact when this base is exact."""
         if not self.is_exact:
@@ -677,10 +714,17 @@ class FieldPoint:
         return self.inverse() * other
 
     def _coerce(self, other) -> "FieldPoint":
+        """``other`` as a point of this base: a point of this base, or of the
+        base beta + t for an integer t (``Beta.shift_to``), whose value
+        y(beta + t) is (y o (x + t))(beta), so its coordinates are Taylor
+        shifted by t and keep degree below d; or a rational."""
         if isinstance(other, FieldPoint):
-            if other.beta is not self.beta and other.beta != self.beta:
+            if other.beta is self.beta or other.beta == self.beta:
+                return other
+            t = self.beta.shift_to(other.beta)
+            if t is None:
                 raise SpecError("field points belong to different bases")
-            return other
+            return FieldPoint._of(self.beta, polys.taylor_shift(other.num, t), other.den)
         if isinstance(other, (int, Fraction)):
             return FieldPoint._rational(self.beta, other)
         raise TypeError(f"cannot combine FieldPoint with {type(other)!r}")
@@ -888,9 +932,11 @@ def floor_beta_times(beta: Beta, x) -> int:
 
 
 def same_field(x, y) -> bool:
-    """Can x and y meet in one arithmetic (not field points of two bases)?"""
+    """Can x and y meet in one arithmetic?  Not when they are field points
+    of two bases, unless the bases differ by an integer, whose points meet
+    in x's field through a Taylor shift (``FieldPoint._coerce``)."""
     if isinstance(x, FieldPoint) and isinstance(y, FieldPoint):
-        return x.beta == y.beta
+        return x.beta == y.beta or x.beta.shift_to(y.beta) is not None
     return True
 
 

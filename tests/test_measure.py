@@ -250,9 +250,13 @@ def test_algebraic_equal_rational_points_and_level_cap(monkeypatch):
     other = make_beta("poly:[1,-1,-1]@(1.6,1.7)")
     assert algebraic_equal(golden.beta_point(), other.beta_point())
     monkeypatch.setattr(numerics, "MAX_REFINE_LEVEL", 2)
+    # one root under two specs shares the shift 0: one field equality, no refinement
+    assert algebraic_equal(make_beta("pisot2:p=1,q=1").beta_point(),
+                           make_beta("poly:[1,-1,-1]@(1.6,1.7)").beta_point())
+    # sqrt(5) = 2 phi - 1 in a field that shares no integer shift with phi's
     with pytest.raises(PrecisionExhausted, match="level cap"):
-        algebraic_equal(make_beta("pisot2:p=1,q=1").beta_point(),
-                        make_beta("poly:[1,-1,-1]@(1.6,1.7)").beta_point())
+        algebraic_equal(2 * make_beta("pisot2:p=1,q=1").beta_point() - 1,
+                        make_beta("poly:[1,0,-5]@(2,3)").beta_point())
 
 
 def test_algebraic_equal_cross_field(phi, phi2):
@@ -265,10 +269,12 @@ def test_algebraic_equal_cross_field(phi, phi2):
 
 def test_algebraic_equal_rejects_by_enclosure_first(bench_workloads, count_calls):
     """Across fields, equal points are equal and distinct ones are not: on
-    the measure-compare pairs, and on each benchmark base beta against
-    beta + 1.  Points whose enclosures are apart at 2^-40 never reach the
-    characteristic polynomial; a rational within 2^-70 of the golden ratio,
-    in another field, still does and is unequal."""
+    the measure-compare pairs, on each benchmark base beta against
+    beta + 1, and on sqrt(5) = 2 phi - 1.  beta and beta + 1 meet in one
+    field and never reach the characteristic polynomial; of fields that
+    share no integer shift, points whose enclosures are apart at 2^-40
+    never reach it either, while equal points and a rational within 2^-70
+    of the golden ratio, in another field, still do."""
     from negabeta import measure
 
     calls = count_calls(measure, "_charpoly")
@@ -279,13 +285,44 @@ def test_algebraic_equal_rejects_by_enclosure_first(bench_workloads, count_calls
     for spec in bench_workloads.CLI_BASES:
         beta = make_beta(spec)
         b, b1 = beta.beta_point(), beta.plus_one().beta_point()
-        calls.clear()
         assert not algebraic_equal(b, b1) and not algebraic_equal(b1 / 2, b + 1)
-        assert not calls
         assert algebraic_equal(b + 1, b1) and algebraic_equal(b1 - 1, b)
-        assert calls == {"_charpoly": 2}
+        assert not calls
     golden, tribonacci = make_beta("pisot2:p=1,q=1"), make_beta("multinacci:q=1,m=3")
+    phi, root5 = golden.beta_point(), make_beta("poly:[1,0,-5]@(2,3)").beta_point()
+    assert algebraic_equal(2 * phi - 1, root5) and algebraic_equal(root5 + 1, 2 * phi)
+    assert calls == {"_charpoly": 2}
     near = tribonacci.point_from_rational(golden.refine(Fraction(1, 2**70))[0])
     calls.clear()
     assert not algebraic_equal(golden.beta_point(), near)
     assert calls == {"_charpoly": 1}
+
+
+def test_shift_path_agrees_with_the_general_path(bench_workloads, monkeypatch, count_calls):
+    """Every verdict, prediction and detail of measure-compare is the same
+    when beta and beta + 1 meet in one field by their integer shift and
+    when, with ``shift_to`` answering None, they take the characteristic
+    polynomial: on the corpus measure-compare argvs, and on x^2 - qx - p
+    (p <= 8, q <= 6) against its beta + 1 at budget 400."""
+    from negabeta import cli, measure
+    from negabeta.numerics import Beta
+
+    argvs = [a for a in bench_workloads.CLI_HEAVY if a[0] == "measure-compare"]
+    assert len(argvs) == 11
+
+    def run_all():
+        outs = [bench_workloads.run_cli(cli, argv) for argv in argvs]
+        bases = [Beta.root_above_one((-p, -q, 1), q, q + p)
+                 for q in range(1, 7) for p in range(1, 9)]
+        return outs, [densities_coincide(b, b.plus_one(), 400) for b in bases]
+
+    calls = count_calls(measure, "_charpoly")
+    shifted = run_all()
+    verdicts = [r.verdict for r in shifted[1]]
+    assert verdicts.count("Coincide") == 29 and verdicts.count("Unresolved") == 19
+    assert all(code == 0 for code, _out in shifted[0])
+    # only the integer bases whose beta + 1 loses a root at zero: x(x - 3), ...
+    assert calls["_charpoly"] == 6
+    monkeypatch.setattr(Beta, "shift_to", lambda self, other: None)
+    assert run_all() == shifted
+    assert calls["_charpoly"] == 6 + 138

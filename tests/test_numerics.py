@@ -1313,3 +1313,100 @@ def test_taylor_shift_against_sympy():
         got = polys.taylor_shift(a, s)
         assert len(got) == len(a)
         assert sympy.Poly(list(reversed(got)), x) == expected
+
+
+def test_shift_to_names_the_integer_between_bases(bench_workloads, count_calls):
+    """beta + 1 is beta shifted by 1 and beta by -1 from it, on each
+    benchmark base; the answer is kept on the Beta object, so a fresh
+    object of the same spec works it out again."""
+    for spec in bench_workloads.CLI_BASES:
+        beta = make_beta(spec)
+        up = beta.plus_one()
+        assert beta.shift_to(up) == 1 and up.shift_to(beta) == -1
+        assert beta.shift_to(up.plus_one()) == 2 and up.plus_one().shift_to(beta) == -2
+        assert beta.shift_to(make_beta(spec)) == 0
+    calls = count_calls(Beta, "_find_shift")
+    beta = make_beta("multinacci:q=1,m=3")
+    up = beta.plus_one()
+    assert [beta.shift_to(up) for _ in range(3)] == [1, 1, 1]
+    assert calls["_find_shift"] == 1 and beta.__dict__["_shifts"] == {up: 1}
+    fresh = make_beta("multinacci:q=1,m=3")
+    assert fresh.shift_to(up) == 1 and calls["_find_shift"] == 2
+
+
+def test_shift_to_on_intervals_collapsed_to_a_root():
+    """A cell that is a rational root has that root as both endpoints, so
+    it never bounds a Sturm count: the position against the other base's
+    isolating interval decides instead."""
+    from negabeta.measure import algebraic_equal
+
+    def collapsed(spec):
+        beta = make_beta(spec)
+        beta.floor_value()  # the floor is a root: the cell becomes that point
+        assert beta.interval()[0] == beta.interval()[1]
+        return beta
+
+    # (x - 2)(x + 5) and (x - 3)(x + 4): 3 = 2 + 1
+    for two in (make_beta("poly:[1,3,-10]@(1.001,4)"), collapsed("poly:[1,3,-10]@(1.001,4)")):
+        for three in (two.plus_one(), collapsed(two.plus_one().spec_string())):
+            assert two.shift_to(three) == 1 and three.shift_to(two) == -1
+            assert algebraic_equal(two.beta_point() + 1, three.beta_point())
+    # (x - 2)(x - 3) and (x - 3)(x - 4) are shifts by 1, but 4 = 2 + 2: the
+    # shifted point 3 is a root at the end of the hull of [3, 3] and 4's cell
+    two, four = collapsed("poly:[1,-5,6]@(1.5,2.5)"), collapsed("poly:[1,-7,12]@(3.5,4.5)")
+    for a, b in ((two, make_beta("poly:[1,-7,12]@(3.5,4.5)")),
+                 (make_beta("poly:[1,-5,6]@(1.5,2.5)"), four), (two, four)):
+        assert a.shift_to(b) is None and b.shift_to(a) is None
+        assert algebraic_equal(a.beta_point() + 2, b.beta_point())
+    # 2 from (x - 2)(x + 1): beta + 1 loses the root at zero of x(x - 3)
+    two = collapsed("poly:[1,-1,-2]@(1.001,4)")
+    three = two.plus_one()
+    assert three.coeffs == (1, -3)
+    assert two.shift_to(three) is None and three.shift_to(two) is None
+    assert algebraic_equal(two.beta_point() + 1, three.beta_point())
+
+
+def test_shift_to_needs_two_exact_bases_with_shifted_polynomials():
+    """Decimal bases have no shift; the same root under two specs has
+    shift 0, and a non-minimal polynomial whose values agree with another
+    base's without being its shift falls back to the general equality."""
+    from negabeta import densities_coincide
+    from negabeta.measure import algebraic_equal
+
+    dec, golden = make_beta("dec:1.5"), make_beta("pisot2:p=1,q=1")
+    for a, b in ((dec, make_beta("dec:2.5")), (dec, golden), (golden, dec)):
+        assert a.shift_to(b) is None
+    other = make_beta("poly:[1,-1,-1]@(1.6,1.7)")
+    assert golden.shift_to(other) == 0 and other.shift_to(golden) == 0
+    with pytest.raises(SpecError, match="bases must differ"):
+        densities_coincide(golden, other)
+    # (x^2 - x - 1)(x - 5) against (x^2 - 3x + 1)(x - 9): the x^2 terms name
+    # t = 2, which does not carry one polynomial onto the other
+    phi5 = make_beta("poly:[1,-6,4,5]@(1.5,1.7)")
+    for spec in ("poly:[1,-12,28,-9]@(2.5,2.7)", "poly:[1,-3,1]@(2.5,3)"):
+        up = make_beta(spec)
+        assert phi5.shift_to(up) is None and up.shift_to(phi5) is None
+        assert algebraic_equal(phi5.beta_point() + 1, up.beta_point())
+        assert not algebraic_equal(phi5.beta_point() + 2, up.beta_point())
+
+
+def test_points_of_shifted_bases_meet_by_a_taylor_shift(bench_workloads):
+    """A point y of beta + t, coerced into beta's field, is exactly the
+    point that beta's own arithmetic builds from the same coordinates on
+    beta + t (representatives of degree below d are unique)."""
+    rng = random.Random(20261019)
+    for spec in bench_workloads.CLI_BASES:
+        beta = make_beta(spec)
+        for t, other in ((1, beta.plus_one()), (2, beta.plus_one().plus_one())):
+            for _ in range(3):
+                coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                          for _ in range(beta.degree)]
+                y = numerics.FieldPoint(other, coeffs)
+                direct = sum(c * (beta.beta_point() + t) ** i for i, c in enumerate(coeffs))
+                x = beta.one()._coerce(y)
+                assert (x.beta, x.num, x.den) == (beta, direct.num, direct.den)
+                assert y == direct and direct == y
+                back = other.one()._coerce(direct)
+                assert (back.num, back.den) == (y.num, y.den)
+    with pytest.raises(SpecError, match="different bases"):
+        make_beta("pisot2:p=1,q=1").one() + make_beta("multinacci:q=1,m=3").one()
