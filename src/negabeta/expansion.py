@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SpecError
-from .numerics import Beta, as_point, point_scaled_floor, times_beta
+from .numerics import Beta, as_point, point_key, times_beta
 
 DigitWord = tuple[int, ...]
 
@@ -160,37 +160,31 @@ def expand(beta: Beta, x, n: int) -> DigitWord:
     return tuple(out)
 
 
-def _point_key(x) -> int:
-    # enclosures narrower than 2^-80 put equal points at most one key apart
-    return point_scaled_floor(x, 80)
-
-
 def orbit_of_one(beta: Beta, budget: int = DEFAULT_BUDGET) -> OrbitRecord:
     """Iterate from 1, certifying the first exact repeat if one occurs.
 
-    Points are bucketed by a refined rational enclosure, but a repeat is
-    only declared after an exact equality test, so the classification is
-    certified whenever the arithmetic is exact (all bases here are).
+    Points are looked up by ``point_key``: an exact key (a rational, or a
+    point of a base whose field is proved) names the one earlier equal
+    point; a bucket of a refined rational enclosure only names candidates,
+    and a repeat is declared after an exact equality test.  Either way the
+    classification is certified, since the arithmetic is exact.
     """
     if budget < 1:
         raise SpecError("budget must be at least 1")
     x = beta.one()
     points = [x]
     digits: list[int] = []
-    buckets: dict[int, list[int]] = {_point_key(x): [0]}
+    buckets: dict[tuple | int, list[int]] = {point_key(x): [0]}
 
     for i in range(budget):
         d, nxt = step(beta, points[-1])
         digits.append(d)
-        key = _point_key(nxt)
-        hit = None
-        for k in (key - 1, key, key + 1):
-            for j in buckets.get(k, ()):
-                if points[j] == nxt:
-                    hit = j
-                    break
-            if hit is not None:
-                break
+        key = point_key(nxt)
+        if isinstance(key, tuple):  # exact: only an equal point has this key
+            hit = buckets.get(key, (None,))[0]
+        else:  # a 2^-80 bucket: an equal point lies in this one or a neighbour
+            hit = next((j for k in (key - 1, key, key + 1) for j in buckets.get(k, ())
+                        if points[j] == nxt), None)
         if hit is not None:
             pre, per = hit, i + 1 - hit
             kind = "periodic" if hit == 0 else "eventually-periodic"

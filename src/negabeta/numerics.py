@@ -526,6 +526,27 @@ class Beta:
         return f"dec:{format_rational(self.value)}"
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.coeffs, self.iso, self.value))
+
+    def __hash__(self):
+        """The dataclass's hash of the fields, computed once: ``shift_to``
+        and ``_coerce`` look bases up on every mixed operation, and the
+        fields hold ``Fraction``s, whose hash takes a modular inverse."""
+        return self._hash
+
+    @cached_property
+    def field_proved(self) -> bool:
+        """Is the defining polynomial f proved irreducible
+        (``polys.proved_irreducible``: degree 1, or degree 2 or 3 with no
+        root modulo some small prime)?  Then Q[x]/(f) is a field, so the
+        reduced coordinates of a point are unique: two points of this base
+        are equal exactly when their (num, den) are, and a point is zero
+        exactly when its num is.  False for a decimal base and whenever the
+        test proves nothing; such points take the position and gcd tests."""
+        return self.is_exact and polys.proved_irreducible(self.poly)
+
+    @cached_property
     def _shifts(self) -> dict:
         """``shift_to``'s answers, by the other base."""
         return {}
@@ -542,10 +563,10 @@ class Beta:
         self + t against other's isolating interval.  None for a decimal
         base, and when the polynomials are not shifts of each other even if
         the values are (a non-minimal f can give this)."""
-        shifts = self._shifts
-        if other not in shifts:
-            shifts[other] = self._find_shift(other)
-        return shifts[other]
+        t = self._shifts.get(other, False)
+        if t is False:  # not asked yet (t is an int or None)
+            t = self._shifts[other] = self._find_shift(other)
+        return t
 
     def _find_shift(self, other: "Beta") -> int | None:
         if not (self.is_exact and other.is_exact) or self.degree != other.degree:
@@ -596,9 +617,11 @@ class FieldPoint:
     Stored as integers: ``num``, a d-tuple, over one denominator ``den`` > 0
     with no factor common to den and every entry of num, so the coordinates
     are num_i / den and den is the lcm of their reduced denominators.
-    The defining polynomial need not be minimal; equality and sign are
-    decided through gcd zero tests and interval refinement, which stay
-    correct in the non-minimal case.
+    Every construction reduces, so the form is canonical once Q[x]/(f) is
+    a field: on a base with ``Beta.field_proved``, equality and the zero
+    test compare (num, den).  Otherwise the defining polynomial need not
+    be minimal, and equality and sign are decided through gcd zero tests
+    and interval refinement, which stay correct in the non-minimal case.
     """
 
     __slots__ = ("beta", "num", "den")
@@ -774,8 +797,12 @@ class FieldPoint:
     # decisions ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        """Is this point 0?  Exactly when beta is a root of gcd(c, f) for the
-        numerator c, which one extended remainder sequence gives."""
+        """Is this point 0?  On a base with ``field_proved``, exactly when
+        its coordinates are; otherwise exactly when beta is a root of
+        gcd(c, f) for the numerator c, which one extended remainder
+        sequence gives."""
+        if self.beta.field_proved:
+            return not any(self.num)
         c = polys.trimmed(self.num)
         g = polys.cofactor_gcd(c, self.beta.poly)[0] if len(c) > 1 else c
         return not c or self.beta._is_root_of(g)
@@ -840,12 +867,21 @@ class FieldPoint:
         return (self - other)._side(0, 1)
 
     def __eq__(self, other):
-        """The position test at the current level, never refining: the
-        enclosure decides when it excludes the other value, else the zero test."""
+        """Equal reduced coordinates mean equal points on any base, and on a
+        base with ``field_proved`` different ones mean unequal points.
+        Otherwise the position test at the current level, never refining:
+        the enclosure decides when it excludes the other value, else the
+        zero test."""
         if not isinstance(other, (FieldPoint, int, Fraction)):
             return NotImplemented
-        x, r = (self - other, 0) if isinstance(other, FieldPoint) else (self, other)
-        return x._side(r.numerator, r.denominator, refine=False) == 0
+        o = self._coerce(other)
+        if self.num == o.num and self.den == o.den:
+            return True
+        if self.beta.field_proved:
+            return False
+        if isinstance(other, FieldPoint):
+            return self._plus(o, -1)._side(0, 1, refine=False) == 0
+        return self._side(other.numerator, other.denominator, refine=False) == 0
 
     __hash__ = None  # exact equality is semantic, not structural
 
@@ -940,13 +976,25 @@ def same_field(x, y) -> bool:
     return True
 
 
-def point_scaled_floor(x, bits: int) -> int:
-    """floor(lo * 2^bits) for the lower end lo of an enclosure of x narrower
-    than 2^-bits (lo is x itself if x is rational)."""
-    if isinstance(x, FieldPoint):
-        a, _, s = x._narrower(1, 1 << bits)
-        return (a << bits) // s
-    return (x.numerator << bits) // x.denominator
+def point_key(x) -> tuple | int:
+    """A dict key for x in a search for repeated points.  A tuple is exact,
+    equal points and only they having equal keys: (numerator, denominator)
+    of a rational, or (num, den) of a field point of a base with
+    ``field_proved``.  Otherwise an int, the 2^-80 bucket
+    ``point_scaled_floor(x, 80)``, which puts equal points at most one
+    bucket apart."""
+    if not isinstance(x, FieldPoint):
+        return x.numerator, x.denominator
+    if x.beta.field_proved:
+        return x.num, x.den
+    return point_scaled_floor(x, 80)
+
+
+def point_scaled_floor(x: FieldPoint, bits: int) -> int:
+    """floor(lo * 2^bits) for the lower end lo of an enclosure of the field
+    point x narrower than 2^-bits."""
+    a, _, s = x._narrower(1, 1 << bits)
+    return (a << bits) // s
 
 
 def point_decimal_str(x, digits: int = 15) -> str:

@@ -154,3 +154,45 @@ def test_digit_and_shift():
     assert s.prefix(6) == (2, 1, 2, 1, 1, 1)
     assert s.shift(2) == EvPeriodic((2,), (1,))
     assert s.shift(5) == EvPeriodic((), (1,))
+
+
+def test_canonical_points_agree_with_the_position_tests(bench_workloads, monkeypatch, count_calls):
+    """With ``field_proved`` forced False every point takes the 2^-80 orbit
+    buckets, the position test and the gcd zero test; the orbit records
+    (points compared by that ==) and the stdout of orbit, density, match
+    and measure-compare are those of the coordinate comparisons: on the
+    benchmark bases, the corpus measure-compare argvs, and x^2 - qx - p
+    (p <= 8, q <= 6) at budget 400.  With the proof, the orbits of the
+    proved bases refine no point for a key and run no gcd zero test."""
+    from negabeta import cli, numerics, polys
+    from negabeta.numerics import Beta
+
+    bases = [make_beta(s) for s in bench_workloads.CLI_BASES]
+    sweep = [Beta.root_above_one((-p, -q, 1), q, q + p).spec_string()
+             for q in range(1, 7) for p in range(1, 9)]
+    argvs = [(verb, "--beta", b) for verb in ("orbit", "density", "match")
+             for b in bench_workloads.CLI_BASES]
+    argvs += [a for a in bench_workloads.CLI_HEAVY if a[0] == "measure-compare"]
+    argvs += [(verb, flag, b, "--budget", "400") for b in sweep
+              for verb, flag in (("orbit", "--beta"), ("density", "--beta"),
+                                 ("match", "--beta"), ("measure-compare", "--beta1"))]
+
+    def run_all():
+        return [orbit_of_one(b) for b in bases], [bench_workloads.run_cli(cli, a) for a in argvs]
+
+    keys, gcds = count_calls(numerics, "point_scaled_floor"), count_calls(polys, "cofactor_gcd")
+    assert all(orbit_of_one(b).resolved for b in bases if b.field_proved)
+    assert keys == gcds == {}
+    proved = run_all()
+    assert sum(b.field_proved for b in bases) == 18
+    assert all(code == 0 for code, _out in proved[1][:-48 * 4])
+    monkeypatch.setattr(Beta, "field_proved", property(lambda self: False))
+    keys.clear()
+    gcds.clear()
+    recs, outs = run_all()
+    assert keys["point_scaled_floor"] > 1000 and gcds["cofactor_gcd"] > 0
+    assert outs == proved[1]
+    for a, b in zip(recs, proved[0]):
+        assert (a.kind, a.pre_len, a.period_len, a.digits, a.budget) == \
+            (b.kind, b.pre_len, b.period_len, b.digits, b.budget)
+        assert len(a.points) == len(b.points) and all(x == y for x, y in zip(a.points, b.points))

@@ -1410,3 +1410,107 @@ def test_points_of_shifted_bases_meet_by_a_taylor_shift(bench_workloads):
                 assert (back.num, back.den) == (y.num, y.den)
     with pytest.raises(SpecError, match="different bases"):
         make_beta("pisot2:p=1,q=1").one() + make_beta("multinacci:q=1,m=3").one()
+
+
+# reducible: (x - 3)(x^2 - x - 1), (x + 1)(x^2 - x - 1) and (x - 2)(x + 1)
+REDUCIBLE_SPECS = ("poly:[1,-4,2,3]@(1.5,2.0)", "poly:[1,0,-2,-1]@(1.5,2)", "poly:[1,-1,-2]@(1.001,4)")
+
+
+def _sympy_irreducible(poly):
+    """Is the integer polynomial ``poly`` (lowest degree first) irreducible over Q?"""
+    import sympy
+
+    return sympy.Poly(list(reversed(poly)), sympy.Symbol("x"), domain="QQ").is_irreducible
+
+
+def test_field_proof_against_sympy(bench_workloads):
+    """A proof never names a reducible f, and every irreducible f of degree
+    <= 3 in the sample is proved: the benchmark bases and their +1 bases
+    (36 of the 40 proved: not the two of degree 4 nor their +1 bases),
+    x^2 - qx - p (p <= 8, q <= 6) and their +1 bases, three reducible
+    bases, every quadratic with coefficients in [-6, 6] and every cubic
+    with coefficients in [-3, 3] (leading and constant term nonzero).  The
+    reducible base solved from |311133 is not proved."""
+    import itertools
+
+    from negabeta.expansion import EvPeriodic
+    from negabeta.solver import beta_from_expansion
+
+    corpus = [make_beta(s) for s in bench_workloads.CLI_BASES]
+    corpus += [b.plus_one() for b in corpus]
+    assert sum(b.field_proved for b in corpus) == 36
+    assert [b.degree for b in corpus if not b.field_proved] == [4, 4, 4, 4]
+    bases = [make_beta(s) for s in REDUCIBLE_SPECS]
+    bases += [Beta.root_above_one((-p, -q, 1), q, q + p) for q in range(1, 7) for p in range(1, 9)]
+    bases += [b.plus_one() for b in bases] + corpus
+    for b in bases:
+        irreducible = _sympy_irreducible(b.poly)
+        assert b.field_proved == (irreducible and b.degree <= 3), b.spec_string()
+    assert not any(make_beta(s).field_proved for s in REDUCIBLE_SPECS)
+    assert not beta_from_expansion(EvPeriodic.parse("|311133")).field_proved
+    assert not make_beta("dec:1.8").field_proved
+    nonzero = [c for c in range(-6, 7) if c]
+    quadratics = itertools.product(nonzero, range(-6, 7), nonzero)
+    nonzero = [c for c in range(-3, 4) if c]
+    cubics = itertools.product(nonzero, range(-3, 4), range(-3, 4), nonzero)
+    for f in itertools.chain(quadratics, cubics):
+        assert polys.proved_irreducible(f) == _sympy_irreducible(f), f
+    assert polys.proved_irreducible((-3, 2)) and not polys.proved_irreducible((1, 0, 0, 0, 1))
+
+
+def test_beta_hash_is_cached_and_agrees_with_equality(count_calls):
+    """A base's hash is the hash of its fields, computed once; equal bases
+    made apart hash alike, and a shift lookup hashes no Fraction."""
+    for spec in ("pisot2:p=1,q=1", "poly:[1,0,-1,-1]@(1.2,1.4)", "dec:1.8"):
+        a, b = make_beta(spec), make_beta(spec)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.kind, a.coeffs, a.iso, a.value)) == a.__dict__["_hash"]
+    beta = make_beta("multinacci:q=1,m=3")
+    up = beta.plus_one()
+    for repeat in range(2):
+        calls = count_calls(Fraction, "__hash__")
+        assert beta.shift_to(up) == 1 and up.beta_point() == beta.beta_point() + 1
+        assert calls["__hash__"] == (0 if repeat else 4)  # two Fractions in each iso
+
+
+@pytest.mark.parametrize("spec,proved", [
+    ("pisot2:p=1,q=1", True), ("poly:[1,0,-1,-1]@(1.2,1.4)", True), ("poly:[2,-3]@(1.25,1.75)", True),
+    ("poly:[-1,1,1]@(1.5,2)", True), ("poly:[2,-3,-1]@(1.5,2)", True),
+    ("poly:[3,-1,-5,-2]@(1.5,2)", False), ("poly:[1,-4,2,3]@(1.5,2.0)", False),
+    ("multinacci:q=1,m=4", False), ("poly:[1,-3,1,-1,1,-3,2]@(2.5,4)", False)])
+def test_field_points_are_reduced(spec, proved):
+    """Every point that +, -, *, /, **, times_beta, inverse, the coercion of
+    a point of beta + 1 and Beta.one build is a d-tuple of ints over a
+    positive den with gcd(den, *num) = 1, on bases with and without a
+    proof (monic and not, a negative leading coefficient, linear, and
+    reducible f); the identities that hold on any base, and the sign of
+    each point, give == and is_zero the same answer on both."""
+    from negabeta.numerics import FieldPoint
+
+    beta, rng = make_beta(spec), random.Random(spec)
+    assert beta.field_proved == proved
+    d, up = beta.degree, beta.plus_one()
+
+    def reduced(x):
+        assert x.beta is beta and len(x.num) == d and all(type(c) is int for c in x.num + (x.den,))
+        assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+        return x
+
+    pool = [reduced(beta.one()), reduced(beta.beta_point()), reduced(beta.point_from_rational(0))]
+    for trial in range(12):
+        x = reduced(FieldPoint(beta, [_random_rational(rng, trial % 3 == 0) for _ in range(d)]))
+        y = reduced(beta.one()._coerce(FieldPoint(up, [_random_rational(rng) for _ in range(up.degree)])))
+        r = _random_rational(rng)
+        z = reduced(rng.choice(pool))
+        built = [x + y, x - y, x * y, y - x, x + r, r - x, x * r, -x, x ** 3, x.times_beta(),
+                 x * z, z + y, x + 2, 3 - x, x * 0, beta.beta_point() * (r or 1)]
+        if r:
+            built.append(x / r)
+        if not y.is_zero():
+            built += [x / y, y.inverse(), reduced(x * y) / y]
+            assert (x * y) / y == x and y * y.inverse() == 1
+        assert (x + y) - y == x and x.times_beta() == x * beta.beta_point()
+        assert x * 0 == 0 and (x - x).is_zero() and x - x == 0
+        assert not x + Fraction(1, 10**30) == x and not (x + Fraction(1, 10**30) - x).is_zero()
+        pool += [reduced(p) for p in built]
+        assert all(p.is_zero() == (p.sign() == 0) == (p == 0) for p in built)
