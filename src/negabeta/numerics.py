@@ -2,14 +2,17 @@
 
 A base is either *exact* (an integer polynomial together with a rational
 isolating interval containing exactly one of its real roots) or *decimal*
-(the exact rational value it names).  Every sign, floor, comparison and
-equality on an exact base is one position test, the sign of x - n/d read
-off x's enclosures, certified by refinement plus one zero test through
-the gcd inverses use.  Refinement narrows the isolating interval to
-dyadic cells held as integers (the level-k cell is lo + [j, j+1]
-(hi - lo)/2^k): Newton's method proposes the level-k cell, two exact signs
-of the squarefree part at its ends certify it, and short gaps are bisected
-one sign per level.  Enclosures are the integer interval Horner of
+(the exact rational value it names).  On a quadratic base, beta is
+(-B + s sqrt(D)) / (2A), so every point is (u + t sqrt(D)) / v with
+integers u, t, v, and every sign, floor, comparison and equality is
+decided on integers by square roots, with no refinement.  On any other
+exact base each is one position test, the sign of x - n/d read off x's
+enclosures, certified by refinement plus one zero test through the gcd
+inverses use.  Refinement narrows the isolating interval to dyadic cells
+held as integers (the level-k cell is lo + [j, j+1] (hi - lo)/2^k):
+Newton's method proposes the level-k cell, two exact signs of the
+squarefree part at its ends certify it, and short gaps are bisected one
+sign per level.  Enclosures are the integer interval Horner of
 ``polys`` over a cell.  A decision stops at the first level where a test
 holds (enclosure narrow enough, free of 0, or spanning at most one
 integer).  Cells are nested and interval arithmetic is inclusion-isotone,
@@ -496,6 +499,13 @@ class Beta:
     def _floor(self) -> int:
         if not self.is_exact:
             return self.value.numerator // self.value.denominator
+        if self._surd is not None:
+            b = self.beta_point()
+            f = math.floor(b)
+            if not self.field_proved and b == f and self._cells.root is None:
+                # beta is the integer f: from here on every cell is that point
+                self._cells.root, self._cells.root_level = Fraction(f), self._cells.level
+            return f
         cells = self._cells
 
         def decided(k):
@@ -538,13 +548,26 @@ class Beta:
     @cached_property
     def field_proved(self) -> bool:
         """Is the defining polynomial f proved irreducible
-        (``polys.proved_irreducible``: degree 1, or degree 2 or 3 with no
-        root modulo some small prime)?  Then Q[x]/(f) is a field, so the
-        reduced coordinates of a point are unique: two points of this base
-        are equal exactly when their (num, den) are, and a point is zero
-        exactly when its num is.  False for a decimal base and whenever the
-        test proves nothing; such points take the position and gcd tests."""
+        (``polys.proved_irreducible``: degree 1, degree 2 with a discriminant
+        that is not a square, or degree 3 with no root modulo some small
+        prime)?  Then Q[x]/(f) is a field, so the reduced coordinates of a
+        point are unique: two points of this base are equal exactly when
+        their (num, den) are, and a point is zero exactly when its num is.
+        False for a decimal base and whenever the test proves nothing; such
+        points take the position and gcd tests."""
         return self.is_exact and polys.proved_irreducible(self.poly)
+
+    @cached_property
+    def _surd(self) -> tuple[int, int, int, int] | None:
+        """(2A, B, s, D) with beta = (-B + s sqrt(D)) / (2A) when f = A x^2
+        + B x + C, scaled so that A > 0, and D = B^2 - 4AC: s = 1 when beta
+        is the larger root, which is when f < 0 at the isolating interval's
+        left end.  Then every point of the base is (u + t sqrt(D)) / v for
+        integers u, t, v (``FieldPoint._surd``).  None unless f has degree 2."""
+        if self.degree != 2:
+            return None
+        a, b, c = self.coeffs if self.coeffs[0] > 0 else (-k for k in self.coeffs)
+        return 2 * a, b, -polys.sign_at((c, b, a), self.iso[0]), b * b - 4 * a * c
 
     @cached_property
     def _shifts(self) -> dict:
@@ -621,7 +644,9 @@ class FieldPoint:
     a field: on a base with ``Beta.field_proved``, equality and the zero
     test compare (num, den).  Otherwise the defining polynomial need not
     be minimal, and equality and sign are decided through gcd zero tests
-    and interval refinement, which stay correct in the non-minimal case.
+    and interval refinement, which stay correct in the non-minimal case;
+    on a quadratic base, signs and floors are exact on the surd form
+    (``_surd``) instead.
     """
 
     __slots__ = ("beta", "num", "den")
@@ -826,12 +851,28 @@ class FieldPoint:
             jump = ((b - a) * width[1]).bit_length() - (s * width[0]).bit_length()
         return enclosure(cells.search(lambda k: holds(*enclosure(k)), jump, what))
 
+    def _surd(self) -> tuple[int, int, int, int] | None:
+        """(u, t, v, D) with this point (u + t sqrt(D)) / v and v > 0 on a
+        base of degree 2 (``Beta._surd``); None on other bases."""
+        if self.beta._surd is None:
+            return None
+        a2, b, s, D = self.beta._surd
+        n0, n1 = self.num
+        return a2 * n0 - b * n1, s * n1, a2 * self.den, D
+
     def _side(self, n: int, d: int, refine: bool = True) -> int | None:
-        """The sign of self - n/d (d > 0) read off this point's enclosures:
-        scaled and shifted, they are those of the folded point d den (self -
-        n/d), so the test stops at that point's level.  An enclosure holding
-        n/d costs one gcd zero test of the folded point, then refinement
-        until one excludes n/d (or None, with ``refine`` false)."""
+        """The sign of self - n/d (d > 0).  On a quadratic base it is the
+        sign of d u - n v + d t sqrt(D) (``_surd``), exact by comparing
+        squares.  Otherwise it is read off this point's enclosures: scaled
+        and shifted, they are those of the folded point d den (self - n/d),
+        so the test stops at that point's level.  An enclosure holding n/d
+        costs one gcd zero test of the folded point, then refinement until
+        one excludes n/d (or None, with ``refine`` false)."""
+        surd = self._surd()
+        if surd is not None:
+            u, t, v, D = surd
+            return _surd_sign(d * u - n * v, d * t, D)
+
         def apart(a, b, s):
             return d * a > n * s or d * b < n * s
 
@@ -898,8 +939,12 @@ class FieldPoint:
         return self.compare(other) >= 0
 
     def __floor__(self) -> int:
-        """Exact floor: refine until at most one integer m is left in the
-        enclosure, then settle it by the position test against m."""
+        """Exact floor: on a quadratic base by integer square roots
+        (``_surd_floor``); otherwise refine until at most one integer m is
+        left in the enclosure, then settle it by the position test against m."""
+        surd = self._surd()
+        if surd is not None:
+            return _surd_floor(*surd)
         a, b, s = self._search(lambda a, b, s: b // s - a // s <= 1, (1, 1),
                                "floor of a field point")
         m = b // s
@@ -907,6 +952,39 @@ class FieldPoint:
 
     def __repr__(self):
         return f"FieldPoint({list(self.coeffs)})"
+
+
+def _surd_sign(p: int, q: int, D: int) -> int:
+    """The sign of p + q sqrt(D), D >= 0: when p and q differ in sign, the
+    sign of the term with the larger square."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if not sq or not D:
+        return sp
+    if sp != -sq:  # p is 0 or has q's sign
+        return sq
+    c = p * p - q * q * D
+    return sp if c > 0 else sq if c < 0 else 0
+
+
+def _surd_floor(u: int, t: int, v: int, D: int) -> int:
+    """floor((u + t sqrt(D)) / v) for v > 0: floor((u + floor(t sqrt(D))) / v)
+    when t >= 0 and floor((u - ceil(|t| sqrt(D))) / v) when t < 0.  With a
+    large v, the top bits of t first bracket |t| sqrt(D) in
+    (isqrt((|t| >> e)^2 D) + [0, isqrt(D) + 2]) 2^e, about 2^-32 v wide,
+    which pins the floor unless the point is that close to an integer; the
+    square root then has about 2 (bits(t) - e) bits instead of 2 bits(t)."""
+    e = v.bit_length() - D.bit_length() // 2 - 34
+    if e > 0:
+        r = math.isqrt((abs(t) >> e) ** 2 * D)
+        lo, hi = r << e, (r + math.isqrt(D) + 2) << e
+        if t < 0:
+            lo, hi = -hi, -lo
+        f = (u + lo) // v
+        if f == (u + hi) // v:
+            return f
+    m = t * t * D
+    r = math.isqrt(m)
+    return (u + r) // v if t >= 0 else (u - r - (r * r != m)) // v
 
 
 # ---------------------------------------------------------------------------
@@ -1000,8 +1078,12 @@ def point_scaled_floor(x: FieldPoint, bits: int) -> int:
 def point_decimal_str(x, digits: int = 15) -> str:
     """x truncated toward zero to ``digits`` decimals, trailing zeros dropped
     ("-0" for -10^-digits < x < 0): the exact floor of |x| 10^digits, so the
-    digits depend on the value alone, never on how far its base was refined."""
+    digits depend on the value alone, never on how far its base was refined.
+    A zero field point is "0" without forming 10^digits."""
     if isinstance(x, FieldPoint):
+        _check_level_cap(x, digits)
+        if not any(x.num):
+            return "0"
         y = x * 10**digits
         n = math.floor(y)
         negative = n < 0
@@ -1013,6 +1095,30 @@ def point_decimal_str(x, digits: int = 15) -> str:
     s = _int_str(n).rjust(digits + 1, "0")
     ip, fp = s[:len(s) - digits], s[len(s) - digits:].rstrip("0")
     return ("-" if negative else "") + ip + ("." + fp if fp else "")
+
+
+def _check_level_cap(x: FieldPoint, digits: int) -> None:
+    """Raise PrecisionExhausted, before 10^digits is formed, when refinement
+    to MAX_REFINE_LEVEL certainly leaves the floor of x 10^digits undecided.
+    Checked only when 10^digits alone passes 2^MAX_REFINE_LEVEL, for a point
+    that is not rational on a base proved irreducible of degree >= 2 (so no
+    cell shrinks to beta).  A level-k cell is C / (D 2^k) wide and lies in
+    the current cell, where |x'| >= m / (s den) when the enclosure [a/s, b/s]
+    of den x' excludes 0; the enclosure of x 10^digits then spans at least
+    10^digits m C / (s den D 2^k), and at width 2 it holds two integers.
+    The bound is compared by bit lengths, so no huge integer is built."""
+    cap = MAX_REFINE_LEVEL
+    bits = digits * 3321928 // 10**6  # 10^digits >= 2^bits, as log2(10) > 3.321928
+    beta = x.beta
+    if bits <= cap or not any(x.num[1:]) or not beta.field_proved:
+        return
+    cells = beta._cells
+    a, b, s = polys.int_eval_interval(polys.derivative(x.num), *cells.cell(cells.level))
+    m = a if a > 0 else -b if b < 0 else 0
+    if m and bits + m.bit_length() + cells.C.bit_length() - 3 >= \
+            cap + cells.D.bit_length() + (s * x.den).bit_length():
+        raise PrecisionExhausted(f"floor of a field point not reached by refinement level {cap} "
+                                 "(the level cap MAX_REFINE_LEVEL)")
 
 
 def point_json(x, digits: int) -> dict:

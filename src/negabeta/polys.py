@@ -12,15 +12,15 @@ rational Euclid; one extended sequence, ``cofactor_gcd``, serves gcds and
 field inverses.  A Sturm chain is one remainder sequence of (p, p'): it
 ends in gcd(p, p'), so the squarefree part it is built on (its first
 element) costs a second sequence only when p has a repeated factor.
-Root isolation bisects at exact rational midpoints.  A polynomial of
-degree 2 or 3 is proved irreducible by a small prime modulo which it has
-no root.
+Root isolation bisects at exact rational midpoints.  A quadratic is
+irreducible exactly when its discriminant is not a square; a cubic is
+proved irreducible by a small prime modulo which it has no root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 from typing import Sequence
 
 IntPoly = tuple[int, ...]
@@ -89,18 +89,22 @@ def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, IntPoly, Int
 
 
 # the primes below 50: modulo each that does not divide the leading
-# coefficient, a reducible polynomial of degree <= 3 has a root
+# coefficient, a reducible cubic has a root
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def proved_irreducible(a: Sequence[int]) -> bool:
-    """Is ``a`` (normalized) proved irreducible over Q?  True for degree 1,
-    and for degree 2 or 3 when ``a`` has no root modulo some prime p < 50
-    that does not divide its leading coefficient: by Gauss's lemma a
-    reducible ``a`` of degree <= 3 has a linear factor u x - v over Z with
-    u dividing the leading coefficient, so v / u is a root mod every such
-    p.  False proves nothing: degree >= 4, or a root modulo every prime."""
-    return len(a) == 2 or len(a) in (3, 4) and any(
+    """Is ``a`` (normalized) proved irreducible over Q?  True for degree 1;
+    for degree 2 exactly when the discriminant is not a square; for degree
+    3 when ``a`` has no root modulo some prime p < 50 that does not divide
+    its leading coefficient: by Gauss's lemma a reducible cubic has a
+    linear factor u x - v over Z with u dividing the leading coefficient,
+    so v / u is a root mod every such p.  False proves nothing for degree
+    >= 3: degree >= 4, or a cubic with a root modulo every such prime."""
+    if len(a) == 3:
+        disc = a[1] * a[1] - 4 * a[0] * a[2]
+        return disc < 0 or isqrt(disc) ** 2 != disc
+    return len(a) == 2 or len(a) == 4 and any(
         a[-1] % p and all(_horner(a, x, 1)[0] % p for x in range(p)) for p in _SMALL_PRIMES)
 
 

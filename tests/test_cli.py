@@ -218,13 +218,33 @@ def test_digits_past_the_level_cap_are_unresolved_promptly(capsys):
 
 
 def test_refinement_level_cap_is_unresolved(capsys, monkeypatch):
-    """Refinement that would pass the level cap exits 3, not a traceback."""
+    """Refinement that would pass the level cap exits 3, not a traceback.
+    The base is a cubic: floors on a quadratic base refine nothing."""
     from negabeta import numerics
 
     monkeypatch.setattr(numerics, "MAX_REFINE_LEVEL", 2)
-    assert run(["orbit", "--beta", "pisot2:p=1,q=1"]) == 3
+    assert run(["orbit", "--beta", "multinacci:q=1,m=3"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("unresolved:") and "level cap" in err
+
+
+def test_digits_far_past_the_level_cap_are_unresolved_within_a_second(capsys):
+    """--digits 10^6 and 10^7 exit 3 with the level-cap message within 1 s
+    each: the cap is decided from bit lengths before 10^digits is formed,
+    and the zero breakpoint renders as "0" without it.  Past the int-to-str
+    limit, the renderings that need no refinement still exit 2: the
+    rational point 1, an integer base and a dec: base."""
+    import time
+
+    for digits in ("1000000", "10000000"):
+        t0 = time.perf_counter()
+        assert run(["density", "--beta", "pisot2:p=1,q=1", "--digits", digits]) == 3
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "level cap" in captured.err
+    for beta in ("pisot2:p=1,q=1", "poly:[1,-3]@(2,4)", "dec:1.5"):
+        assert run(["orbit", "--beta", beta, "--digits", "40000"]) == 2
+        assert "int-to-str limit" in capsys.readouterr().err
 
 
 _ONE_ARGV_PER_VERB = (

@@ -629,7 +629,12 @@ class _LinearRefinement:
 @pytest.mark.parametrize("spec", CRITERION_BASES)
 def test_level_search_matches_linear_refinement(spec):
     """interval(w), sign(), math.floor, refine(w) and floor_value return
-    what a step-by-step loop returns, and leave the base in its state."""
+    what a step-by-step loop returns, and leave the base in its state.  On
+    a quadratic base signs and floors refine nothing: a copy of the loop
+    decides them, and the base's interval stays where the loop's own
+    refinements left it."""
+    import copy
+
     import sympy
 
     from negabeta.numerics import FieldPoint
@@ -641,6 +646,7 @@ def test_level_search_matches_linear_refinement(spec):
         beta = make_beta(specs[trial % len(specs)])
         assert sympy.Poly(beta.coeffs, sympy.Symbol("x")).is_irreducible
         oracle = _LinearRefinement(beta)
+        decider = copy.copy(oracle) if beta.degree == 2 else oracle
         value = float(bisect_root(beta.coeffs, *beta.iso, Fraction(1, 2**60)))
         ops = rng.choices(["interval", "sign", "floor", "refine"], k=5) + ["floor_value"]
         rng.shuffle(ops)
@@ -657,13 +663,13 @@ def test_level_search_matches_linear_refinement(spec):
             if op == "interval":
                 assert x.interval(width) == oracle.point_interval(vec, width)
             elif op == "sign":
-                assert x.sign() == oracle.sign(vec)
+                assert x.sign() == decider.sign(vec)
             elif op == "floor":
-                assert math.floor(x) == oracle.floor(vec)
+                assert math.floor(x) == decider.floor(vec)
             elif op == "refine":
                 assert beta.refine(width) == oracle.refine(width)
             else:
-                assert beta.floor_value() == oracle.floor_value()
+                assert beta.floor_value() == decider.floor_value()
             assert beta.interval() == oracle.interval()
 
 
@@ -1132,8 +1138,9 @@ def test_floor_settles_by_the_position_test(count_calls):
     """An enclosure that holds one integer m is settled by the sign of
     x - m read off x's own enclosures: compare is never called.  On fresh
     bases, points within 2^-140 of an integer, on both sides, and integers
-    with non-rational coordinates (reducible f) each take one position
-    test and get the right floor."""
+    with non-rational coordinates (reducible f) each get the right floor;
+    each takes one position test, except on the quadratic base, whose
+    floors take none and leave its interval as it was."""
     from negabeta.numerics import FieldPoint
 
     points = []
@@ -1153,9 +1160,11 @@ def test_floor_settles_by_the_position_test(count_calls):
         points += [(spec, lambda b, k=k, g=g: sum(c * b**i for i, c in enumerate(g)) + k, k)
                    for k in (-2, 0, 3)]
     points = [(point(make_beta(spec).beta_point()), want) for spec, point, want in points]
+    quadratic = [(x.beta, x.beta.interval()) for x, _ in points if x.beta.degree == 2]
     calls = count_calls(FieldPoint, "compare", "_side")
     assert [math.floor(x) for x, _ in points] == [want for _, want in points]
-    assert calls == {"_side": len(points)}
+    assert calls == {"_side": len(points) - len(quadratic)} and len(quadratic) == 6
+    assert all(beta.interval() == iv == beta.iso for beta, iv in quadratic)
 
 
 def test_inverse_on_a_reducible_modulus_tests_its_own_gcd(count_calls):
@@ -1173,9 +1182,10 @@ def test_inverse_on_a_reducible_modulus_tests_its_own_gcd(count_calls):
     b = beta.beta_point()
     x = b * b - b + 1
     calls = count_calls(polys, "pseudo_divmod", "cofactor_gcd", "sturm_chain")
-    calls.update(count_calls(FieldPoint, "is_zero"))
+    zero_tests = count_calls(FieldPoint, "is_zero")
     y = x.inverse()
     assert calls == {"pseudo_divmod": 7, "cofactor_gcd": 2, "sturm_chain": 1}
+    assert zero_tests == {}
     assert x * y == 1
 
 
@@ -1458,6 +1468,26 @@ def test_field_proof_against_sympy(bench_workloads):
     assert polys.proved_irreducible((-3, 2)) and not polys.proved_irreducible((1, 0, 0, 0, 1))
 
 
+def test_quadratic_irreducibility_against_sympy():
+    """A quadratic is proved irreducible exactly when sympy finds it so: on
+    all 5,970 primitive A x^2 + B x + C with A > 0, C != 0 and coefficients
+    in [-12, 12], and on x^2 - (1 + the product of the primes below 50),
+    which has a root modulo each of those primes."""
+    import itertools
+
+    primes = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
+    witness = (-(1 + math.prod(primes)), 0, 1)
+    assert witness == (-614889782588491411, 0, 1)
+    assert all(any((x * x + witness[0]) % p == 0 for x in range(p)) for p in primes)
+    assert polys.proved_irreducible(witness) and _sympy_irreducible(witness)
+    box = range(-12, 13)
+    quadratics = [(c, b, a) for a, b, c in itertools.product(range(1, 13), box, box)
+                  if c and math.gcd(a, b, c) == 1]
+    assert len(quadratics) == 5970
+    for f in quadratics:
+        assert polys.proved_irreducible(f) == _sympy_irreducible(f), f
+
+
 def test_beta_hash_is_cached_and_agrees_with_equality(count_calls):
     """A base's hash is the hash of its fields, computed once; equal bases
     made apart hash alike, and a shift lookup hashes no Fraction."""
@@ -1514,3 +1544,122 @@ def test_field_points_are_reduced(spec, proved):
         assert not x + Fraction(1, 10**30) == x and not (x + Fraction(1, 10**30) - x).is_zero()
         pool += [reduced(p) for p in built]
         assert all(p.is_zero() == (p.sign() == 0) == (p == 0) for p in built)
+
+
+QUADRATIC_SPECS = ("pisot2:p=1,q=1", "pisot2:p=3,q=5", "poly:[2,-3,-1]@(1.5,2)",
+                   "poly:[1,-5,5]@(1.2,2)", "poly:[-3,5,4]@(2,3)", "poly:[3,-2,-7]@(1.5,2)",
+                   "poly:[1,-1,-2]@(1.5,3)")
+
+
+def _sympy_sign(value):
+    """The sign of an exact sympy number: exact for a rational, else read
+    off 1,300 digits and asserted far from 0."""
+    import sympy
+
+    value = sympy.expand(value)
+    if value.is_Rational:
+        return int(sympy.sign(value))
+    v = value.evalf(1300)
+    assert abs(v) > sympy.Rational(1, 10**1000)
+    return 1 if v > 0 else -1
+
+
+def _sympy_floor(value):
+    """The floor of an exact sympy number, as ``_sympy_sign`` decides signs."""
+    import sympy
+
+    value = sympy.expand(value)
+    if value.is_Rational:
+        return int(sympy.floor(value))
+    v = value.evalf(1300)
+    f = int(sympy.floor(v))
+    assert min(v - f, f + 1 - v) > sympy.Rational(1, 10**1000)
+    return f
+
+
+@pytest.mark.parametrize("spec", QUADRATIC_SPECS)
+def test_quadratic_decisions_against_sympy_surds(spec, count_calls):
+    """On quadratic bases (monic, non-monic, a negative leading coefficient,
+    the smaller root of f, and x^2 - x - 2 with its rational root 2),
+    math.floor, sign, compare and floor_value agree with sympy on the
+    exact surd, the root of f in the isolating interval.  The points are
+    seeded: random coordinates with numerators and denominators scaled up
+    to 10^200, and points within 2^-140 of an integer on both sides, with
+    sqrt(D) coefficients far below and far above their denominators.  No
+    call evaluates an enclosure, and the base keeps its isolating interval;
+    only floor_value on the integer root 2 turns it into the point (2, 2)."""
+    import sympy
+
+    from negabeta.numerics import FieldPoint
+
+    beta, rng = make_beta(spec), random.Random(spec)
+    lo, hi = beta.iso
+    (root,) = [r for r in sympy.Poly(beta.coeffs, sympy.Symbol("x")).real_roots() if lo < r < hi]
+
+    def exact(x):
+        return (x.num[0] + x.num[1] * root) / sympy.Integer(x.den)
+
+    def scaled():
+        return 10 ** rng.choice([0, 0, 20, 200])
+
+    points = [FieldPoint(beta, [Fraction(rng.randint(-10**6, 10**6) * scaled(),
+                                         rng.randint(1, 10**4) * scaled()) for _ in range(2)])
+              for _ in range(16)]
+    # n + (beta - r) 2^-60 and n + (beta - r') 3^76 for r within 2^-80 of
+    # beta and r' on the 3^-170 grid within 2^-260, below and above: small
+    # and large sqrt(D) terms, the latter with no zero low bits
+    mid = bisect_root(beta.coeffs, lo, hi, Fraction(1, 2**82))
+    deep = bisect_root(beta.coeffs, lo, hi, Fraction(1, 2**262))
+    for n in (-3, 0, 1, 10**200):
+        for e in (1, -1):
+            points.append(n + (beta.beta_point() - mid - e * Fraction(1, 2**81)) / 2**60)
+            r = Fraction(round((deep + e * Fraction(1, 2**261)) * 3**170), 3**170)
+            points.append(n + (beta.beta_point() - r) * 3**76)
+    points += [beta.point_from_rational(Fraction(-7, 3)), beta.point_from_rational(5)]
+    calls = count_calls(polys, "int_eval_interval")
+    for x in points:
+        value, f = exact(x), math.floor(x)
+        assert f == _sympy_floor(value)
+        assert x.sign() == _sympy_sign(value)
+        for r in (f, f + 1, Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))):
+            assert x.compare(r) == _sympy_sign(value - r)
+        y = rng.choice(points)
+        assert x.compare(y) == _sympy_sign(value - exact(y))
+    assert beta.interval() == beta.iso
+    assert beta.floor_value() == _sympy_floor(root)
+    assert beta.interval() == (beta.iso if beta.field_proved else (Fraction(2), Fraction(2)))
+    assert calls == {}
+
+
+@pytest.mark.parametrize("spec", ["multinacci:q=1,m=3", "multinacci:q=2,m=3",
+                                  "poly:[1,0,-1,-1]@(1.2,1.4)"])
+def test_rendering_level_cap_check_is_sound(spec, monkeypatch):
+    """The check that fails a rendering before 10^digits is formed fires
+    only where refinement to the level cap leaves the floor of x 10^digits
+    undecided, and at most 3 digits after refinement first fails.  Cubic
+    bases, whose floors still refine, with the cap lowered to 300; points
+    over denominators up to 2^90 need up to about 27 digits more."""
+    from negabeta.errors import PrecisionExhausted
+    from negabeta.numerics import FieldPoint
+
+    def raises(f, *args):
+        try:
+            f(*args)
+        except PrecisionExhausted as exc:
+            assert "level cap" in str(exc)
+            return True
+        return False
+
+    monkeypatch.setattr(numerics, "MAX_REFINE_LEVEL", 300)
+    rng = random.Random(spec)
+    for scale in (1, 1, 2**45, 2**90):
+        beta = make_beta(spec)
+        x = FieldPoint(beta, [Fraction(rng.randint(-50, 50), rng.randint(1, 30) * scale)
+                              for _ in range(3)])
+        fired, failed = [], []
+        for digits in range(60, 150):
+            if raises(numerics._check_level_cap, x, digits):
+                fired.append(digits)
+            if raises(lambda: math.floor(x * 10**digits)):
+                failed.append(digits)
+        assert set(fired) <= set(failed) and fired and fired[0] <= failed[0] + 3
