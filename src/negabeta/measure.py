@@ -161,13 +161,29 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
         raise SpecError("density is defined on (0, 1]")
     lo, _hi = beta.refine(Fraction(1, 16))
     lo = max(lo, Fraction(101, 100))
-    n_terms = max(2, math.ceil(
-        math.log(1 / float(tol * (1 - 1 / lo))) / math.log(float(lo))
-    ) + 2)
+    # past m terms the weights' tail is below lo^-m / (1 - 1/lo) <= tol
+    n_terms = _least_power_at_least(lo, 1 / (tol * (1 - 1 / lo))) + 2
 
     pairs = _weights(beta, orbit_of_one(beta, n_terms))
     # the orbit point 1 is counted for every x in (0, 1], so the sum is a point
     return sum(w for pt, w in pairs if pt >= x)
+
+
+def _least_power_at_least(base: Fraction, r: Fraction) -> int:
+    """The least m >= 0 with base^m >= r, for base = a/b > 1 and r = p/q,
+    on integers: square a and b until (a/b)^(2^i) reaches r, then take the
+    largest m with a^m q < b^m p one bit at a time from the top."""
+    a, b, p, q = base.numerator, base.denominator, r.numerator, r.denominator
+    powers = [(a, b)]
+    while powers[-1][0] * q < powers[-1][1] * p:
+        x, y = powers[-1]
+        powers.append((x * x, y * y))
+    m, x, y = 0, 1, 1
+    for i in reversed(range(len(powers))):
+        u, v = x * powers[i][0], y * powers[i][1]
+        if u * q < v * p:
+            m, x, y = m + (1 << i), u, v
+    return m + (x * q < y * p)
 
 
 def measure_interval(d: PiecewiseDensity, a, b):

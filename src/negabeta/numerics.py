@@ -10,9 +10,10 @@ exact base each is one position test, the sign of x - n/d read off x's
 enclosures, certified by refinement plus one zero test through the gcd
 inverses use.  Refinement narrows the isolating interval to dyadic cells
 held as integers (the level-k cell is lo + [j, j+1] (hi - lo)/2^k):
-Newton's method proposes the level-k cell, two exact signs of the
-squarefree part at its ends certify it, and short gaps are bisected one
-sign per level.  Enclosures are the integer interval Horner of
+Newton's method, in integer fixed point from the deepest cell's midpoint,
+proposes the level-k cell, two exact signs of the squarefree part at its
+ends certify it, and short gaps are bisected one sign per level; no
+decision uses a float.  Enclosures are the integer interval Horner of
 ``polys`` over a cell.  A decision stops at the first level where a test
 holds (enclosure narrow enough, free of 0, or spanning at most one
 integer).  Cells are nested and interval arithmetic is inclusion-isotone,
@@ -51,17 +52,14 @@ from . import polys
 MAX_REFINE_LEVEL = 100_000
 
 # _Cells bisects gaps of at most this many levels instead of jumping.  A
-# jump spends this many bits per Newton doubling on the polynomial's
-# curvature, allows this many one-cell moves before its proposal fails,
-# then this many more Newton steps at the final precision, seeds from
-# floats while the deepest cell is wider than 2^-48, and gives float Newton
-# this many steps.
+# jump seeds Newton with at least, and spends per Newton doubling on the
+# polynomial's curvature, this many bits; it allows this many one-cell
+# moves before its proposal fails, then this many more Newton steps at the
+# final precision.
 _BISECT_GAP = 8
 _NEWTON_GUARD = 8
 _CERTIFY_MOVES = 4
 _NEWTON_EXTRA = 8
-_FLOAT_BITS = 48
-_FLOAT_STEPS = 60
 
 _LOG2_5 = math.log2(5)
 
@@ -82,8 +80,12 @@ def _int_str(n: int) -> str:
     try:
         return str(n)
     except ValueError as exc:
-        raise SpecError("output holds an integer beyond Python's "
-                        f"{sys.get_int_max_str_digits()}-digit int-to-str limit") from exc
+        raise _str_limit_error() from exc
+
+
+def _str_limit_error() -> SpecError:
+    return SpecError("output holds an integer beyond Python's "
+                     f"{sys.get_int_max_str_digits()}-digit int-to-str limit")
 
 
 def format_rational(r: Fraction) -> str:
@@ -121,7 +123,8 @@ class _Cells:
     from there on every cell is the point (root, root).
 
     A deeper cell is reached by a jump: Newton's method on the squarefree
-    part proposes the index at the target level, and two exact signs at
+    part, in integer fixed point from the deepest cell's midpoint,
+    proposes the index at the target level, and two exact signs at
     the ends of the proposed cell certify it (the proposal moves by one
     cell until they do).  Bisection, one sign per level, covers short gaps;
     after a proposal that fails, even with more Newton steps, it covers a
@@ -167,17 +170,16 @@ class _Cells:
 
     def _jump(self, k: int) -> bool:
         """Move to level k, or to the root if it lies on the level-k grid,
-        by a certified Newton proposal; False, with nothing moved, when the
-        proposal fails to certify.  Next to a second root, Newton gains
-        fewer bits per step than the schedule budgets, so a failed proposal
-        takes up to _NEWTON_EXTRA more steps at the final precision, until
-        a correction is below a level-k cell, and is certified once more."""
+        by a certified Newton proposal started from the deepest cell's
+        midpoint; False, with nothing moved, when the proposal fails to
+        certify.  Next to a second root, or from a cell too wide for its
+        midpoint to be near the root, Newton gains fewer bits per step than
+        the schedule budgets, so a failed proposal takes up to _NEWTON_EXTRA
+        more steps at the final precision, until a correction is below a
+        level-k cell, and is certified once more."""
         sf, scale = self.sf, self.D.bit_length() - self.C.bit_length()
         # the level-k cell is ~2^-(k + scale) wide
-        seed = self._seed(k, scale)
-        if seed is None:
-            return True
-        x, q = seed
+        x, q = self._seed(scale)
         # Newton doubles the correct bits per step, up to a 2^-p error: an
         # eighth of the level-k cell
         p, steps = max(k + scale + 4, q), []
@@ -229,52 +231,14 @@ class _Cells:
                 s_hi = polys.sign_at(sf, (A << k) + (j + 1) * C, den)
         return False
 
-    def _seed(self, k: int, scale: int) -> tuple[int, int] | None:
-        """(x, q) with x / 2^q near the root: the float Newton root inside
-        the deepest cell while that cell is wider than about 2^-48, else the
-        cell's midpoint.  When floats cannot hold the polynomial or Newton
-        does not settle, bisection first narrows the cell to 2^-48; None if
-        that reaches level k or the root."""
-        if self.deep + scale < _FLOAT_BITS:
-            x = self._float_root()
-            if x is not None:
-                q = max(_FLOAT_BITS + 4 - math.frexp(x)[1], 0)
-                return int(math.ldexp(x, q)), q
-            self._bisect(min(k, _FLOAT_BITS - scale))
-            if self.deep >= k or self.root is not None:
-                return None
+    def _seed(self, scale: int) -> tuple[int, int]:
+        """(x, q) with x / 2^q the deepest cell's midpoint rounded down to a
+        multiple of 2^-q, for q = max(deep + scale + 1, _NEWTON_GUARD) bits:
+        about the cell's own precision, and never negative when the
+        isolating interval is wider than 1."""
         A, C, D, deep, j = self.A, self.C, self.D, self.deep, self.j
-        q = deep + scale + 1
+        q = max(deep + scale + 1, _NEWTON_GUARD)
         return (((A << deep + 1) + (2 * j + 1) * C) << q) // (D << deep + 1), q
-
-    def _float_root(self) -> float | None:
-        """The root in floats by Newton's method, falling back to halving
-        the bracket, inside the deepest cell; None on overflow or when 60
-        steps do not settle."""
-        A, C, D, deep, j = self.A, self.C, self.D, self.deep, self.j
-        try:
-            f = [float(c) for c in self.sf]
-            a, b = ((A << deep) + j * C) / (D << deep), ((A << deep) + (j + 1) * C) / (D << deep)
-        except OverflowError:
-            return None
-        x = (a + b) / 2
-        for _ in range(_FLOAT_STEPS):
-            v = dv = 0.0
-            for c in reversed(f):
-                dv, v = dv * x + v, v * x + c
-            if v == 0:
-                return x
-            step = v / dv if dv else math.inf
-            if abs(step) <= abs(x) * 2.0**-26:  # Newton squares the error: ~2^-52 left
-                return x - step
-            if (v > 0) == (self.sign_lo > 0):
-                a = x
-            else:
-                b = x
-            x -= step
-            if not a < x < b:  # outside the bracket, or nan
-                x = (a + b) / 2
-        return None
 
     def search(self, holds, jump: int, what: str) -> int:
         """Move to, and return, the first level >= the current one where
@@ -325,23 +289,17 @@ class Beta:
     def from_poly(cls, coeffs, lo, hi, chain: list[polys.IntPoly] | None = None) -> "Beta":
         """The root of ``coeffs`` (highest degree first) that (lo, hi)
         isolates.  ``chain``, when given, is the Sturm chain of the
-        polynomial as ``sturm_chain`` builds it, kept as ``sturm`` unless
-        roots at zero are stripped from the polynomial."""
-        coeffs = given = tuple(int(c) for c in coeffs)
+        polynomial as ``sturm_chain`` builds it, kept as ``sturm``."""
+        coeffs = tuple(int(c) for c in coeffs)
         while coeffs and coeffs[0] == 0:
             coeffs = coeffs[1:]
         if len(coeffs) < 2:
             raise SpecError("polynomial must have positive degree")
-        # roots at zero never describe a base > 1
-        while coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-            if len(coeffs) < 2:
-                raise SpecError("polynomial must have a root > 1")
         lo, hi = Fraction(lo), Fraction(hi)
         if not 1 < lo < hi:
             raise SpecError("isolating interval endpoints must be rationals > 1")
         beta = cls(kind="exact", coeffs=coeffs, iso=(lo, hi))
-        if chain is not None and coeffs[-1] == given[-1]:
+        if chain is not None:
             beta.__dict__["sturm"] = chain
         sf = beta.sf_poly
         if polys.sign_at(sf, lo) == 0 or polys.sign_at(sf, hi) == 0:
@@ -1079,19 +1037,30 @@ def point_decimal_str(x, digits: int = 15) -> str:
     """x truncated toward zero to ``digits`` decimals, trailing zeros dropped
     ("-0" for -10^-digits < x < 0): the exact floor of |x| 10^digits, so the
     digits depend on the value alone, never on how far its base was refined.
-    A zero field point is "0" without forming 10^digits."""
-    if isinstance(x, FieldPoint):
+    A rational x = p/q (a ``Fraction``, or a field point whose coordinates
+    past the first are 0) takes |p| 10^digits // q: "0" when p is 0, and
+    ``_int_str``'s SpecError before 10^digits is formed when bit lengths
+    show that the floor passes Python's int-to-str limit L: as
+    |p| / q > 2^(bits(p) - 1 - bits(q)), (digits - L) log2(10) >=
+    bits(q) - bits(p) + 1 puts |x| 10^digits above 10^L, so its floor has
+    more than L digits."""
+    if isinstance(x, FieldPoint) and any(x.num[1:]):
         _check_level_cap(x, digits)
-        if not any(x.num):
-            return "0"
         y = x * 10**digits
         n = math.floor(y)
         negative = n < 0
         if negative:
             n = math.floor(-y)
     else:
-        negative = x < 0
-        n = abs(x.numerator) * 10**digits // x.denominator
+        p, q = (x.num[0], x.den) if isinstance(x, FieldPoint) else (x.numerator, x.denominator)
+        if not p:
+            return "0"
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before Python 3.10.7
+        if limit and digits > limit and (digits - limit) * 3321928 // 10**6 >= \
+                q.bit_length() - abs(p).bit_length() + 1:  # log2(10) > 3.321928
+            raise _str_limit_error()
+        negative = p < 0
+        n = abs(p) * 10**digits // q
     s = _int_str(n).rjust(digits + 1, "0")
     ip, fp = s[:len(s) - digits], s[len(s) - digits:].rstrip("0")
     return ("-" if negative else "") + ip + ("." + fp if fp else "")
@@ -1101,16 +1070,17 @@ def _check_level_cap(x: FieldPoint, digits: int) -> None:
     """Raise PrecisionExhausted, before 10^digits is formed, when refinement
     to MAX_REFINE_LEVEL certainly leaves the floor of x 10^digits undecided.
     Checked only when 10^digits alone passes 2^MAX_REFINE_LEVEL, for a point
-    that is not rational on a base proved irreducible of degree >= 2 (so no
-    cell shrinks to beta).  A level-k cell is C / (D 2^k) wide and lies in
-    the current cell, where |x'| >= m / (s den) when the enclosure [a/s, b/s]
-    of den x' excludes 0; the enclosure of x 10^digits then spans at least
+    that is not rational (the caller's condition) on a base proved
+    irreducible of degree >= 2 (so no cell shrinks to beta).  A level-k
+    cell is C / (D 2^k) wide and lies in the current cell, where
+    |x'| >= m / (s den) when the enclosure [a/s, b/s] of den x' excludes 0;
+    the enclosure of x 10^digits then spans at least
     10^digits m C / (s den D 2^k), and at width 2 it holds two integers.
     The bound is compared by bit lengths, so no huge integer is built."""
     cap = MAX_REFINE_LEVEL
     bits = digits * 3321928 // 10**6  # 10^digits >= 2^bits, as log2(10) > 3.321928
     beta = x.beta
-    if bits <= cap or not any(x.num[1:]) or not beta.field_proved:
+    if bits <= cap or not beta.field_proved:
         return
     cells = beta._cells
     a, b, s = polys.int_eval_interval(polys.derivative(x.num), *cells.cell(cells.level))

@@ -247,6 +247,23 @@ def test_digits_far_past_the_level_cap_are_unresolved_within_a_second(capsys):
         assert "int-to-str limit" in capsys.readouterr().err
 
 
+def test_rational_points_past_the_int_to_str_limit_exit_within_a_second(capsys):
+    """An orbit whose first point is the rational 1 exits 2 at --digits 10^7
+    within 1 s: bit lengths show the rendering passes the int-to-str limit
+    before 10^digits is formed."""
+    import time
+
+    errs = []
+    for argv in (["orbit", "--beta", "pisot2:p=1,q=1"], ["orbit", "--beta", "dec:1.5", "--budget", "3"]):
+        t0 = time.perf_counter()
+        assert run(argv + ["--digits", "10000000"]) == 2
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0] == errs[1] and "int-to-str limit" in errs[0]
+
+
 _ONE_ARGV_PER_VERB = (
     ["expand", "--beta", "dec:1.5", "--n", "3"],
     ["orbit", "--beta", "pisot2:p=1,q=1"],

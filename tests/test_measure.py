@@ -15,7 +15,7 @@ from negabeta import (
 )
 from negabeta.errors import PrecisionExhausted
 from negabeta.measure import algebraic_equal, check_invariance
-from negabeta.numerics import point_decimal_str
+from negabeta.numerics import FieldPoint, point_decimal_str
 
 
 def test_density_golden(phi):
@@ -137,6 +137,46 @@ def test_density_at_runs_the_orbit_once(spec, count_calls):
     calls = count_calls(measure, "orbit_of_one")
     density_at(make_beta(spec), Fraction(1, 3))
     assert calls["orbit_of_one"] == 1
+
+
+@pytest.mark.parametrize("spec", ["pisot2:p=1,q=1", "dec:1.5", "dec:2.5", "dec:1.005",
+                                  "multinacci:q=1,m=3", "poly:[1,0,-1,-1]@(1.2,1.4)"])
+def test_density_at_counts_its_terms_exactly(spec, monkeypatch):
+    """The term count is the least m with lo^m >= 1 / (tol (1 - 1/lo)),
+    plus 2, for lo the left end of the base's cell narrower than 1/16 (at
+    least 1.01): the float formula's count wherever floats hold the bound,
+    and a count, not a division by zero, at tol = 10^-400, where the
+    golden ratio and dec:1.5 (whose orbit does not resolve) return a point."""
+    import math
+    from negabeta import measure
+
+    class Budget(Exception):
+        pass
+
+    def budget_of(beta, tol):
+        def stop(_beta, n):
+            raise Budget(n)
+
+        with monkeypatch.context() as m:
+            m.setattr(measure, "orbit_of_one", stop)
+            with pytest.raises(Budget) as exc:
+                density_at(beta, Fraction(1, 2), tol)
+        return exc.value.args[0]
+
+    beta = make_beta(spec)
+    lo = max(beta.refine(Fraction(1, 16))[0], Fraction(101, 100))
+    tols = [Fraction(c, 10**e) for e in range(1, 41) for c in (1, 3, 7)] + \
+        [Fraction(1, 2**e) for e in range(1, 140)] + [Fraction(1, 10**e) for e in range(41, 301, 10)]
+    for tol in tols:
+        bound = float(tol * (1 - 1 / lo))
+        expected = max(2, math.ceil(math.log(1 / bound) / math.log(float(lo))) + 2)
+        assert budget_of(beta, tol) == expected
+    tiny = Fraction(1, 10**400)
+    n = budget_of(beta, tiny)
+    assert lo ** (n - 2) * tiny * (1 - 1 / lo) >= 1 > lo ** (n - 3) * tiny * (1 - 1 / lo)
+    if spec in ("pisot2:p=1,q=1", "dec:1.5"):
+        point = density_at(make_beta(spec), Fraction(1, 2), tiny)
+        assert isinstance(point, (Fraction, FieldPoint))
 
 
 def test_measure_interval(phi, phi2):
@@ -321,8 +361,8 @@ def test_shift_path_agrees_with_the_general_path(bench_workloads, monkeypatch, c
     verdicts = [r.verdict for r in shifted[1]]
     assert verdicts.count("Coincide") == 29 and verdicts.count("Unresolved") == 19
     assert all(code == 0 for code, _out in shifted[0])
-    # only the integer bases whose beta + 1 loses a root at zero: x(x - 3), ...
-    assert calls["_charpoly"] == 6
+    # beta + 1 keeps a root at zero (x(x - 3), ...), so every pair is a shift
+    assert calls["_charpoly"] == 0
     monkeypatch.setattr(Beta, "shift_to", lambda self, other: None)
     assert run_all() == shifted
-    assert calls["_charpoly"] == 6 + 138
+    assert calls["_charpoly"] == 138

@@ -776,22 +776,25 @@ def test_cells_do_not_depend_on_the_newton_proposal(spec, monkeypatch):
     _cells_match_bisection(spec, 1000)
 
 
-@pytest.mark.parametrize("spec", CRITERION_BASES)
+@pytest.mark.parametrize("spec", CRITERION_BASES + [CELL_BASES[-2]],
+                         ids=lambda s: s if len(s) < 48 else s[:40] + "...")
 def test_deep_refinement_makes_few_exact_evaluations(spec, count_calls):
     """Refining to 10^-3000 (about 10,000 levels) costs a few jumps, not a
-    sign evaluation per level."""
+    sign evaluation per level.  Newton starts from the cell's midpoint in
+    integers, so coefficients no float holds (the ``CELL_BASES`` entry
+    with 10^400) need no bisection first: at most 16 evaluations."""
     beta = make_beta(spec)
     calls = count_calls(polys, "sign_at", "_horner")
     lo, hi = beta.refine(Fraction(1, 10**3000))
     assert 0 < hi - lo < Fraction(1, 10**3000)
-    assert 0 < calls.total() <= 64
+    assert 0 < calls.total() <= (16 if spec == CELL_BASES[-2] else 64)
 
 
 def test_failed_jumps_take_more_newton_steps_then_retry(count_calls):
     """Next to a second root 2^-122 away (the last ``CELL_BASES`` entry),
     Newton gains fewer bits than a jump budgets: more steps at the final
     precision certify the jump from level 200, and from a fresh base, whose
-    float seed cannot tell the two roots apart, a few doubling chunks of
+    midpoint seed cannot tell the two roots apart, a few doubling chunks of
     bisection reach a level where they do, instead of bisecting every level
     (3,007 and 2,807 signs before)."""
     fresh, deep = (make_beta(CELL_BASES[-1])._cells for _ in range(2))
@@ -982,6 +985,40 @@ def test_renderings_past_the_int_to_str_limit_raise_spec_error():
             render(big)
 
 
+def test_rational_renderings_meet_the_int_to_str_limit_exactly():
+    """A rational point, a Fraction or a field point with no beta-coordinate,
+    raises the int-to-str SpecError exactly when floor(|x| 10^digits) has
+    more digits than the limit L, whether bit lengths decide it before
+    10^digits is formed or str() meets it; a zero point renders as "0".
+    At --digits 10^7 the rendering raises at once."""
+    import sys
+    import time
+
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(20261019)
+    cubic = make_beta("multinacci:q=1,m=3")
+    cases = [(Fraction(rng.choice([1, -1]) * rng.randint(1, 10**rng.randint(0, 60)),
+                       rng.randint(1, 10**rng.randint(0, 60))), limit + rng.randint(-70, 40))
+             for _ in range(150)]
+    # floors of exactly L and L + 1 digits: 10^L - 1 and 10^L
+    cases += [(Fraction(10**limit + e, 10**(limit + t)), limit + t)
+              for t in range(1, 30) for e in (-1, 0)]
+    for x, digits in cases:
+        over = abs(x.numerator) * 10**digits // x.denominator >= 10**limit
+        for point in (x, cubic.point_from_rational(x)):
+            if over:
+                with pytest.raises(SpecError, match="int-to-str limit"):
+                    numerics.point_decimal_str(point, digits)
+            else:
+                assert numerics.point_decimal_str(point, digits)
+    for point in (Fraction(1), Fraction(-7, 3), Fraction(1, 10**50), cubic.one()):
+        t0 = time.perf_counter()
+        with pytest.raises(SpecError, match="int-to-str limit"):
+            numerics.point_decimal_str(point, 10**7)
+        assert time.perf_counter() - t0 < 0.1
+    assert numerics.point_decimal_str(cubic.point_from_rational(0), 10**7) == "0"
+
+
 def _sympy_int_poly(rng, x):
     """A seeded integer polynomial of degree <= 12 built by sympy: a product
     of random factors, some linear with a rational root, sometimes one
@@ -1104,7 +1141,7 @@ def test_plus_one_shifts_the_base_chain(bench_workloads, count_calls):
     content, so the shifted Sturm chain of f is the chain of f(x - 1): on
     the 20 CLI_BASES and 300 seeded products (repeated factors, negative
     and non-unit scalars).  plus_one builds beta + 1 from the shifted chain
-    with no pseudo-division, unless it strips a root at zero (f(-1) = 0)."""
+    with no pseudo-division, also when it has a root at zero (f(-1) = 0)."""
     rng = random.Random(20261020)
     fs = [make_beta(s).poly for s in bench_workloads.CLI_BASES]
     assert len(fs) == 20
@@ -1129,9 +1166,11 @@ def test_plus_one_shifts_the_base_chain(bench_workloads, count_calls):
     assert calls == {} and up.sturm is not chain
     assert up.sturm == polys.sturm_chain(up.poly)
     assert up == Beta.from_poly(up.coeffs, *up.iso)
-    # (x + 1)(x^2 - x - 1): beta + 1 strips the root at zero, then builds its chain
-    up = make_beta("poly:[1,0,-2,-1]@(1.5,2)").plus_one()
-    assert up.degree == 2 and up.sturm == polys.sturm_chain(up.poly)
+    # (x + 1)(x^2 - x - 1): beta + 1 keeps the root at zero and the shifted chain
+    beta = make_beta("poly:[1,0,-2,-1]@(1.5,2)")
+    calls.clear()
+    up = beta.plus_one()
+    assert calls == {} and up.degree == 3 and up.sturm == polys.sturm_chain(up.poly)
 
 
 def test_floor_settles_by_the_position_test(count_calls):
@@ -1368,11 +1407,11 @@ def test_shift_to_on_intervals_collapsed_to_a_root():
                  (make_beta("poly:[1,-5,6]@(1.5,2.5)"), four), (two, four)):
         assert a.shift_to(b) is None and b.shift_to(a) is None
         assert algebraic_equal(a.beta_point() + 2, b.beta_point())
-    # 2 from (x - 2)(x + 1): beta + 1 loses the root at zero of x(x - 3)
+    # 2 from (x - 2)(x + 1): beta + 1 keeps the root at zero of x(x - 3)
     two = collapsed("poly:[1,-1,-2]@(1.001,4)")
     three = two.plus_one()
-    assert three.coeffs == (1, -3)
-    assert two.shift_to(three) is None and three.shift_to(two) is None
+    assert three.coeffs == (1, -3, 0)
+    assert two.shift_to(three) == 1 and three.shift_to(two) == -1
     assert algebraic_equal(two.beta_point() + 1, three.beta_point())
 
 

@@ -98,8 +98,8 @@ def test_solved_roots_carry_their_sturm_chain(count_calls):
     """The chain _roots_above_one isolates with travels into the base:
     root_above_one and from_poly given it build no chain of their own, and
     a Beta equal to the one built without it, with the same squarefree part
-    and Sturm chain; also for a repeated factor.  from_poly does not keep
-    the chain of a polynomial whose root at zero it strips."""
+    and Sturm chain; also for a repeated factor, and for a polynomial with
+    a root at zero, which from_poly keeps with its chain."""
     from negabeta import polys
     from negabeta.numerics import Beta
     from negabeta.solver import _roots_above_one
@@ -125,9 +125,10 @@ def test_solved_roots_carry_their_sturm_chain(count_calls):
                 assert (beta.sf_poly, beta.sturm) == (without.sf_poly, without.sturm)
     assert len(gs[-1]) == 8 and len(_roots_above_one(gs[-1])[2]) == 2
     times_x = (0,) + plastic
-    beta = Beta.from_poly(tuple(reversed(times_x)), Fraction(6, 5), Fraction(7, 5),
-                          polys.sturm_chain(times_x))
-    assert beta.sturm == polys.sturm_chain(plastic)
+    chain = polys.sturm_chain(times_x)
+    calls.clear()
+    beta = Beta.from_poly(tuple(reversed(times_x)), Fraction(6, 5), Fraction(7, 5), chain)
+    assert not calls and beta.poly == times_x and beta.sturm is chain
 
 def test_beta_from_expansion_without_validity_test_rejects_by_re_expansion():
     """(21)^inf is not an expansion of 1; skipping the validity test, no
