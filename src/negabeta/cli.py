@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from gettext import gettext
 
 from .errors import NegabetaError, OrbitUnresolved, PrecisionExhausted, SpecError
 from .expansion import DEFAULT_BUDGET, EvPeriodic, expand, orbit_of_one
@@ -145,26 +146,45 @@ _VERBS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser; built once per process, as nothing in it depends on
-    the environment."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and each verb's subparser; built once per process, as
+    nothing in them depends on the environment."""
     parser = argparse.ArgumentParser(
         prog="negabeta",
         description="negative beta-expansions: digits, densities, automata, matching, solving",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    verbs = {}
     for verb, (help_text, handler, options) in _VERBS.items():
-        p = sub.add_parser(verb, help=help_text)
+        p = verbs[verb] = sub.add_parser(verb, help=help_text)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=handler)
-    return parser
+    return parser, verbs
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser."""
+    return _parsers()[0]
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` with one argparse pass when
+    argv[0] names a verb: the verb's subparser reads the rest, and what it
+    leaves is the top-level parser's error, as the nested pass reports it."""
+    parser, verbs = _parsers()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return parser.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:])
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

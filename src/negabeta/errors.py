@@ -11,7 +11,8 @@ class SpecError(NegabetaError, ValueError):
 
 class PrecisionExhausted(NegabetaError):
     """An exact-base decision needed refinement beyond the level cap
-    ``numerics.MAX_REFINE_LEVEL``."""
+    ``numerics.MAX_REFINE_LEVEL``, or a density sum more terms than the
+    term cap ``measure.MAX_DENSITY_TERMS``."""
 
 
 class OrbitUnresolved(NegabetaError):

@@ -26,6 +26,11 @@ from .numerics import Beta, FieldPoint, as_point, same_field
 from . import numerics, polys
 
 
+# density_at sums at most this many orbit terms: a base this close to 1,
+# or a tolerance this fine, raises PrecisionExhausted instead
+MAX_DENSITY_TERMS = 1 << 16
+
+
 @dataclass(frozen=True)
 class PiecewiseDensity:
     """Unnormalized invariant density: constant values on (x_i, x_{i+1}].
@@ -92,22 +97,25 @@ def _orbit_weights(beta: Beta, budget: int):
 def _weights(beta: Beta, rec):
     """Orbit points of 1 paired with their total series weight.
 
-    The n-th point has weight (-1/beta)^n.  In a resolved orbit, summing
+    The n-th point has weight w_n = (-1/beta)^n, each one companion
+    division (``over_beta``) from the last.  In a resolved orbit, summing
     over all iterates with a fixed eventually periodic index class
-    collapses to one geometric factor per class; a truncated orbit gives
-    the partial sum over its first ``budget`` points.
+    collapses to one geometric factor 1 / (1 - w_p) per class, p the
+    period: it is multiplied into the first periodic weight, and the
+    periodic weights after it are stepped from that one.  A truncated
+    orbit gives the partial sum over its first ``budget`` points.
     """
-    neg_inv = -1 / beta.beta_point()
+    ws = [as_point(beta, 1)]
     if rec.resolved:
-        k = rec.pre_len
-        cycle_scale = 1 / (1 - neg_inv**rec.period_len)
-    else:
-        k = rec.budget
-    pairs, w = [], as_point(beta, 1)
-    for n, x in enumerate(rec.points[:rec.budget]):
-        pairs.append((x, w if n < k else w * cycle_scale))
-        w = w * neg_inv
-    return pairs
+        k, p = rec.pre_len, rec.period_len
+        while len(ws) <= max(k, p):
+            ws.append(numerics.over_beta(beta, ws[-1], -1))
+        ws[k:] = [ws[k] / (1 - ws[p])]
+    w = ws[-1]
+    for _ in range(rec.budget - len(ws)):
+        w = numerics.over_beta(beta, w, -1)
+        ws.append(w)
+    return list(zip(rec.points[:rec.budget], ws))
 
 
 def density(beta: Beta, budget: int = DEFAULT_BUDGET) -> PiecewiseDensity:
@@ -151,7 +159,9 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
     otherwise a partial sum whose tail is below tol.
 
     Term comparisons are exact, so a point next to an orbit point, where
-    the indicator is discontinuous, gets the side it lies on.
+    the indicator is discontinuous, gets the side it lies on.  The term
+    count comes from the left end of a cell of beta; PrecisionExhausted
+    when it passes MAX_DENSITY_TERMS.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -160,22 +170,34 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
     if not 0 < x <= 1:
         raise SpecError("density is defined on (0, 1]")
     lo, _hi = beta.refine(Fraction(1, 16))
-    lo = max(lo, Fraction(101, 100))
     # past m terms the weights' tail is below lo^-m / (1 - 1/lo) <= tol
-    n_terms = _least_power_at_least(lo, 1 / (tol * (1 - 1 / lo))) + 2
+    m = _least_power_at_least(lo, 1 / (tol * (1 - 1 / lo)), MAX_DENSITY_TERMS - 2)
+    if m is None:
+        raise PrecisionExhausted(f"density_at needs more than {MAX_DENSITY_TERMS} terms "
+                                 "for this base and tolerance (the term cap MAX_DENSITY_TERMS)")
+    n_terms = m + 2
 
     pairs = _weights(beta, orbit_of_one(beta, n_terms))
     # the orbit point 1 is counted for every x in (0, 1], so the sum is a point
     return sum(w for pt, w in pairs if pt >= x)
 
 
-def _least_power_at_least(base: Fraction, r: Fraction) -> int:
-    """The least m >= 0 with base^m >= r, for base = a/b > 1 and r = p/q,
-    on integers: square a and b until (a/b)^(2^i) reaches r, then take the
-    largest m with a^m q < b^m p one bit at a time from the top."""
+def _least_power_at_least(base: Fraction, r: Fraction, cap: int) -> int | None:
+    """The least m >= 0 with base^m >= r, for base = a/b > 1 and r = p/q > 0,
+    or None when it exceeds ``cap``; on integers.  base^cap <= e^(cap h)
+    for h = base - 1, and ln r exceeds both 1 - 1/r and (2/3) L when
+    r > 2^L >= 1, so a cap that h cannot reach is found without forming
+    base^cap.  Otherwise square a and b until (a/b)^(2^i) reaches r, or
+    2^i reaches the cap, then take the largest m with a^m q < b^m p one
+    bit at a time from the top."""
     a, b, p, q = base.numerator, base.denominator, r.numerator, r.denominator
+    ell = p.bit_length() - q.bit_length() - 1
+    if cap * (a - b) * p < (p - q) * b or 3 * cap * (a - b) < 2 * ell * b:
+        return None
     powers = [(a, b)]
     while powers[-1][0] * q < powers[-1][1] * p:
+        if 1 << (len(powers) - 1) >= cap:
+            return None
         x, y = powers[-1]
         powers.append((x * x, y * y))
     m, x, y = 0, 1, 1
@@ -183,7 +205,8 @@ def _least_power_at_least(base: Fraction, r: Fraction) -> int:
         u, v = x * powers[i][0], y * powers[i][1]
         if u * q < v * p:
             m, x, y = m + (1 << i), u, v
-    return m + (x * q < y * p)
+    m += x * q < y * p
+    return m if m <= cap else None
 
 
 def measure_interval(d: PiecewiseDensity, a, b):

@@ -301,10 +301,12 @@ class Beta:
         beta = cls(kind="exact", coeffs=coeffs, iso=(lo, hi))
         if chain is not None:
             beta.__dict__["sturm"] = chain
-        sf = beta.sf_poly
-        if polys.sign_at(sf, lo) == 0 or polys.sign_at(sf, hi) == 0:
-            raise SpecError("isolating interval endpoints must not be roots")
-        if polys.count_roots(sf, lo, hi, beta.sturm) != 1:
+        chain = beta.sturm
+        try:
+            roots = polys.count_roots(chain[0], lo, hi, chain)
+        except ValueError:
+            raise SpecError("isolating interval endpoints must not be roots") from None
+        if roots != 1:
             raise SpecError("isolating interval must contain exactly one real root")
         return beta
 
@@ -370,8 +372,9 @@ class Beta:
 
     # -- internals ---------------------------------------------------------
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
+        # cached: read on every point operation, such as each orbit weight
         return self.kind == "exact"
 
     @cached_property
@@ -564,6 +567,11 @@ class Beta:
         lo, hi = other.iso
         return t if lo < self.beta_point() + t < hi else None
 
+    @cached_property
+    def _reciprocals(self) -> dict[int, Fraction]:
+        """e / beta of a decimal base for e = 1 and -1 (``over_beta``)."""
+        return {e: e / self.value for e in (1, -1)}
+
     def plus_one(self) -> "Beta":
         """The base beta + 1, exact when this base is exact."""
         if not self.is_exact:
@@ -744,6 +752,22 @@ class FieldPoint:
         rows, t = self.beta._power_table
         return FieldPoint._of(self.beta, tuple(c * t + top * r for c, r in zip(shifted, rows[0])),
                               self.den * t)
+
+    def over_beta(self, e: int = 1) -> "FieldPoint":
+        """e * self / beta for e = 1 or -1 as one companion step, the mirror
+        of ``times_beta``.  With f = f_0 + f_1 x + ... + f_d x^d and f_0 != 0,
+        x (f_1 + ... + f_d x^(d-1)) = -f_0 mod f, so (c_0, ..., c_(d-1))
+        over beta is (f_0 (c_1, ..., c_(d-1), 0) - c_0 (f_1, ..., f_d)) / f_0.
+        When f_0 = 0, x is no unit of Q[x]/(f), and the quotient is the
+        product by e / beta."""
+        c, f = self.num, self.beta.poly
+        if not f[0]:
+            return self * (e / self.beta.beta_point())
+        # over |f_0|, the sign of f_0 and e moved into the numerator
+        s = e if f[0] > 0 else -e
+        f0, c0 = s * f[0], s * c[0]
+        return FieldPoint._of(self.beta, tuple(f0 * a - c0 * b for a, b in zip(c[1:] + (0,), f[1:])),
+                              abs(f[0]) * self.den)
 
     def inverse(self) -> "FieldPoint":
         """Multiplicative inverse; raises ZeroDivisionError on zero.  One integer
@@ -989,6 +1013,14 @@ def times_beta(beta: Beta, x):
     if beta.is_exact:
         return as_point(beta, x).times_beta()
     return beta.value * x
+
+
+def over_beta(beta: Beta, x, e: int = 1):
+    """e * x / beta, for e = 1 or -1, in the base's point type; a rational
+    point is multiplied by the rational e / beta, made once per base."""
+    if beta.is_exact:
+        return as_point(beta, x).over_beta(e)
+    return x * beta._reciprocals[e]
 
 
 def as_point(beta: Beta, r):

@@ -160,29 +160,34 @@ def sturm_chain(p: Sequence[int]) -> list[IntPoly]:
 
 
 def _variations(chain: list[IntPoly], x) -> int:
-    signs = [s for s in (sign_at(g, x) for g in chain) if s]
+    """Sign changes of the chain at x, each element evaluated once;
+    ValueError when x is a root of the first."""
+    signs = [sign_at(g, x) for g in chain]
+    if not signs[0]:
+        raise ValueError("Sturm count requires nonzero endpoint values")
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots(p: Sequence[int], lo, hi, chain: list[IntPoly] | None = None) -> int:
     """Distinct real roots of ``p`` in the open interval (lo, hi), rationals.
 
-    Requires p(lo) != 0 and p(hi) != 0.
+    Requires p(lo) != 0 and p(hi) != 0; ValueError otherwise.
     """
     if lo >= hi:
         return 0
     if chain is None:
         chain = sturm_chain(p)
-    if sign_at(chain[0], lo) == 0 or sign_at(chain[0], hi) == 0:
-        raise ValueError("Sturm count requires nonzero endpoint values")
     return _variations(chain, lo) - _variations(chain, hi)
 
 
 def isolates(chain: list[IntPoly], lo, hi) -> bool:
     """Is (lo, hi) an isolating interval of the root set of ``chain[0]``:
     neither endpoint a root, and exactly one root inside?"""
-    f = chain[0]
-    return sign_at(f, lo) != 0 and sign_at(f, hi) != 0 and count_roots(f, lo, hi, chain) == 1
+    try:
+        return count_roots(chain[0], lo, hi, chain) == 1
+    except ValueError:
+        return False
 
 
 def root_upper_bound(p: Sequence[int]) -> Fraction:

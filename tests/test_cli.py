@@ -340,6 +340,53 @@ def test_each_verb_reads_every_option_it_declares(capsys):
     assert capsys.readouterr().out == ""
 
 
+def _nested_run(argv) -> int:
+    """run() as it was with the nested parse: the top-level parser first,
+    which hands the verb's arguments to its subparser."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        out = args.func(args)
+        print(out if getattr(args, "emit", None) == "dot" else cli._json_text(out))
+        return 0
+    except (negabeta.OrbitUnresolved, negabeta.PrecisionExhausted) as exc:
+        print(f"unresolved: {exc}", file=sys.stderr)
+        return 3
+    except negabeta.NegabetaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def test_one_parse_matches_the_nested_parse(capsys, count_calls):
+    """A verb's arguments go straight to its subparser, one argparse pass,
+    and what it leaves is reported by the top-level parser: exit code,
+    stdout and stderr equal the nested parse for each verb's argv as it
+    is, with an unknown option, with an extra positional, with -h, with
+    "--" and with an abbreviated option, and for -h, no verb and an
+    unknown verb."""
+    import argparse
+
+    argvs = [[], ["-h"], ["--help"], ["nosuchverb"], ["nosuchverb", "--beta", "dec:1.5"],
+             ["-h", "density"], ["--", "density"],
+             ["density", "--beta", "pisot2:p=1,q=1", "--dig", "3"],
+             ["density", "--beta", "pisot2:p=1,q=1", "--", "x"],
+             ["density", "--", "--beta", "pisot2:p=1,q=1"],
+             ["density", "--beta=pisot2:p=1,q=1", "--digits", "x"], ["density"]]
+    for argv in _ONE_ARGV_PER_VERB:
+        argvs += [argv, argv + ["--bogus", "1"], argv + ["extra"], argv[:1] + ["-h"]]
+    codes, passes = [], count_calls(argparse.ArgumentParser, "parse_known_args")
+    for argv in argvs:
+        before = passes["parse_known_args"]
+        got = run(list(argv)), *capsys.readouterr()
+        if argv and argv[0] in cli._VERBS:
+            assert passes["parse_known_args"] == before + 1, argv
+        assert got == (_nested_run(list(argv)), *capsys.readouterr()), argv
+        codes.append(got[0])
+    assert codes.count(2) == 30 and codes.count(0) == 26
+
+
 def test_decimal_floor_next_to_zero_is_exact(capsys):
     """1.5 * 10^-999999 has floor 0 and 1.5 (1 - 10^-999999) has floor 1,
     however close to an integer either lies."""

@@ -143,10 +143,11 @@ def test_density_at_runs_the_orbit_once(spec, count_calls):
                                   "multinacci:q=1,m=3", "poly:[1,0,-1,-1]@(1.2,1.4)"])
 def test_density_at_counts_its_terms_exactly(spec, monkeypatch):
     """The term count is the least m with lo^m >= 1 / (tol (1 - 1/lo)),
-    plus 2, for lo the left end of the base's cell narrower than 1/16 (at
-    least 1.01): the float formula's count wherever floats hold the bound,
-    and a count, not a division by zero, at tol = 10^-400, where the
-    golden ratio and dec:1.5 (whose orbit does not resolve) return a point."""
+    plus 2, for lo the left end of the base's cell narrower than 1/16: the
+    float formula's count wherever floats hold the bound, and a count, not
+    a division by zero, at tol = 10^-400, where the golden ratio and
+    dec:1.5 (whose orbit does not resolve) return a point.  A count past
+    the term cap raises PrecisionExhausted, which names the cap."""
     import math
     from negabeta import measure
 
@@ -159,24 +160,123 @@ def test_density_at_counts_its_terms_exactly(spec, monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(measure, "orbit_of_one", stop)
-            with pytest.raises(Budget) as exc:
+            try:
                 density_at(beta, Fraction(1, 2), tol)
-        return exc.value.args[0]
+            except Budget as exc:
+                return exc.args[0]
+            except PrecisionExhausted as exc:
+                assert "term cap MAX_DENSITY_TERMS" in str(exc) and "65536" in str(exc)
+                return None
+        raise AssertionError("density_at ran no orbit")
 
     beta = make_beta(spec)
-    lo = max(beta.refine(Fraction(1, 16))[0], Fraction(101, 100))
+    lo = beta.refine(Fraction(1, 16))[0]
     tols = [Fraction(c, 10**e) for e in range(1, 41) for c in (1, 3, 7)] + \
         [Fraction(1, 2**e) for e in range(1, 140)] + [Fraction(1, 10**e) for e in range(41, 301, 10)]
+    capped = 0
     for tol in tols:
         bound = float(tol * (1 - 1 / lo))
         expected = max(2, math.ceil(math.log(1 / bound) / math.log(float(lo))) + 2)
-        assert budget_of(beta, tol) == expected
+        got = budget_of(beta, tol)
+        assert got == (expected if expected <= measure.MAX_DENSITY_TERMS else None)
+        capped += got is None
+    assert capped == (16 if spec == "dec:1.005" else 0)
     tiny = Fraction(1, 10**400)
     n = budget_of(beta, tiny)
+    if spec == "dec:1.005":
+        assert n is None
+        return
     assert lo ** (n - 2) * tiny * (1 - 1 / lo) >= 1 > lo ** (n - 3) * tiny * (1 - 1 / lo)
     if spec in ("pisot2:p=1,q=1", "dec:1.5"):
         point = density_at(make_beta(spec), Fraction(1, 2), tiny)
         assert isinstance(point, (Fraction, FieldPoint))
+
+
+def test_density_at_meets_its_tolerance_next_to_one():
+    """dec:1.005 lies below 1.01, so its term count needs its own lower
+    bound: at tol 10^-3 the value is within tol of a 4,000-term sum whose
+    tail is below 10^-6, built on integers (points P / 200^k, weights
+    (-200)^k / 201^k).  A count from 1.01 misses by three times tol."""
+    tol, terms = Fraction(1, 1000), 4000
+    assert Fraction(200, 201) ** terms * 201 < Fraction(1, 10**6)
+    P, s, num = 1, 1, 0
+    for k in range(terms):
+        num = num * 201 + ((-200) ** k if 2 * P >= s else 0)
+        y, s = 201 * P, 200 * s
+        P = (y // s + 1) * s - y
+    reference = Fraction(num, 201 ** (terms - 1))
+    assert abs(density_at(make_beta("dec:1.005"), Fraction(1, 2), tol) - reference) < tol
+
+
+def test_density_at_term_cap_ends_promptly():
+    """Bases next to 1 need more terms than the cap: the count ends in
+    PrecisionExhausted naming the cap, without forming beta^cap."""
+    import time
+
+    for spec, tol in (("dec:1.0000001", Fraction(1, 10**12)), ("dec:1.00004", Fraction(1, 2)),
+                      ("dec:1.00000000000000000001", Fraction(1, 10**400))):
+        t0 = time.perf_counter()
+        with pytest.raises(PrecisionExhausted, match="term cap MAX_DENSITY_TERMS"):
+            density_at(make_beta(spec), Fraction(1, 2), tol)
+        assert time.perf_counter() - t0 < 0.5
+
+
+def _old_weights(beta, rec):
+    """The weight chain as products: -1/beta from inverse(), its p-th power
+    from __pow__, and one general product per weight."""
+    neg_inv = -1 / beta.beta_point()
+    k = rec.pre_len if rec.resolved else rec.budget
+    scale = 1 / (1 - neg_inv ** rec.period_len) if rec.resolved else None
+    pairs, w = [], beta.one()
+    for n, x in enumerate(rec.points[:rec.budget]):
+        pairs.append((x, w if n < k else w * scale))
+        w = w * neg_inv
+    return pairs
+
+
+def test_weights_equal_the_product_chain(bench_workloads):
+    """Weights by companion division equal, pair for pair and coordinate for
+    coordinate, the chain of general products, on resolved orbits of the
+    benchmark bases and their beta + 1, orbits truncated after 40 points,
+    a non-monic, a reducible and an f(0) = 0 base, and decimal bases."""
+    from negabeta.expansion import orbit_of_one
+    from negabeta.measure import _weights
+
+    def exact(w):
+        return (w.num, w.den) if isinstance(w, FieldPoint) else (w.numerator, w.denominator)
+
+    specs = list(bench_workloads.CLI_BASES) + ["poly:[2,-3,-1]@(1.5,2)", "poly:[1,-4,2,3]@(1.5,2.0)",
+                                               "poly:[1,-3,0]@(2.5,3.5)", "dec:1.5", "dec:2", "dec:2.5"]
+    bases = [make_beta(s) for s in specs]
+    bases += [b.plus_one() for b in bases]
+    kinds = set()
+    for beta in bases:
+        for budget in (40, 300):
+            rec = orbit_of_one(beta, budget)
+            kinds.add(rec.kind)
+            got, want = _weights(beta, rec), _old_weights(beta, rec)
+            assert len(got) == len(want) == rec.budget
+            assert [(x, exact(w)) for x, w in got] == [(x, exact(w)) for x, w in want]
+    assert kinds == {"periodic", "eventually-periodic", "truncated"}
+
+
+def test_weights_take_one_inverse_and_one_product(bench_workloads, count_calls):
+    """On a resolved orbit, the weights cost one inverse and one general
+    product, the geometric factor times the first periodic weight."""
+    from negabeta.expansion import orbit_of_one
+    from negabeta.measure import _weights
+
+    resolved = 0
+    for spec in bench_workloads.CLI_BASES:
+        beta = make_beta(spec)
+        for base in (beta, beta.plus_one()):
+            rec = orbit_of_one(base, 300)
+            if rec.resolved:
+                resolved += 1
+                calls = count_calls(FieldPoint, "inverse", "__mul__")
+                _weights(base, rec)
+                assert calls["inverse"] == 1 and calls["__mul__"] <= 1, spec
+    assert resolved >= 20
 
 
 def test_measure_interval(phi, phi2):

@@ -1548,8 +1548,8 @@ def test_beta_hash_is_cached_and_agrees_with_equality(count_calls):
     ("poly:[3,-1,-5,-2]@(1.5,2)", False), ("poly:[1,-4,2,3]@(1.5,2.0)", False),
     ("multinacci:q=1,m=4", False), ("poly:[1,-3,1,-1,1,-3,2]@(2.5,4)", False)])
 def test_field_points_are_reduced(spec, proved):
-    """Every point that +, -, *, /, **, times_beta, inverse, the coercion of
-    a point of beta + 1 and Beta.one build is a d-tuple of ints over a
+    """Every point that +, -, *, /, **, times_beta, over_beta, inverse, the
+    coercion of a point of beta + 1 and Beta.one build is a d-tuple of ints over a
     positive den with gcd(den, *num) = 1, on bases with and without a
     proof (monic and not, a negative leading coefficient, linear, and
     reducible f); the identities that hold on any base, and the sign of
@@ -1572,7 +1572,8 @@ def test_field_points_are_reduced(spec, proved):
         r = _random_rational(rng)
         z = reduced(rng.choice(pool))
         built = [x + y, x - y, x * y, y - x, x + r, r - x, x * r, -x, x ** 3, x.times_beta(),
-                 x * z, z + y, x + 2, 3 - x, x * 0, beta.beta_point() * (r or 1)]
+                 x.over_beta(), x.over_beta(-1), x * z, z + y, x + 2, 3 - x, x * 0,
+                 beta.beta_point() * (r or 1)]
         if r:
             built.append(x / r)
         if not y.is_zero():
@@ -1583,6 +1584,61 @@ def test_field_points_are_reduced(spec, proved):
         assert not x + Fraction(1, 10**30) == x and not (x + Fraction(1, 10**30) - x).is_zero()
         pool += [reduced(p) for p in built]
         assert all(p.is_zero() == (p.sign() == 0) == (p == 0) for p in built)
+
+
+def test_sturm_counts_evaluate_each_chain_element_once_per_endpoint(count_calls):
+    """A Sturm count evaluates every chain element once at each endpoint and
+    reads the endpoint test off the first: the golden ratio costs 2 signs
+    to push its left end above 1 and 3 per endpoint of its chain.  A root
+    at an endpoint and a count other than one keep their messages."""
+    calls = count_calls(polys, "sign_at")
+    make_beta("pisot2:p=1,q=1")
+    assert calls["sign_at"] == 8
+    with pytest.raises(SpecError, match="^isolating interval endpoints must not be roots$"):
+        make_beta("poly:[1,-3,2]@(2,3)")
+    with pytest.raises(SpecError, match="^isolating interval must contain exactly one real root$"):
+        make_beta("poly:[1,-1,-1]@(2,3)")
+    assert polys.isolates(polys.sturm_chain((-1, -1, 1)), Fraction(3, 2), 2)
+    assert not polys.isolates(polys.sturm_chain((2, -3, 1)), 2, 3)
+
+
+def test_over_beta_against_the_inverse(bench_workloads):
+    """x.over_beta() is x / beta: times beta it gives x back, and it is x
+    times beta.inverse(), which runs an extended remainder sequence and a
+    full product instead of the companion step; coordinates are compared
+    where f(0) != 0, since then x is a unit of Q[x]/(f) and x / beta has
+    one reduced representative.  Seeded points of the benchmark bases,
+    their beta + 1, the cell bases, a non-monic f, a reducible f and an f
+    with f(0) = 0; over_beta(-1) is the negated quotient, and a decimal
+    base divides by its rational value."""
+    from negabeta.numerics import FieldPoint
+
+    specs = list(bench_workloads.CLI_BASES)
+    specs += [make_beta(s).plus_one().spec_string() for s in bench_workloads.CLI_BASES]
+    specs += CELL_BASES + ["poly:[2,-3,-1]@(1.5,2)", "poly:[1,-4,2,3]@(1.5,2.0)",
+                           "poly:[1,-3,0]@(2.5,3.5)"]
+    rng = random.Random(47)
+    at_zero = 0
+    for spec in specs:
+        beta = make_beta(spec)
+        b, binv = beta.beta_point(), beta.beta_point().inverse()
+        points = [beta.one(), b] + [FieldPoint(beta, [_random_rational(rng, big) for _ in range(beta.degree)])
+                                    for big in (False, True, False)]
+        for x in points:
+            q = x.over_beta()
+            assert q * b == x and q == x * binv
+            assert x.over_beta(-1) == -q and numerics.over_beta(beta, x, -1) == -q
+            if beta.poly[0]:
+                assert (q.num, q.den) == ((x * binv).num, (x * binv).den)
+                assert ((q * b).num, (q * b).den) == (x.num, x.den)
+                assert (x.over_beta(-1).num, x.over_beta(-1).den) == ((-q).num, (-q).den)
+            else:
+                at_zero += 1
+    assert at_zero == 5
+    dec = make_beta("dec:1.5")
+    for r in (Fraction(1), Fraction(-7, 9), Fraction(2, 3) ** 40):
+        assert numerics.over_beta(dec, r) == r / Fraction(3, 2)
+        assert numerics.over_beta(dec, r, -1) == -r / Fraction(3, 2)
 
 
 QUADRATIC_SPECS = ("pisot2:p=1,q=1", "pisot2:p=3,q=5", "poly:[2,-3,-1]@(1.5,2)",
