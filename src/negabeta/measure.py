@@ -6,11 +6,13 @@ piecewise constant function whose interior breakpoints are the orbit of 1
 and its normalization constant are computed in closed form, exactly: the
 orbit points are certified distinct, so one sort orders the breakpoints
 and the values are suffix sums of the orbit weights.  Comparison of two
-densities is also exact.  Bases that differ by an integer, as beta and
-beta + 1 do, generate one field, so their points meet in it through a
-Taylor shift and one field equality decides; only points of fields that
-share no such shift take a characteristic polynomial, after enclosures
-have failed to tell them apart.
+densities is also exact, and reads its evidence in order: breakpoint
+counts, then sorted breakpoints, then normalized values, so a verdict
+settled by the counts builds no density.  Bases that differ by an
+integer, as beta and beta + 1 do, generate one field, so their points
+meet in it through a Taylor shift and one field equality decides; only
+points of fields that share no such shift take a characteristic
+polynomial, after enclosures have failed to tell them apart.
 """
 
 from __future__ import annotations
@@ -84,14 +86,19 @@ class PiecewiseDensity:
         return tuple(v * kinv for v in self.values)
 
 
-def _orbit_weights(beta: Beta, budget: int):
-    """The pairs of ``_weights`` for the orbit of 1, which must resolve."""
+def _resolved_orbit(beta: Beta, budget: int):
+    """The orbit record of 1, which must resolve."""
     rec = orbit_of_one(beta, budget)
     if not rec.resolved:
         raise OrbitUnresolved(
             f"orbit of 1 did not resolve within budget {budget}"
         )
-    return _weights(beta, rec)
+    return rec
+
+
+def _orbit_weights(beta: Beta, budget: int):
+    """The pairs of ``_weights`` for the orbit of 1, which must resolve."""
+    return _weights(beta, _resolved_orbit(beta, budget))
 
 
 def _weights(beta: Beta, rec):
@@ -128,8 +135,20 @@ def density(beta: Beta, budget: int = DEFAULT_BUDGET) -> PiecewiseDensity:
     largest: one sort puts them in breakpoint order, and the value at a
     breakpoint is the sum of the weights from it to the right.
     """
-    pairs = _orbit_weights(beta, budget)
-    ordered = sorted(pairs[1:], key=lambda pair: pair[0]) + pairs[:1]
+    rec = _resolved_orbit(beta, budget)
+    return _density_of(beta, rec, _breakpoint_order(rec))
+
+
+def _breakpoint_order(rec) -> list[int]:
+    """The indices of the orbit points other than 1, in increasing order of
+    the point: the interior breakpoints of the density."""
+    return sorted(range(1, len(rec.points)), key=rec.points.__getitem__)
+
+
+def _density_of(beta: Beta, rec, order: list[int]) -> PiecewiseDensity:
+    """``density`` from a resolved orbit record and its ``_breakpoint_order``."""
+    pairs = _weights(beta, rec)
+    ordered = [pairs[i] for i in order] + pairs[:1]
     bps = [as_point(beta, 0)] + [x for x, _w in ordered]
     values = list(accumulate(w for _x, w in reversed(ordered)))[::-1]
     # adjacent intervals never share a value: the density jumps at orbit points
@@ -161,7 +180,9 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
     Term comparisons are exact, so a point next to an orbit point, where
     the indicator is discontinuous, gets the side it lies on.  The term
     count comes from the left end of a cell of beta; PrecisionExhausted
-    when it passes MAX_DENSITY_TERMS.
+    when it passes MAX_DENSITY_TERMS.  A resolved orbit sums its folded
+    weights; a truncated one sums (-1/beta)^n over the selected points n
+    by Horner in -1/beta.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -177,9 +198,18 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
                                  "for this base and tolerance (the term cap MAX_DENSITY_TERMS)")
     n_terms = m + 2
 
-    pairs = _weights(beta, orbit_of_one(beta, n_terms))
-    # the orbit point 1 is counted for every x in (0, 1], so the sum is a point
-    return sum(w for pt, w in pairs if pt >= x)
+    rec = orbit_of_one(beta, n_terms)
+    if rec.resolved:
+        # the orbit point 1 is counted for every x in (0, 1], so the sum is a point
+        return sum(w for pt, w in _weights(beta, rec) if pt >= x)
+    # sum of (-1/beta)^n over the selected points, by Horner in -1/beta:
+    # one companion division and one integer added per term
+    acc = as_point(beta, 0)
+    for pt in reversed(rec.points[:rec.budget]):
+        acc = numerics.over_beta(beta, acc, -1)
+        if pt >= x:
+            acc = acc + 1
+    return acc
 
 
 def _least_power_at_least(base: Fraction, r: Fraction, cap: int) -> int | None:
@@ -350,27 +380,33 @@ def densities_coincide(
 ) -> CoincidenceReport:
     """Exact comparison of the two normalized invariant densities.
 
-    The verdict compares breakpoints and normalized values; the report
-    also carries the quadratic-pair prediction for when they should
-    coincide.
+    The evidence is read in order, each stage paying only for what its
+    verdict reads: the two orbits of 1 (Unresolved when one does not
+    resolve), their breakpoint counts, the sorted breakpoints, and only
+    when those agree the two densities, built from the same orbit records,
+    and their normalized values.  The report also carries the
+    quadratic-pair prediction for when they should coincide.
     """
     if algebraic_equal(beta1.beta_point(), beta2.beta_point()):
         raise SpecError("bases must differ")
     predicted = _quadratic_pair_prediction(beta1, beta2)
-    try:
-        d1 = density(beta1, budget)
-        d2 = density(beta2, budget)
-    except OrbitUnresolved:
-        return CoincidenceReport("Unresolved", predicted, "an orbit did not resolve")
-    in1, in2 = d1.interior_breakpoints, d2.interior_breakpoints
-    if len(in1) != len(in2):
+    recs = []
+    for beta in (beta1, beta2):
+        rec = orbit_of_one(beta, budget)
+        if not rec.resolved:
+            return CoincidenceReport("Unresolved", predicted, "an orbit did not resolve")
+        recs.append(rec)
+    rec1, rec2 = recs
+    n1, n2 = len(rec1.points) - 1, len(rec2.points) - 1
+    if n1 != n2:
         return CoincidenceReport(
-            "Differ", predicted,
-            f"breakpoint counts differ ({len(in1)} vs {len(in2)})",
+            "Differ", predicted, f"breakpoint counts differ ({n1} vs {n2})",
         )
-    for a, b in zip(in1, in2):
-        if not algebraic_equal(a, b):
+    order1, order2 = _breakpoint_order(rec1), _breakpoint_order(rec2)
+    for i, j in zip(order1, order2):
+        if not algebraic_equal(rec1.points[i], rec2.points[j]):
             return CoincidenceReport("Differ", predicted, "breakpoints differ")
+    d1, d2 = _density_of(beta1, rec1, order1), _density_of(beta2, rec2, order2)
     for a, b in zip(d1.normalized_values(), d2.normalized_values()):
         if not algebraic_equal(a, b):
             return CoincidenceReport("Differ", predicted, "normalized values differ")

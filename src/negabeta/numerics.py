@@ -105,12 +105,17 @@ def _format_ratio(num: int, den: int) -> str:
     # N >= 2^(bits(num) - 1 + m - a + 2 (m - b)) decides most cases before 5^b.
     fives = math.ceil((odd.bit_length() - 1) / _LOG2_5)  # 5^b has floor(b log2 5) + 1 bits
     m = max(twos, fives)
-    if abs(num).bit_length() - 1 + (m - twos) + 2 * (m - fives) <= 56 and odd == 5**fives \
-            and (abs(num) << (m - twos)) * 5 ** (m - fives) < 10**17:
-        text = repr(num / den)
-        t = Fraction(text)
-        if t.numerator == num and t.denominator == den:
-            return text
+    if abs(num).bit_length() - 1 + (m - twos) + 2 * (m - fives) <= 56 and odd == 5**fives:
+        n = (abs(num) << (m - twos)) * 5 ** (m - fives)
+        # a decimal of at most 15 significant digits (DBL_DIG) in the normal
+        # range, 10^-307 <= r < 10^14 here, is the repr of its nearest float
+        if n < 10**15 and m <= 307:
+            return repr(num / den)
+        if n < 10**17:
+            text = repr(num / den)
+            t = Fraction(text)
+            if t.numerator == num and t.denominator == den:
+                return text
     return f"{_int_str(num)}/{_int_str(den)}"
 
 

@@ -19,7 +19,7 @@ from .errors import (
     SolveError,
     SpecError,
 )
-from .expansion import DEFAULT_BUDGET, DigitWord, EvPeriodic, expand, pi_of_one
+from .expansion import DEFAULT_BUDGET, DigitWord, EvPeriodic, expand, pi_of_one, step
 from .numerics import Beta
 from .order import is_self_admissible, is_valid_expansion_of_one
 from . import polys
@@ -73,6 +73,22 @@ def _roots_above_one(g: polys.IntPoly) -> tuple[polys.IntPoly, list[polys.IntPol
     return g, chain, polys.isolate_roots(g, 1, bound, chain)
 
 
+def _expands_to(beta: Beta, seq: EvPeriodic) -> bool:
+    """Is seq the expansion of 1 in base beta?  Each orbit point of 1 is the
+    value of its digit tail, and seq is canonical (primitive period,
+    shortest preperiod), so it is exactly when the first a + p digits of 1
+    are seq's preperiod and period and the point after them is the one
+    after the first a.  Stops at the first wrong digit."""
+    x = start = beta.one()
+    for i, want in enumerate(seq.preperiod + seq.period, 1):
+        d, x = step(beta, x)
+        if d != want:
+            return False
+        if i == len(seq.preperiod):
+            start = x
+    return x == start
+
+
 def _root_expanding_to(g: polys.IntPoly, chain, intervals, seq: EvPeriodic) -> Beta | None:
     """The root above 1 of g (with Sturm chain ``chain``) whose expansion
     of 1 is seq, or None.
@@ -82,8 +98,7 @@ def _root_expanding_to(g: polys.IntPoly, chain, intervals, seq: EvPeriodic) -> B
     """
     for lo, hi in intervals:
         beta = Beta.root_above_one(g, lo, hi, chain)
-        pi = pi_of_one(beta, budget=seq.tail_count() + 16)
-        if pi.resolved and pi.sequence == seq:
+        if _expands_to(beta, seq):
             return beta
     return None
 

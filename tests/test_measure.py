@@ -192,6 +192,38 @@ def test_density_at_counts_its_terms_exactly(spec, monkeypatch):
         assert isinstance(point, (Fraction, FieldPoint))
 
 
+@pytest.mark.parametrize("spec", ["pisot2:p=1,q=1", "dec:1.5", "dec:2.5", "dec:1.005",
+                                  "multinacci:q=1,m=3", "poly:[1,0,-1,-1]@(1.2,1.4)",
+                                  "poly:[1,0,0,-5]@(1.7,1.72)", "poly:[1,0,0,0,-3]@(1.3,1.4)"])
+def test_density_at_horner_sum_equals_the_term_sum(spec, count_calls, monkeypatch):
+    """The value is the sum of the selected orbit weights term by term: a
+    truncated orbit (the decimal bases, and the cube root of 5 and fourth
+    root of 3, whose orbits of 1 do not resolve) sums them by Horner in
+    -1/beta without building the weights; a resolved one keeps its folded
+    weights."""
+    from negabeta import measure
+    from negabeta.expansion import orbit_of_one
+    from negabeta.measure import _weights
+
+    beta = make_beta(spec)
+    tols = [Fraction(1, 10**3)] if spec == "dec:1.005" else \
+        [Fraction(1, 2), Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**40)]
+    calls = count_calls(measure, "orbit_of_one", "_weights")
+    budgets = []
+    counted = measure.orbit_of_one
+    monkeypatch.setattr(measure, "orbit_of_one", lambda beta, n: budgets.append(n) or counted(beta, n))
+    for x in (Fraction(1, 2), Fraction(3, 7), Fraction(1)):
+        for tol in tols:
+            calls.clear()
+            budgets.clear()
+            got = density_at(beta, x, tol)
+            rec = orbit_of_one(beta, budgets[0])
+            assert calls["orbit_of_one"] == 1 and calls["_weights"] == rec.resolved
+            assert got == sum(w for pt, w in _weights(beta, rec) if pt >= x)
+    assert rec.resolved == (spec in ("pisot2:p=1,q=1", "multinacci:q=1,m=3",
+                                     "poly:[1,0,-1,-1]@(1.2,1.4)"))
+
+
 def test_density_at_meets_its_tolerance_next_to_one():
     """dec:1.005 lies below 1.01, so its term count needs its own lower
     bound: at tol 10^-3 the value is within tol of a 4,000-term sum whose
@@ -341,6 +373,82 @@ def test_non_pairs_differ(phi, tribonacci):
     assert report.predicted is False
     report = densities_coincide(phi, make_beta("dec:2.5"), budget=300)
     assert report.verdict == "Unresolved"
+
+
+def _full_order_report(beta1, beta2, budget):
+    """densities_coincide in its old order: both densities first, then the
+    breakpoint counts, the breakpoints and the normalized values."""
+    from negabeta.measure import CoincidenceReport, _quadratic_pair_prediction
+
+    if algebraic_equal(beta1.beta_point(), beta2.beta_point()):
+        raise AssertionError("bases must differ")
+    predicted = _quadratic_pair_prediction(beta1, beta2)
+    try:
+        d1 = density(beta1, budget)
+        d2 = density(beta2, budget)
+    except OrbitUnresolved:
+        return CoincidenceReport("Unresolved", predicted, "an orbit did not resolve")
+    in1, in2 = d1.interior_breakpoints, d2.interior_breakpoints
+    if len(in1) != len(in2):
+        return CoincidenceReport("Differ", predicted,
+                                 f"breakpoint counts differ ({len(in1)} vs {len(in2)})")
+    for a, b in zip(in1, in2):
+        if not algebraic_equal(a, b):
+            return CoincidenceReport("Differ", predicted, "breakpoints differ")
+    for a, b in zip(d1.normalized_values(), d2.normalized_values()):
+        if not algebraic_equal(a, b):
+            return CoincidenceReport("Differ", predicted, "normalized values differ")
+    return CoincidenceReport("Coincide", predicted, "breakpoints and values agree")
+
+
+def test_staged_verdicts_equal_the_full_order(bench_workloads):
+    """Reading the evidence in order (orbits, counts, sorted breakpoints,
+    then the densities) gives the report of building both densities first:
+    on the corpus measure-compare argvs, on x^2 - qx - p (p <= 8, q <= 6)
+    and the 20 benchmark bases against beta + 1 at budget 400, and on the
+    golden ratio against tribonacci and dec:2.5 at budget 300."""
+    from negabeta.expansion import DEFAULT_BUDGET
+    from negabeta.numerics import Beta
+
+    argvs = [a for a in bench_workloads.CLI_HEAVY if a[0] == "measure-compare"]
+    assert len(argvs) == 11
+    cases = [(make_beta(a[2]), make_beta(a[4]) if len(a) > 3 else make_beta(a[2]).plus_one(),
+              DEFAULT_BUDGET) for a in argvs]
+    bases = [Beta.root_above_one((-p, -q, 1), q, q + p) for q in range(1, 7) for p in range(1, 9)]
+    bases += [make_beta(spec) for spec in bench_workloads.CLI_BASES]
+    cases += [(b, b.plus_one(), 400) for b in bases]
+    phi = make_beta("pisot2:p=1,q=1")
+    cases += [(phi, make_beta("multinacci:q=1,m=3"), 300), (phi, make_beta("dec:2.5"), 300)]
+    details = set()
+    for beta1, beta2, budget in cases:
+        staged = densities_coincide(beta1, beta2, budget)
+        assert staged == _full_order_report(beta1, beta2, budget)
+        details.add(staged.detail.split(" (")[0])
+    assert details == {"an orbit did not resolve", "breakpoint counts differ",
+                       "breakpoints differ", "breakpoints and values agree"}
+
+
+@pytest.mark.parametrize("spec1,spec2,detail,weights", [
+    ("multinacci:q=1,m=3", None, "breakpoint counts differ (2 vs 4)", 0),
+    ("pisot2:p=1,q=2", "pisot2:p=2,q=2", "breakpoints differ", 0),
+    ("pisot2:p=1,q=1", None, "breakpoints and values agree", 2),
+])
+def test_staged_verdict_builds_only_the_evidence_it_reads(spec1, spec2, detail, weights,
+                                                          count_calls):
+    """A verdict settled by the breakpoint counts runs one orbit per base and
+    no weights and no inverse; one settled by the breakpoints runs no
+    weights; a coincidence still runs exactly the two orbits."""
+    from negabeta import measure
+
+    beta1 = make_beta(spec1)
+    beta2 = make_beta(spec2) if spec2 else beta1.plus_one()
+    calls = count_calls(measure, "orbit_of_one", "_weights")
+    inverses = count_calls(FieldPoint, "inverse")
+    report = densities_coincide(beta1, beta2)
+    assert report.detail == detail
+    assert calls["orbit_of_one"] == 2 and calls["_weights"] == weights
+    if detail.startswith("breakpoint counts"):
+        assert inverses["inverse"] == 0
 
 
 def test_same_base_rejected(phi):

@@ -975,6 +975,30 @@ def test_format_rational_matches_reference():
         assert numerics.format_rational(r) == _format_rational_oracle(r)
 
 
+def test_format_ratio_short_decimals_match_the_round_trip(count_calls):
+    """A decimal N / 10^m with N < 10^15 and m <= 307 renders as the float
+    repr without the Fraction round trip, and every rendering equals the
+    round-trip oracle: seeded num / (2^a 5^b), and N = 10^15 - 1, 10^15
+    (which reduces to N = 1), 10^15 + 1 and 10^17 - 1 at m = 307, 308,
+    323 and 324 and their neighbours."""
+    rng = random.Random(53)
+    cases = [Fraction(sign * n, 10**m)
+             for n in (1, 7, 10**15 - 1, 10**15, 10**15 + 1, 10**16 + 3, 10**17 - 1, 10**17 + 1)
+             for m in (1, 15, 17, 306, 307, 308, 309, 322, 323, 324, 325) for sign in (1, -1)]
+    for _ in range(4000):
+        a, b = rng.randint(0, 340), rng.randint(0, 340)
+        num = rng.randint(1, 10 ** rng.randint(1, 19)) * rng.choice((1, -1))
+        cases.append(Fraction(num, 2**a * 5**b))
+    for r in cases:
+        assert numerics.format_rational(r) == _format_rational_oracle(r), r
+    calls = count_calls(numerics, "Fraction")
+    assert numerics.format_rational(Fraction(-(10**15 - 1), 10**307)) == "-9.99999999999999e-293"
+    assert numerics.format_rational(Fraction(3, 8)) == "0.375"
+    assert not calls
+    assert numerics.format_rational(Fraction(10**15 + 1, 10**16)) == "0.1000000000000001"
+    assert calls["Fraction"] == 1
+
+
 def test_renderings_past_the_int_to_str_limit_raise_spec_error():
     """A rational or decimal rendering past Python's int-to-str limit raises
     SpecError (exit 2 in the CLI), as ``orbit --beta dec:1.7`` reaches at

@@ -137,6 +137,52 @@ def test_beta_from_expansion_without_validity_test_rejects_by_re_expansion():
         beta_from_expansion(E((), (2, 1)), require_valid=False)
 
 
+def _orbit_root_expanding_to(g, chain, intervals, seq):
+    """The root check by the orbit of 1: the root whose orbit resolves
+    within tail_count + 16 steps to seq."""
+    from negabeta.numerics import Beta
+
+    for lo, hi in intervals:
+        beta = Beta.root_above_one(g, lo, hi, chain)
+        pi = pi_of_one(beta, budget=seq.tail_count() + 16)
+        if pi.resolved and pi.sequence == seq:
+            return beta
+    return None
+
+
+def test_digit_check_finds_the_root_of_the_orbit_check(bench_workloads, monkeypatch, count_calls):
+    """Checking a candidate root by seq's a + p digits and one point
+    equality picks the base the orbit check picks, or None, without
+    bucketing a point: on every candidate of the corpus approx requests,
+    the solve targets and the invalid corpus sequences."""
+    from negabeta import numerics, solver
+    from negabeta.solver import _roots_above_one
+
+    searches = []
+    search = solver._root_expanding_to
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_root_expanding_to", lambda *args: searches.append(args) or search(*args))
+        for argv in bench_workloads.CLI_HEAVY:
+            if argv[0] == "approx":
+                approximate_simple_numbers(make_beta(argv[2]), int(argv[4]))
+    assert len(searches) == 17
+    targets = [argv[2] for argv in bench_workloads.CLI_SLICES["solve"][1]]
+    for text in dict.fromkeys(targets + list(bench_workloads._BAD_SEQS)):
+        seq = E.parse(text)
+        searches.append((*_roots_above_one(value_equation_poly(seq)), seq))
+    calls = count_calls(numerics, "point_scaled_floor")
+    found = bucketed = 0
+    for args in searches:
+        calls.clear()
+        got = search(*args)
+        assert not calls
+        want = _orbit_root_expanding_to(*args)
+        bucketed += calls["point_scaled_floor"]
+        assert (got is None) == (want is None) and got == want, str(args[-1])
+        found += got is not None
+    assert (found, len(searches)) == (27, 33) and bucketed > 0
+
+
 def test_canonicalize():
     assert canonicalize_expansion_candidate(E((), (2, 1, 1, 1))) == E((), (2, 1, 2))
     assert canonicalize_expansion_candidate(E((), (2, 1))) == E((), (3,))
