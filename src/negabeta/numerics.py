@@ -7,9 +7,10 @@ isolating interval containing exactly one of its real roots) or *decimal*
 integers u, t, v, and every sign, floor, comparison and equality is
 decided on integers by square roots, with no refinement.  On any other
 exact base each is one position test, the sign of x - n/d read off x's
-enclosures, certified by refinement plus one zero test through the gcd
-inverses use.  Refinement narrows the isolating interval to dyadic cells
-held as integers (the level-k cell is lo + [j, j+1] (hi - lo)/2^k):
+enclosures, certified by refinement plus, only when a few more levels do
+not separate x from n/d, one zero test through the gcd inverses use.
+Refinement narrows the isolating interval to dyadic cells held as
+integers (the level-k cell is lo + [j, j+1] (hi - lo)/2^k):
 Newton's method, in integer fixed point from the deepest cell's midpoint,
 proposes the level-k cell, two exact signs of the squarefree part at its
 ends certify it, and short gaps are bisected one sign per level; no
@@ -60,6 +61,14 @@ _BISECT_GAP = 8
 _NEWTON_GUARD = 8
 _CERTIFY_MOVES = 4
 _NEWTON_EXTRA = 8
+
+# a position test refines an enclosure holding n/d at most this many levels
+# before it pays for the gcd zero test (FieldPoint._side)
+_SIDE_EXTRA = 8
+
+# an early int-to-str failure needs the floor's level this far below
+# MAX_REFINE_LEVEL (_check_str_limit)
+_STR_GUARD = 64
 
 _LOG2_5 = math.log2(5)
 
@@ -245,20 +254,25 @@ class _Cells:
         q = max(deep + scale + 1, _NEWTON_GUARD)
         return (((A << deep + 1) + (2 * j + 1) * C) << q) // (D << deep + 1), q
 
-    def search(self, holds, jump: int, what: str) -> int:
+    def search(self, holds, jump: int, what: str, cap: int | None = None) -> int | None:
         """Move to, and return, the first level >= the current one where
         ``holds`` is true, starting ``jump`` levels ahead.  ``holds`` is
         monotone in the level, as any test on nested cells (or enclosures
-        over them) is, so this is where a loop of single steps stops."""
-        lo, cap = self.level, MAX_REFINE_LEVEL
+        over them) is, so this is where a loop of single steps stops.
+        Past MAX_REFINE_LEVEL this raises PrecisionExhausted; given a
+        ``cap`` (clamped at MAX_REFINE_LEVEL), it returns None instead when
+        ``holds`` is false at the cap, and the current level stays."""
+        lo, top = self.level, MAX_REFINE_LEVEL if cap is None else min(cap, MAX_REFINE_LEVEL)
         if holds(lo):
             return lo
-        hi, step = min(lo + max(jump, 1), cap), 1
+        hi, step = min(lo + max(jump, 1), top), 1
         while not holds(hi):  # gallop up; holds(lo) is false
-            if hi >= cap:
-                raise PrecisionExhausted(f"{what} not reached by refinement level {cap} "
+            if hi >= top:
+                if cap is not None:
+                    return None
+                raise PrecisionExhausted(f"{what} not reached by refinement level {top} "
                                          "(the level cap MAX_REFINE_LEVEL)")
-            lo, hi, step = hi, min(hi + step, cap), 2 * step
+            lo, hi, step = hi, min(hi + step, top), 2 * step
         step = 1
         while hi - lo > 1:  # bisect, probing next to hi first
             probe = max(hi - step, (lo + hi) // 2)
@@ -819,11 +833,13 @@ class FieldPoint:
         g = polys.cofactor_gcd(c, self.beta.poly)[0] if len(c) > 1 else c
         return not c or self.beta._is_root_of(g)
 
-    def _search(self, holds, width: tuple[int, int] | None, what: str) -> tuple[int, int, int]:
+    def _search(self, holds, width: tuple[int, int] | None, what: str,
+                cap: int | None = None) -> tuple[int, int, int] | None:
         """The enclosure [a/s, b/s] of this point, as (a, b, s), at the first
         level >= the current one where holds(a, b, s); the search starts
         where halving the current enclosure each level passes the width
-        wn / wd given as ``width`` = (wn, wd)."""
+        wn / wd given as ``width`` = (wn, wd).  None when holds is false at
+        level ``cap`` (``_Cells.search``)."""
         ints, d, cells, memo = polys.trimmed(self.num), self.den, self.beta._cells, {}
 
         def enclosure(k):
@@ -836,7 +852,8 @@ class FieldPoint:
         if width is not None:
             a, b, s = enclosure(cells.level)
             jump = ((b - a) * width[1]).bit_length() - (s * width[0]).bit_length()
-        return enclosure(cells.search(lambda k: holds(*enclosure(k)), jump, what))
+        level = cells.search(lambda k: holds(*enclosure(k)), jump, what, cap)
+        return None if level is None else enclosure(level)
 
     def _surd(self) -> tuple[int, int, int, int] | None:
         """(u, t, v, D) with this point (u + t sqrt(D)) / v and v > 0 on a
@@ -853,8 +870,12 @@ class FieldPoint:
         squares.  Otherwise it is read off this point's enclosures: scaled
         and shifted, they are those of the folded point d den (self - n/d),
         so the test stops at that point's level.  An enclosure holding n/d
-        costs one gcd zero test of the folded point, then refinement until
-        one excludes n/d (or None, with ``refine`` false)."""
+        is refined first, at most _SIDE_EXTRA levels, until one excludes
+        n/d: a point near n/d but not on it almost always separates there.
+        Only when none does, the gcd zero test of the folded point runs (0
+        when it holds), then refinement until an enclosure excludes n/d.
+        With ``refine`` false (``__eq__``) the zero test runs at once, and
+        None stands for a nonzero difference."""
         surd = self._surd()
         if surd is not None:
             u, t, v, D = surd
@@ -863,14 +884,15 @@ class FieldPoint:
         def apart(a, b, s):
             return d * a > n * s or d * b < n * s
 
-        a, b, s = self._search(lambda *_: True, None, "")
-        if not apart(a, b, s):
+        near = self._search(apart, None, "", self.beta._cells.level + (_SIDE_EXTRA if refine else 0))
+        if near is None:
             num = self.num if d == 1 else tuple(c * d for c in self.num)
             if FieldPoint._new(self.beta, (num[0] - n * self.den,) + num[1:], 1).is_zero():
                 return 0
             if not refine:
                 return None
-            a, b, s = self._search(apart, None, "sign of a field point")
+            near = self._search(apart, None, "sign of a field point")
+        a, b, s = near
         return 1 if d * a > n * s else -1
 
     def sign(self) -> int:
@@ -928,7 +950,8 @@ class FieldPoint:
     def __floor__(self) -> int:
         """Exact floor: on a quadratic base by integer square roots
         (``_surd_floor``); otherwise refine until at most one integer m is
-        left in the enclosure, then settle it by the position test against m."""
+        left in the enclosure, then settle it by the position test against
+        m, which refines past m before any zero test (``_side``)."""
         surd = self._surd()
         if surd is not None:
             return _surd_floor(*surd)
@@ -1077,12 +1100,12 @@ def point_decimal_str(x, digits: int = 15) -> str:
     A rational x = p/q (a ``Fraction``, or a field point whose coordinates
     past the first are 0) takes |p| 10^digits // q: "0" when p is 0, and
     ``_int_str``'s SpecError before 10^digits is formed when bit lengths
-    show that the floor passes Python's int-to-str limit L: as
-    |p| / q > 2^(bits(p) - 1 - bits(q)), (digits - L) log2(10) >=
-    bits(q) - bits(p) + 1 puts |x| 10^digits above 10^L, so its floor has
-    more than L digits."""
+    show that the floor passes Python's int-to-str limit
+    (``_str_excess_bits``).  Any other point raises it as early from its
+    current enclosure (``_check_str_limit``), after ``_check_level_cap``."""
     if isinstance(x, FieldPoint) and any(x.num[1:]):
         _check_level_cap(x, digits)
+        _check_str_limit(x, digits)
         y = x * 10**digits
         n = math.floor(y)
         negative = n < 0
@@ -1092,9 +1115,8 @@ def point_decimal_str(x, digits: int = 15) -> str:
         p, q = (x.num[0], x.den) if isinstance(x, FieldPoint) else (x.numerator, x.denominator)
         if not p:
             return "0"
-        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before Python 3.10.7
-        if limit and digits > limit and (digits - limit) * 3321928 // 10**6 >= \
-                q.bit_length() - abs(p).bit_length() + 1:  # log2(10) > 3.321928
+        excess = _str_excess_bits(digits)
+        if excess is not None and excess >= q.bit_length() - abs(p).bit_length() + 1:
             raise _str_limit_error()
         negative = p < 0
         n = abs(p) * 10**digits // q
@@ -1126,6 +1148,48 @@ def _check_level_cap(x: FieldPoint, digits: int) -> None:
             cap + cells.D.bit_length() + (s * x.den).bit_length():
         raise PrecisionExhausted(f"floor of a field point not reached by refinement level {cap} "
                                  "(the level cap MAX_REFINE_LEVEL)")
+
+
+def _str_excess_bits(digits: int) -> int | None:
+    """A lower bound on (digits - L) log2(10) for Python's int-to-str limit
+    L; None when there is no limit or digits <= L.  For p, q > 0 the bound
+    at least bits(q) - bits(p) + 1 puts p/q 10^digits above 10^L, as
+    p/q > 2^(bits(p) - 1 - bits(q)), so its floor has more than L digits."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before Python 3.10.7
+    if limit and digits > limit:
+        return (digits - limit) * 3321928 // 10**6  # log2(10) > 3.321928
+    return None
+
+
+def _check_str_limit(x: FieldPoint, digits: int) -> None:
+    """Raise ``_str_limit_error()``, before 10^digits is formed or beta is
+    refined, when the current enclosure [a/s, b/s] of den x excludes 0 and
+    |x| >= m / (s den), for m = a or -b, shows by ``_str_excess_bits`` that
+    floor(|x| 10^digits) passes the int-to-str limit.  Off a quadratic
+    base, only when the floor certainly needs no level within _STR_GUARD
+    levels of MAX_REFINE_LEVEL, where PrecisionExhausted could come first:
+    over a cell [l, h] of width w, with R = max(|l|, |h|), the interval
+    Horner enclosure of den x, sum_i c_i x^i, is at most
+    w sum_i i |c_i| R^(i-1) wide, and the floor's search stops by the level
+    k where the cell width C / (D 2^k) times that sum times 10^digits / den
+    drops below 1."""
+    excess = _str_excess_bits(digits)
+    if excess is None:
+        return
+    cells = x.beta._cells
+    l, h, w = cells.cell(cells.level)
+    a, b, s = polys.int_eval_interval(x.num, l, h, w)
+    m = a if a > 0 else -b if b < 0 else 0
+    if not m or excess < (s * x.den).bit_length() - m.bit_length() + 1:
+        return
+    if x._surd() is None:
+        r = max(abs(l), abs(h)) // w + 1  # R <= r
+        lip = sum(i * abs(c) for i, c in enumerate(x.num))
+        k = digits * 3321929 // 10**6 + 1 + cells.C.bit_length() + lip.bit_length() \
+            + (len(x.num) - 2) * r.bit_length() - x.den.bit_length() - cells.D.bit_length() + 2
+        if max(k, cells.level) + _STR_GUARD > MAX_REFINE_LEVEL:
+            return
+    raise _str_limit_error()
 
 
 def point_json(x, digits: int) -> dict:

@@ -1782,3 +1782,163 @@ def test_rendering_level_cap_check_is_sound(spec, monkeypatch):
             if raises(lambda: math.floor(x * 10**digits)):
                 failed.append(digits)
         assert set(fired) <= set(failed) and fired and fired[0] <= failed[0] + 3
+
+
+def _solved_quintic():
+    """The first root of degree >= 5 that approx solves from the tribonacci
+    number: a base whose polynomial is not proved irreducible."""
+    from negabeta.solver import approximate_simple_numbers
+
+    results = approximate_simple_numbers(make_beta("multinacci:q=1,m=3"), 6)
+    return next(r.beta_n for r in results if r.beta_n is not None and r.beta_n.degree >= 5)
+
+
+@pytest.mark.parametrize("spec", ["multinacci:q=1,m=4", "poly:[1,-2,1,-2,1]@(1.5,2)", "solved"])
+def test_straddles_need_no_gcd(spec, count_calls):
+    """On bases not proved irreducible, a point near an integer n whose
+    enclosure holds n is settled by refinement alone: math.floor, sign and
+    compare agree with sympy and run no gcd zero test.  Each seeded point
+    is n + e (beta^j - r) on a fresh base refined to 2^-12, with r moved
+    2^-1 .. 2^-5 of the enclosure of beta^j from its value toward the
+    enclosure's middle, so that the enclosure of the point holds n."""
+    import sympy
+
+    spec = _solved_quintic().spec_string() if spec == "solved" else spec
+    beta, rng = make_beta(spec), random.Random(spec)
+    assert not beta.field_proved and beta._surd is None
+    lo, hi = beta.iso
+    (root,) = [r for r in sympy.Poly(beta.coeffs, sympy.Symbol("x")).real_roots() if lo < r < hi]
+    root = sympy.N(root, 80)
+
+    def oracle_floor(v):
+        f = int(sympy.floor(v))
+        assert min(v - f, f + 1 - v) > sympy.Rational(1, 10**60)
+        return f
+
+    straddles = 0
+    for _ in range(16):
+        beta = make_beta(spec)
+        beta.refine(Fraction(1, 2**12))
+        n, e, j, k = rng.choice([-2, 0, 1, 3]), rng.choice([1, -1]), rng.randint(1, 3), rng.randint(1, 5)
+        power = beta.beta_point() ** j
+        a, b, s = power._search(lambda *_: True, None, "")
+        v = root**j
+        toward = 1 if v < sympy.Rational(a + b, 2 * s) else -1
+        r = Fraction(int(sympy.floor((v + toward * sympy.Rational(b - a, s * 2**k)) * 2**300)), 2**300)
+        x = n + e * (power - r)
+        value = n + e * (v - sympy.Rational(r.numerator, r.denominator))
+        xa, xb, xs = x._search(lambda *_: True, None, "")
+        straddles += xa <= n * xs <= xb
+        calls = count_calls(polys, "cofactor_gcd")
+        f = oracle_floor(value)
+        assert math.floor(x) == f
+        assert x.compare(n) == (1 if value > n else -1)
+        assert (x - n).sign() == x.compare(n)
+        assert x.sign() == (1 if value > 0 else -1)
+        for m in (f, f + 1):
+            assert x.compare(m) == (1 if value > m else -1)
+        assert calls == {}
+    assert straddles == 16
+
+
+def test_exact_hits_stay_exact(monkeypatch, count_calls):
+    """On the reducible base (x^2 - x - 1)(x^2 + 1), beta is the golden
+    ratio and y = 1 - beta + beta^2 is exactly 2: no refinement separates y
+    from 2, so each decision ends in one gcd zero test and answers 0, also
+    when the level cap lies a few levels above the current level (the
+    search before the zero test stops at the cap instead of raising)."""
+    beta = make_beta("poly:[1,-1,0,-1,-1]@(1.5,1.75)")
+    assert not beta.field_proved and beta._surd is None
+    b = beta.beta_point()
+    y = 1 - b + b * b
+    assert any(y.num[1:])
+    calls = count_calls(polys, "cofactor_gcd")
+    assert math.floor(y) == 2 and calls["cofactor_gcd"] == 1
+    assert y.compare(2) == 0 and calls["cofactor_gcd"] == 2
+    assert (y - 2).sign() == 0 and calls["cofactor_gcd"] == 3
+    monkeypatch.setattr(numerics, "MAX_REFINE_LEVEL", beta._cells.level + 3)
+    assert math.floor(y) == 2 and y.compare(2) == 0 and (y - 2).sign() == 0
+    assert y.compare(Fraction(5, 2)) == -1 and y == 2
+    assert calls["cofactor_gcd"] == 7
+
+
+def test_corpus_runs_no_zero_test_on_unproved_bases(bench_workloads, monkeypatch):
+    """Every near miss that the heavy benchmark requests meet on a base not
+    proved irreducible (64 gcd zero tests before refinement came first) is
+    settled by refinement: none of them runs ``is_zero`` on such a base,
+    and their outputs stay equal to the goldens."""
+    import hashlib
+
+    from negabeta import cli
+    from negabeta.numerics import FieldPoint
+
+    unproved = []
+    is_zero = FieldPoint.is_zero
+
+    def counted(x):
+        if not x.beta.field_proved:
+            unproved.append(x)
+        return is_zero(x)
+
+    monkeypatch.setattr(FieldPoint, "is_zero", counted)
+    goldens = bench_workloads.load_goldens()["cli"]
+    for argv in bench_workloads.CLI_HEAVY:
+        code, out = bench_workloads.run_cli(cli, argv)
+        g = goldens[bench_workloads.golden_key(argv)]
+        assert (code, hashlib.sha256(out).hexdigest()) == (g["exit"], g["sha256"]), argv
+    assert unproved == []
+
+
+@pytest.mark.parametrize("spec", ["multinacci:q=1,m=3", "multinacci:q=1,m=4", "pisot2:p=1,q=1"])
+def test_early_str_limit_check_keeps_every_outcome(spec, monkeypatch):
+    """The check that fails an irrational rendering past the int-to-str
+    limit before 10^digits is formed changes no outcome: for each digits
+    count, point_decimal_str raises what the level cap check, the exact
+    floor and the limit raise in that order, and the check itself fires
+    only where the floor passes the limit.  With the limit lowered to 640
+    digits and the level cap to 2,400, digits 600..760 run through every
+    outcome: a rendering, the limit, and PrecisionExhausted."""
+    import sys
+
+    from negabeta.errors import PrecisionExhausted
+    from negabeta.numerics import FieldPoint
+
+    def outcome(f):
+        try:
+            f()
+        except (PrecisionExhausted, SpecError) as exc:
+            return type(exc).__name__
+        return "ok"
+
+    def reference(x, digits):
+        numerics._check_level_cap(x, digits)
+        y = x * 10**digits
+        n = math.floor(y)
+        if max(n, math.floor(-y)) >= 10**limit:
+            raise SpecError("beyond the limit")
+
+    monkeypatch.setattr(numerics, "MAX_REFINE_LEVEL", 2400)
+    old, limit = sys.get_int_max_str_digits(), 640
+    sys.set_int_max_str_digits(limit)
+    try:
+        rng = random.Random(spec)
+        seen = set()
+        for scale in (1, 2**40, Fraction(1, 2**40)):
+            beta = make_beta(spec)
+            beta.refine(Fraction(1, 2**30))
+            d = beta.degree
+            x = FieldPoint(beta, [Fraction(rng.randint(-50, 50) * scale, rng.randint(1, 30))
+                                  for _ in range(d - 1)] + [Fraction(rng.choice([-1, 1]))])
+            fired = []
+            for digits in range(600, 761, 4):
+                got = outcome(lambda: numerics.point_decimal_str(x, digits))
+                assert got == outcome(lambda: reference(x, digits)), digits
+                if outcome(lambda: numerics._check_str_limit(x, digits)) == "SpecError":
+                    capped = outcome(lambda: numerics._check_level_cap(x, digits))
+                    assert got == ("PrecisionExhausted" if capped != "ok" else "SpecError")
+                    fired.append(digits)
+                seen.add(got)
+            assert fired
+        assert seen == {"ok", "SpecError", "PrecisionExhausted"}
+    finally:
+        sys.set_int_max_str_digits(old)
