@@ -7,7 +7,16 @@ their coincidence criterion, compiles simple bases to finite automata
 with their entropy (power iteration to a residual tolerance), detects
 matching of the critical orbits, and solves the inverse problem of
 recovering a base from its expansion of 1.
+
+``import negabeta`` loads only the word half: ``errors``, ``order`` and
+``shiftspace``, which need no arithmetic in Q(beta).  The arithmetic half
+(``polys``, ``numerics``, ``expansion``, ``measure``, ``matching`` and
+``solver``) is imported on first use of one of its names, e.g.
+``negabeta.make_beta``.  Such a name is looked up in its module on every
+access, never copied here, so rebinding the module attribute is seen.
 """
+
+from importlib import import_module as _import_module
 
 from .errors import (
     CanonicalizationCycle,
@@ -19,21 +28,10 @@ from .errors import (
     SolveError,
     SpecError,
 )
-from .numerics import Beta, FieldPoint, floor_beta_times, make_beta
-from .expansion import (
-    DEFAULT_BUDGET,
-    EvPeriodic,
-    OrbitRecord,
-    PiOfOne,
-    evaluate,
-    expand,
-    orbit_of_one,
-    pi_of_one,
-    step,
-    truncation_bound,
-)
 from .order import (
+    DEFAULT_BUDGET,
     AltOrdering,
+    EvPeriodic,
     ValidityReport,
     alt_compare,
     is_admissible,
@@ -53,32 +51,38 @@ from .shiftspace import (
     tail_bounds,
     word_in_shift,
 )
-from .measure import (
-    CoincidenceReport,
-    PiecewiseDensity,
-    densities_coincide,
-    density,
-    density_at,
-    limits,
-    measure_interval,
-    normalization,
-)
-from .matching import (
-    MatchingReport,
-    matching_time,
-    multinacci_orbit,
-    verify_multinacci_matching,
-)
-from .solver import (
-    ApproximantPlan,
-    ApproximantResult,
-    approximate_simple_numbers,
-    beta_from_expansion,
-    canonicalize_expansion_candidate,
-    periodic_approximants,
-    value_equation_poly,
-)
+
+# module -> the names it exports through the package, loaded on first use
+_LAZY_EXPORTS = {
+    "polys": (),
+    "numerics": ("Beta", "FieldPoint", "floor_beta_times", "make_beta"),
+    "expansion": ("OrbitRecord", "PiOfOne", "evaluate", "expand", "orbit_of_one",
+                  "pi_of_one", "step", "truncation_bound"),
+    "measure": ("CoincidenceReport", "PiecewiseDensity", "densities_coincide", "density",
+                "density_at", "limits", "measure_interval", "normalization"),
+    "matching": ("MatchingReport", "matching_time", "multinacci_orbit",
+                 "verify_multinacci_matching"),
+    "solver": ("ApproximantPlan", "ApproximantResult", "approximate_simple_numbers",
+               "beta_from_expansion", "canonicalize_expansion_candidate",
+               "periodic_approximants", "value_equation_poly"),
+}
+_LAZY = {name: module for module, names in _LAZY_EXPORTS.items() for name in (module, *names)}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _LAZY.keys())
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = _import_module(f"{__name__}.{module}")
+    return mod if name == module else getattr(mod, name)
+
+
+def __dir__() -> list[str]:
+    """The public names, loaded or not, and the dunders; the private helpers
+    above stay out."""
+    return sorted({n for n in globals() if not n.startswith("_") or n.endswith("__")}
+                  | _LAZY.keys())

@@ -9,6 +9,11 @@ bounds the orbit of 1 (``orbit``, ``density``, ``measure-compare``,
 ``match``, ``approx``).  Exit codes: 0 success, 2 usage and domain errors
 (an invalid pi(1) for ``sft`` and ``entropy`` among them), 3 unresolved
 within the orbit budget or the refinement level cap.
+
+A handler imports the modules its verb uses when it runs, so a fresh
+process loads only those: ``validate``, ``sft``, ``entropy`` and ``w-word``
+load no arithmetic, and ``orbit`` loads neither ``measure`` nor ``matching``
+nor ``solver``.
 """
 
 from __future__ import annotations
@@ -20,13 +25,8 @@ import sys
 from gettext import gettext
 
 from .errors import NegabetaError, OrbitUnresolved, PrecisionExhausted, SpecError
-from .expansion import DEFAULT_BUDGET, EvPeriodic, expand, orbit_of_one
-from .numerics import _parse_rational, make_beta, point_json
-from .order import is_valid_expansion_of_one, limit_word_prefix
-from .matching import matching_time
-from .measure import densities_coincide, density
+from .order import DEFAULT_BUDGET, EvPeriodic, is_valid_expansion_of_one, limit_word_prefix
 from .shiftspace import build_sft, entropy_estimate
-from . import solver
 
 
 def _json_text(obj) -> str:
@@ -38,33 +38,46 @@ def _json_text(obj) -> str:
                         "int-to-str limit") from exc
 
 
+def _expand(a):
+    from . import expansion, numerics
+
+    beta = numerics.make_beta(a.beta)
+    return {"digits": list(expansion.expand(beta, numerics._parse_rational(a.x), a.n))}
+
+
 def _orbit(a):
-    rec = orbit_of_one(make_beta(a.beta), a.budget)
+    from . import expansion, numerics
+
+    rec = expansion.orbit_of_one(numerics.make_beta(a.beta), a.budget)
     return {
         "kind": rec.kind,
         "pre_len": rec.pre_len,
         "period_len": rec.period_len,
         "digits": list(rec.digits),
-        "points": [point_json(p, a.digits) for p in rec.points],
+        "points": [numerics.point_json(p, a.digits) for p in rec.points],
         "budget_used": rec.budget,
     }
 
 
 def _density(a):
-    d = density(make_beta(a.beta), a.budget)
+    from . import measure, numerics
+
+    d = measure.density(numerics.make_beta(a.beta), a.budget)
     return {
-        "breakpoints": [point_json(b, a.digits) for b in d.breakpoints],
-        "values": [point_json(v, a.digits) for v in d.values],
-        "K": point_json(d.K, a.digits),
+        "breakpoints": [numerics.point_json(b, a.digits) for b in d.breakpoints],
+        "values": [numerics.point_json(v, a.digits) for v in d.values],
+        "K": numerics.point_json(d.K, a.digits),
         "normalized": False,
         "indicator": "geq",
     }
 
 
 def _measure_compare(a):
-    beta1 = make_beta(a.beta1)
-    beta2 = make_beta(a.beta2) if a.beta2 else beta1.plus_one()
-    return densities_coincide(beta1, beta2, a.budget).to_json()
+    from . import measure, numerics
+
+    beta1 = numerics.make_beta(a.beta1)
+    beta2 = numerics.make_beta(a.beta2) if a.beta2 else beta1.plus_one()
+    return measure.densities_coincide(beta1, beta2, a.budget).to_json()
 
 
 def _valid_pi1(text: str) -> EvPeriodic:
@@ -87,14 +100,25 @@ def _sft(a):
     return aut.to_dot() if a.emit == "dot" else aut.to_json()
 
 
+def _match(a):
+    from . import matching, numerics
+
+    return matching.matching_time(numerics.make_beta(a.beta), a.budget).to_json(a.digits)
+
+
 def _solve(a):
+    from . import solver
+
     beta = solver.beta_from_expansion(EvPeriodic.parse(a.target))
     return {"beta": beta.spec_string(), "decimal": beta.decimal_str(a.digits)}
 
 
 def _approx(a):
+    from . import numerics, solver
+
     # --jobs is not read: it is accepted for old scripts and has no effect
-    results = solver.approximate_simple_numbers(make_beta(a.beta), a.count, a.prefix, a.budget)
+    beta = numerics.make_beta(a.beta)
+    results = solver.approximate_simple_numbers(beta, a.count, a.prefix, a.budget)
     return [r.to_json(a.digits) for r in results]
 
 
@@ -113,8 +137,7 @@ _PI1 = ("--pi1", {"required": True, "help": "expansion of 1 as 'pre|period'"})
 # verb -> (help, handler, the options the handler reads); each handler
 # returns its output, which run prints
 _VERBS = {
-    "expand": ("digits of the expansion of x",
-               lambda a: {"digits": list(expand(make_beta(a.beta), _parse_rational(a.x), a.n))},
+    "expand": ("digits of the expansion of x", _expand,
                [_BETA, ("--x", {"default": "1"}), ("--n", {"type": int, "required": True})]),
     "orbit": ("orbit of 1 with cycle classification", _orbit, [_BETA, _DIGITS, _BUDGET]),
     "density": ("exact invariant density", _density, [_BETA, _DIGITS, _BUDGET]),
@@ -125,9 +148,7 @@ _VERBS = {
                 [_PI1, ("--n", {"type": int, "default": 18})]),
     "sft": ("compile the shift automaton", _sft,
             [_PI1, ("--emit", {"choices": ("json", "dot"), "default": "json"})]),
-    "match": ("matching of the critical orbits",
-              lambda a: matching_time(make_beta(a.beta), a.budget).to_json(a.digits),
-              [_BETA, _DIGITS, _BUDGET]),
+    "match": ("matching of the critical orbits", _match, [_BETA, _DIGITS, _BUDGET]),
     "solve": ("base from a prescribed expansion of 1", _solve,
               [("--target", {"required": True, "help": "sequence as 'pre|period'"}), _DIGITS]),
     "approx": ("nearby simple bases via periodic approximants", _approx,

@@ -3,120 +3,19 @@
 The map acts on (0, 1].  Iterating from a point yields its digit string;
 iterating from 1 yields the expansion of 1 whose (pre)periodicity is
 certified by exact cycle detection.  Evaluation goes the other way, from a
-digit sequence back to the real number it represents.
+digit sequence back to the real number it represents.  Digit words and
+eventually periodic sequences live in ``order``, which needs no arithmetic;
+they are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SpecError
 from .numerics import Beta, as_point, point_key, times_beta
-
-DigitWord = tuple[int, ...]
-
-DEFAULT_BUDGET = 10_000
-
-
-def _canonical(pre: DigitWord, per: DigitWord) -> tuple[DigitWord, DigitWord]:
-    # primitive period
-    n = len(per)
-    for d in range(1, n + 1):
-        if n % d == 0 and per[:d] * (n // d) == per:
-            per = per[:d]
-            break
-    # shortest preperiod: absorb matching tail symbols into the cycle
-    pre = tuple(pre)
-    while pre and pre[-1] == per[-1]:
-        per = (per[-1],) + per[:-1]
-        pre = pre[:-1]
-    return pre, per
-
-
-@dataclass(frozen=True)
-class EvPeriodic:
-    """An eventually periodic digit sequence pre + period^infinity.
-
-    Stored canonically: the period is primitive and the preperiod is as
-    short as possible, so structural equality is sequence equality.
-    """
-
-    preperiod: DigitWord
-    period: DigitWord
-    alphabet_max: int = field(default=0, compare=False)
-
-    def __post_init__(self):
-        if not self.period:
-            raise SpecError("period must be nonempty")
-        pre, per = _canonical(tuple(self.preperiod), tuple(self.period))
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
-        amax = self.alphabet_max or max(pre + per)
-        if min(pre + per) < 1:
-            raise SpecError("digits must be positive")
-        object.__setattr__(self, "alphabet_max", amax)
-
-    @property
-    def is_purely_periodic(self) -> bool:
-        return not self.preperiod
-
-    def digit(self, i: int) -> int:
-        """1-indexed digit."""
-        if i < 1:
-            raise IndexError("digit positions start at 1")
-        k = i - 1
-        if k < len(self.preperiod):
-            return self.preperiod[k]
-        return self.period[(k - len(self.preperiod)) % len(self.period)]
-
-    def prefix(self, n: int) -> DigitWord:
-        """The first n digits, unrolled by repetition of the period."""
-        pre, per = self.preperiod, self.period
-        return (pre + per * -(-max(n - len(pre), 0) // len(per)))[:max(n, 0)]
-
-    def shift(self, k: int = 1) -> "EvPeriodic":
-        """Drop the first k digits."""
-        if k == 0:
-            return self
-        pre, per = self.preperiod, self.period
-        if k < len(pre):
-            return EvPeriodic(pre[k:], per, self.alphabet_max)
-        k -= len(pre)
-        k %= len(per)
-        return EvPeriodic((), per[k:] + per[:k], self.alphabet_max)
-
-    def tail_count(self) -> int:
-        """Number of distinct shifted sequences (including the unshifted one)."""
-        return len(self.preperiod) + len(self.period)
-
-    def __str__(self) -> str:
-        if self.alphabet_max > 9:
-            pre = ",".join(map(str, self.preperiod))
-            per = ",".join(map(str, self.period))
-        else:
-            pre = "".join(map(str, self.preperiod))
-            per = "".join(map(str, self.period))
-        return f"{pre}|{per}"
-
-    @classmethod
-    def parse(cls, text: str) -> "EvPeriodic":
-        if "|" not in text:
-            raise SpecError("sequence must look like 'pre|period', e.g. '2|1'")
-        pre_s, per_s = text.split("|", 1)
-
-        def digits(s: str) -> DigitWord:
-            if not s:
-                return ()
-            if "," in s:
-                return tuple(int(t) for t in s.split(","))
-            return tuple(int(ch) for ch in s)
-
-        try:
-            return cls(digits(pre_s), digits(per_s))
-        except ValueError as exc:
-            raise SpecError(f"bad digit sequence {text!r}") from exc
-
+from .order import DEFAULT_BUDGET, DigitWord, EvPeriodic
 
 @dataclass(frozen=True)
 class OrbitRecord:

@@ -1129,17 +1129,20 @@ def _check_level_cap(x: FieldPoint, digits: int) -> None:
     """Raise PrecisionExhausted, before 10^digits is formed, when refinement
     to MAX_REFINE_LEVEL certainly leaves the floor of x 10^digits undecided.
     Checked only when 10^digits alone passes 2^MAX_REFINE_LEVEL, for a point
-    that is not rational (the caller's condition) on a base proved
-    irreducible of degree >= 2 (so no cell shrinks to beta).  A level-k
-    cell is C / (D 2^k) wide and lies in the current cell, where
-    |x'| >= m / (s den) when the enclosure [a/s, b/s] of den x' excludes 0;
-    the enclosure of x 10^digits then spans at least
-    10^digits m C / (s den D 2^k), and at width 2 it holds two integers.
-    The bound is compared by bit lengths, so no huge integer is built."""
+    that is not constant in beta (the caller's condition), on any base whose
+    cells have not collapsed to a rational root (``_Cells.root``), proved
+    irreducible or not.  A level-k cell is C / (D 2^k) wide
+    and lies in the current cell, where |x'| >= m / (s den) when the
+    enclosure [a/s, b/s] of den x' excludes 0; the enclosure of
+    x 10^digits then spans at least 10^digits m C / (s den D 2^k), and at
+    width 2 it holds two integers.  (A point of a reducible base that
+    equals a rational is no exception: the floor search settles even an
+    exact integer only from an enclosure narrower than 1.)  The bound is
+    compared by bit lengths, so no huge integer is built."""
     cap = MAX_REFINE_LEVEL
     bits = digits * 3321928 // 10**6  # 10^digits >= 2^bits, as log2(10) > 3.321928
     beta = x.beta
-    if bits <= cap or not beta.field_proved:
+    if bits <= cap or beta._cells.root is not None:
         return
     cells = beta._cells
     a, b, s = polys.int_eval_interval(polys.derivative(x.num), *cells.cell(cells.level))

@@ -23,8 +23,7 @@ from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import PowerIterationError, SpecError
-from .expansion import DigitWord, EvPeriodic
-from .order import star_zero
+from .order import DigitWord, EvPeriodic, star_zero
 
 
 class TailBounds(NamedTuple):

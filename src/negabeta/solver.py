@@ -19,9 +19,10 @@ from .errors import (
     SolveError,
     SpecError,
 )
-from .expansion import DEFAULT_BUDGET, DigitWord, EvPeriodic, expand, pi_of_one, step
+from .expansion import expand, pi_of_one, step
 from .numerics import Beta
-from .order import is_self_admissible, is_valid_expansion_of_one
+from .order import (DEFAULT_BUDGET, DigitWord, EvPeriodic, is_self_admissible,
+                    is_valid_expansion_of_one)
 from . import polys
 
 

@@ -231,17 +231,20 @@ def test_refinement_level_cap_is_unresolved(capsys, monkeypatch):
 def test_digits_far_past_the_level_cap_are_unresolved_within_a_second(capsys):
     """--digits 10^6 and 10^7 exit 3 with the level-cap message within 1 s
     each: the cap is decided from bit lengths before 10^digits is formed,
-    and the zero breakpoint renders as "0" without it.  Past the int-to-str
-    limit, the renderings that need no refinement still exit 2: the
-    rational point 1, an integer base and a dec: base."""
+    on a quartic base that no test proves irreducible too (22 s at 10^7
+    when the check ran on proved bases only), and the zero breakpoint
+    renders as "0" without it.  Past the int-to-str limit, the renderings
+    that need no refinement still exit 2: the rational point 1, an integer
+    base and a dec: base."""
     import time
 
-    for digits in ("1000000", "10000000"):
-        t0 = time.perf_counter()
-        assert run(["density", "--beta", "pisot2:p=1,q=1", "--digits", digits]) == 3
-        assert time.perf_counter() - t0 < 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "level cap" in captured.err
+    for beta in ("pisot2:p=1,q=1", "multinacci:q=1,m=4"):
+        for digits in ("1000000", "10000000"):
+            t0 = time.perf_counter()
+            assert run(["density", "--beta", beta, "--digits", digits]) == 3
+            assert time.perf_counter() - t0 < 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "level cap" in captured.err
     for beta in ("pisot2:p=1,q=1", "poly:[1,-3]@(2,4)", "dec:1.5"):
         assert run(["orbit", "--beta", beta, "--digits", "40000"]) == 2
         assert "int-to-str limit" in capsys.readouterr().err
@@ -264,6 +267,46 @@ def test_rational_points_past_the_int_to_str_limit_exit_within_a_second(capsys):
     assert errs[0] == errs[1] and "int-to-str limit" in errs[0]
 
 
+_CAP_FLOOR = ("unresolved: floor of a field point not reached by refinement level 100000 "
+              "(the level cap MAX_REFINE_LEVEL)\n")
+_CAP_SIGN = _CAP_FLOOR.replace("floor", "sign")
+_STR_LIMIT = ("error: output holds an integer beyond Python's 4300-digit int-to-str limit\n")
+
+
+# density --digits on both sides of the level cap (10^30104 passes 2^100000,
+# 10^30103 does not) on bases not proved irreducible: two irreducible
+# quartics and the reducible (x^2 - x - 1)(x^2 + 1) with beta the golden
+# ratio; the exit codes and stderr the check gave when it ran on proved
+# bases only, where each run at 10^7 digits took over 20 s
+_CAP_SWEEP = {
+    "multinacci:q=1,m=4": (0, _STR_LIMIT, _STR_LIMIT, _CAP_FLOOR),
+    "poly:[1,-2,1,-2,1]@(1.5,2)": (0, _STR_LIMIT, _CAP_SIGN, _CAP_FLOOR),
+    "poly:[1,-1,0,-1,-1]@(1.5,1.75)": (0, _STR_LIMIT, _CAP_SIGN, _CAP_FLOOR),
+}
+
+
+def test_digits_sweep_across_the_level_cap_keeps_every_outcome(capsys):
+    """Below the cap nothing changes; past it every run exits 3 with the
+    level-cap line within a second."""
+    import time
+
+    for beta, (low, mid, below_cap, past_cap) in _CAP_SWEEP.items():
+        cases = [("4000", low), ("29000", mid), ("30103", below_cap)]
+        cases += [(d, past_cap) for d in ("30104", "31000", "1000000", "10000000")]
+        for digits, expected in cases:
+            t0 = time.perf_counter()
+            code = run(["density", "--beta", beta, "--digits", digits])
+            elapsed = time.perf_counter() - t0
+            out, err = capsys.readouterr()
+            if expected == 0:
+                assert (code, err) == (0, "") and out, (beta, digits)
+                continue
+            assert (code, out, err) == (3 if "unresolved" in expected else 2, "", expected), \
+                (beta, digits)
+            if int(digits) > 30103:
+                assert elapsed < 1, (beta, digits, elapsed)
+
+
 _ONE_ARGV_PER_VERB = (
     ["expand", "--beta", "dec:1.5", "--n", "3"],
     ["orbit", "--beta", "pisot2:p=1,q=1"],
@@ -277,6 +320,33 @@ _ONE_ARGV_PER_VERB = (
     ["validate", "--seq", "2|1"],
     ["w-word", "--n", "4"],
 )
+
+
+def test_every_budget_defaults_to_the_one_constant():
+    """--budget and every library budget default to order.DEFAULT_BUDGET,
+    which expansion re-exports; the constant is defined once."""
+    import inspect
+    import re
+
+    from negabeta import expansion, matching, measure, order, solver
+
+    assert expansion.DEFAULT_BUDGET is order.DEFAULT_BUDGET == 10_000
+    verbs = [argv for argv in _ONE_ARGV_PER_VERB
+             if any(flag == "--budget" for flag, _ in cli._VERBS[argv[0]][2])]
+    assert [argv[0] for argv in verbs] == ["orbit", "density", "measure-compare", "match",
+                                           "approx"]
+    for argv in verbs:
+        assert cli.build_parser().parse_args(argv).budget == order.DEFAULT_BUDGET, argv
+    functions = (expansion.orbit_of_one, expansion.pi_of_one, measure.density,
+                 measure.normalization, measure.limits, measure.densities_coincide,
+                 matching.matching_time, solver.approximate_simple_numbers)
+    for fn in functions:
+        assert inspect.signature(fn).parameters["budget"].default == order.DEFAULT_BUDGET, fn
+    src = Path(order.__file__).parent
+    definitions = [path.name for path in sorted(src.glob("*.py"))
+                   for line in path.read_text().splitlines()
+                   if re.match(r"DEFAULT_BUDGET\s*=", line)]
+    assert definitions == ["order.py"]
 
 
 def test_precision_option_and_environment_are_gone(capsys, monkeypatch):
