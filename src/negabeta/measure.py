@@ -56,20 +56,6 @@ class PiecewiseDensity:
         if _integral(self.breakpoints, self.values) != self.K:
             raise SpecError("normalization constant does not match the integral")
 
-    @property
-    def interior_breakpoints(self) -> tuple:
-        return self.breakpoints[1:-1]
-
-    def value_at(self, x):
-        """Density on the interval containing x, for 0 < x <= 1."""
-        x = as_point(self.beta, x)
-        if not 0 < x <= 1:
-            raise SpecError("density is defined on (0, 1]")
-        for i in range(len(self.values)):
-            if x <= self.breakpoints[i + 1]:
-                return self.values[i]
-        return self.values[-1]
-
     def integral_raw(self, a, b):
         """Exact unnormalized integral of the density over (a, b)."""
         a, b = as_point(self.beta, a), as_point(self.beta, b)
@@ -411,29 +397,3 @@ def densities_coincide(
         if not algebraic_equal(a, b):
             return CoincidenceReport("Differ", predicted, "normalized values differ")
     return CoincidenceReport("Coincide", predicted, "breakpoints and values agree")
-
-
-def check_invariance(d: PiecewiseDensity) -> bool:
-    """Does the density satisfy exact invariance on its own intervals?
-
-    The mass of every breakpoint interval must equal the mass of its full
-    preimage, assembled branch by branch from the map's linear pieces.
-    """
-    beta = d.beta
-    binv = 1 / beta.beta_point()
-    amax = beta.alphabet_max
-    one = as_point(beta, 1)
-    zero = as_point(beta, 0)
-    for i in range(len(d.values)):
-        a, b = d.breakpoints[i], d.breakpoints[i + 1]
-        direct = d.integral_raw(a, b)
-        # the digit-1 branch maps onto all of [0, 1), so some piece is nonempty
-        pulled = 0
-        for dig in range(1, amax + 1):
-            lo = max((dig - b) * binv, zero)
-            hi = min((dig - a) * binv, one)
-            if hi > lo:
-                pulled = pulled + d.integral_raw(lo, hi)
-        if direct != pulled:
-            return False
-    return True

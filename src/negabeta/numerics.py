@@ -1,40 +1,32 @@
 """Exact representation of bases beta > 1 and of points in their number field.
 
-A base is either *exact* (an integer polynomial together with a rational
-isolating interval containing exactly one of its real roots) or *decimal*
-(the exact rational value it names).  On a quadratic base, beta is
-(-B + s sqrt(D)) / (2A), so every point is (u + t sqrt(D)) / v with
-integers u, t, v, and every sign, floor, comparison and equality is
-decided on integers by square roots, with no refinement.  On any other
-exact base each is one position test, the sign of x - n/d read off x's
-enclosures, certified by refinement plus, only when a few more levels do
-not separate x from n/d, one zero test through the gcd inverses use.
-Refinement narrows the isolating interval to dyadic cells held as
-integers (the level-k cell is lo + [j, j+1] (hi - lo)/2^k):
-Newton's method, in integer fixed point from the deepest cell's midpoint,
-proposes the level-k cell, two exact signs of the squarefree part at its
-ends certify it, and short gaps are bisected one sign per level; no
-decision uses a float.  Enclosures are the integer interval Horner of
-``polys`` over a cell.  A decision stops at the first level where a test
-holds (enclosure narrow enough, free of 0, or spanning at most one
-integer).  Cells are nested and interval arithmetic is inclusion-isotone,
-so each test is monotone in the level: a search that jumps ahead by the
-predicted number of halvings and then bisects over levels stops at the
-level, and with the rationals, of refining one step at a time.  A point
-of an exact base is an integer vector over one denominator, so field
-arithmetic (its power table x^d, ..., x^(2d-1) mod f included),
-``int``/``Fraction`` operands, floors, search widths and coordinate
-renderings run on integers and build no ``Fraction``.  A point of a
-decimal base is a ``Fraction``, whose floor and comparisons are exact.
+A base is the root of an integer polynomial f that a rational interval
+isolates; a ``dec:`` base a/b is the root of b x - a, so its points are
+rationals.  Every point is a ``FieldPoint``: an integer vector over one
+denominator, so field arithmetic (its power table x^d, ..., x^(2d-1) mod
+f included), ``int``/``Fraction`` operands, floors, search widths and
+coordinate renderings run on integers and build no ``Fraction``.  On a
+quadratic base, beta is (-B + s sqrt(D)) / (2A); there, and on degree 1
+(t = 0), every point is (u + t sqrt(D)) / v with integers u, t, v, and
+every sign, floor, comparison and equality is decided on integers by
+square roots, with no refinement.  On any other base each is one position test,
+the sign of x - n/d read off x's enclosures, certified by refinement plus,
+only when a few more levels do not separate x from n/d, one zero test
+through the gcd inverses use.  Refinement narrows the isolating interval
+to dyadic cells held as integers (``_Cells``), proposed by Newton's method
+and certified by exact signs; no decision uses a float.  Enclosures are
+the integer interval Horner of ``polys`` over a cell, and a decision stops
+at the first level where its test (enclosure narrow enough, free of 0, or
+spanning at most one integer), monotone in the level, holds (``_Cells.search``).
 
-Only this module tells the two point types apart (``FieldPoint`` for
-exact bases, ``Fraction`` for decimal ones).  Both take Python's numeric
-operators (``+ - * / **``, comparisons, ``==`` and ``math.floor``), which
-is how other modules build and compare points; the point functions at the
-end of the file remain only for what the operators do not give: embedding
-a rational, enclosures, and renderings.  A decimal rendering is the exact
-truncation of the value, decided by an exact floor, so it does not depend
-on how far the base was refined before.
+Points take Python's numeric operators (``+ - * / **``, comparisons,
+``==`` and ``math.floor``), which is how other modules build and compare
+points; the point functions at the end of the file remain only for what
+the operators do not give: embedding a rational, enclosures, and
+renderings.  A point of any base takes a point of a degree-1 base, in
+its operators and ``==``, as the rational it is.  A decimal rendering is
+the exact truncation of the value, decided by an exact floor, so it does
+not depend on how far the base was refined before.
 """
 
 from __future__ import annotations
@@ -134,7 +126,8 @@ class _Cells:
     and A 2^k + (j+1) C over D 2^k.  Only the index j of the deepest cell
     computed is kept (level k has index j >> (deep - k)).  A root met as a
     midpoint, or found by ``Beta.floor_value``, is kept with its level:
-    from there on every cell is the point (root, root).
+    from there on every cell is the point (root, root).  The root of a
+    linear squarefree part is known at level 0.
 
     A deeper cell is reached by a jump: Newton's method on the squarefree
     part, in integer fixed point from the deepest cell's midpoint,
@@ -156,7 +149,7 @@ class _Cells:
         self.C = hi.numerator * (self.D // hi.denominator) - self.A
         self.sf, self.sign_lo = sf, polys.sign_at(sf, self.A, self.D)
         self.deep = self.j = self.level = 0
-        self.root, self.root_level = None, math.inf
+        self.root, self.root_level = (Fraction(-sf[0], sf[1]), 0) if len(sf) == 2 else (None, math.inf)
 
     def cell(self, k: int) -> tuple[int, int, int]:
         """Integers (lo, hi, den) with the level-k cell [lo/den, hi/den]."""
@@ -295,17 +288,19 @@ def _fixed_point_newton_terms(f: tuple[int, ...], x: int, p: int) -> tuple[int, 
 
 @dataclass(frozen=True)
 class Beta:
-    """A base beta > 1, exact (polynomial + isolating interval) or decimal."""
+    """A base beta > 1: the root of an integer polynomial that a rational
+    interval isolates.  ``kind``, which selects renderings only, is
+    "decimal" for a ``dec:`` base a/b (the root of b x - a), else "exact"."""
 
     kind: str
     coeffs: tuple[int, ...] | None = None          # highest degree first
     iso: tuple[Fraction, Fraction] | None = None
-    value: Fraction | None = None
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_poly(cls, coeffs, lo, hi, chain: list[polys.IntPoly] | None = None) -> "Beta":
+    def from_poly(cls, coeffs, lo, hi, chain: list[polys.IntPoly] | None = None,
+                  kind: str = "exact") -> "Beta":
         """The root of ``coeffs`` (highest degree first) that (lo, hi)
         isolates.  ``chain``, when given, is the Sturm chain of the
         polynomial as ``sturm_chain`` builds it, kept as ``sturm``."""
@@ -317,10 +312,10 @@ class Beta:
         lo, hi = Fraction(lo), Fraction(hi)
         if not 1 < lo < hi:
             raise SpecError("isolating interval endpoints must be rationals > 1")
-        beta = cls(kind="exact", coeffs=coeffs, iso=(lo, hi))
+        beta = cls(kind=kind, coeffs=coeffs, iso=(lo, hi))
         if chain is not None:
             beta.__dict__["sturm"] = chain
-        chain = beta.sturm
+        chain = beta.sturm if len(coeffs) > 2 or chain else [beta.poly, beta.poly[1:]]  # linear: f, f'
         try:
             roots = polys.count_roots(chain[0], lo, hi, chain)
         except ValueError:
@@ -331,10 +326,15 @@ class Beta:
 
     @classmethod
     def from_decimal(cls, value) -> "Beta":
+        """The ``dec:`` base a/b > 1, the root of b x - a.  Its interval
+        ((n + a/b) / 2, n + 2), for the integer n with n < a/b <= n + 1,
+        moves by 1 with a/b, so ``plus_one`` gives the ``dec:`` base a/b + 1."""
         value = Fraction(value)
         if value <= 1:
             raise SpecError("base must exceed 1")
-        return cls(kind="decimal", value=value)
+        a, b = value.numerator, value.denominator
+        n = (a - 1) // b
+        return cls.from_poly((b, -a), (n + value) / 2, n + 2, kind="decimal")
 
     @classmethod
     def root_above_one(cls, poly: polys.IntPoly, lo, hi,
@@ -391,9 +391,9 @@ class Beta:
 
     # -- internals ---------------------------------------------------------
 
-    @cached_property
+    @property
     def is_exact(self) -> bool:
-        # cached: read on every point operation, such as each orbit weight
+        """Not a ``dec:`` base; read by renderings alone."""
         return self.kind == "exact"
 
     @cached_property
@@ -431,9 +431,16 @@ class Beta:
         ints = [c // g for c in ints]
         return [tuple(ints[i:i + d]) for i in range(0, len(ints), d)], den // g
 
-    @property
+    @cached_property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.is_exact else 1
+        return len(self.coeffs) - 1
+
+    @cached_property
+    def _step_modulus(self) -> int:
+        """r = |f_0 f_d|.  For a prime p dividing neither, x acts on Z_(p)^d
+        as an automorphism (determinant +-f_0 / f_d), so after a companion
+        step from a reduced point only primes of r can divide den and num."""
+        return abs(self.poly[0] * self.poly[-1])
 
     @cached_property
     def _cells(self) -> _Cells:
@@ -451,9 +458,7 @@ class Beta:
         return polys.count_roots(g, lo, hi) > 0
 
     def interval(self) -> tuple[Fraction, Fraction]:
-        """Current refined isolating interval (a point for rational bases)."""
-        if not self.is_exact:
-            return (self.value, self.value)
+        """Current refined isolating interval (a point once beta is rational)."""
         lo, hi, den = self._cells.cell(self._cells.level)
         return Fraction(lo, den), Fraction(hi, den)
 
@@ -461,8 +466,6 @@ class Beta:
         """Shrink the isolating interval until it is narrower than ``width``:
         the search goes straight to the first level whose cells are that
         narrow, which a Newton jump reaches in a few certified steps."""
-        if not self.is_exact:
-            return (self.value, self.value)
         cells, width = self._cells, Fraction(width)
         # the cell width C / (D 2^k) first drops below the width at level k
         k = (cells.C * width.denominator // (width.numerator * cells.D)).bit_length() \
@@ -477,8 +480,6 @@ class Beta:
 
     @cached_property
     def _floor(self) -> int:
-        if not self.is_exact:
-            return self.value.numerator // self.value.denominator
         if self._surd is not None:
             b = self.beta_point()
             f = math.floor(b)
@@ -513,11 +514,11 @@ class Beta:
             lo, hi = self.iso
             body = ",".join(str(c) for c in self.coeffs)
             return f"poly:[{body}]@({format_rational(lo)},{format_rational(hi)})"
-        return f"dec:{format_rational(self.value)}"
+        return f"dec:{_format_ratio(-self.coeffs[1], self.coeffs[0])}"
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.kind, self.coeffs, self.iso, self.value))
+        return hash((self.kind, self.coeffs, self.iso))
 
     def __hash__(self):
         """The dataclass's hash of the fields, computed once: ``shift_to``
@@ -533,9 +534,9 @@ class Beta:
         prime)?  Then Q[x]/(f) is a field, so the reduced coordinates of a
         point are unique: two points of this base are equal exactly when
         their (num, den) are, and a point is zero exactly when its num is.
-        False for a decimal base and whenever the test proves nothing; such
-        points take the position and gcd tests."""
-        return self.is_exact and polys.proved_irreducible(self.poly)
+        True for every ``dec:`` base, of degree 1; False whenever the test
+        proves nothing, and such points take the position and gcd tests."""
+        return polys.proved_irreducible(self.poly)
 
     @cached_property
     def _surd(self) -> tuple[int, int, int, int] | None:
@@ -563,16 +564,16 @@ class Beta:
         of it; it is other's root when other's interval and self's shifted
         by t hold exactly one root between them.  An interval that is a
         point, or a hull holding more roots, is decided by the position of
-        self + t against other's isolating interval.  None for a decimal
-        base, and when the polynomials are not shifts of each other even if
-        the values are (a non-minimal f can give this)."""
+        self + t against other's isolating interval.  None when the
+        polynomials are not shifts of each other, even if the values are (a
+        non-minimal f can give this)."""
         t = self._shifts.get(other, False)
         if t is False:  # not asked yet (t is an int or None)
             t = self._shifts[other] = self._find_shift(other)
         return t
 
     def _find_shift(self, other: "Beta") -> int | None:
-        if not (self.is_exact and other.is_exact) or self.degree != other.degree:
+        if self.degree != other.degree:
             return None
         f, g, d = self.poly, other.poly, self.degree
         t, r = divmod(f[d - 1] * g[d] - g[d - 1] * f[d], d * f[d] * g[d])
@@ -586,35 +587,24 @@ class Beta:
         lo, hi = other.iso
         return t if lo < self.beta_point() + t < hi else None
 
-    @cached_property
-    def _reciprocals(self) -> dict[int, Fraction]:
-        """e / beta of a decimal base for e = 1 and -1 (``over_beta``)."""
-        return {e: e / self.value for e in (1, -1)}
-
     def plus_one(self) -> "Beta":
-        """The base beta + 1, exact when this base is exact."""
-        if not self.is_exact:
-            return Beta.from_decimal(self.value + 1)
+        """The base beta + 1, of this base's kind."""
         # x -> x - 1 commutes with pseudo-division, derivative and content
         chain = [polys.taylor_shift(g, -1) for g in self.sturm]
         ints = polys.primitive(polys.taylor_shift(self.poly, -1))
         lo, hi = self.iso
-        return Beta.from_poly(tuple(reversed(ints)), lo + 1, hi + 1, chain)
+        return Beta.from_poly(tuple(reversed(ints)), lo + 1, hi + 1, chain, self.kind)
 
     # -- field points ------------------------------------------------------
 
-    def one(self):
+    def one(self) -> "FieldPoint":
         return self.point_from_rational(1)
 
-    def point_from_rational(self, r):
-        if not self.is_exact:
-            return Fraction(r)
+    def point_from_rational(self, r) -> "FieldPoint":
         return FieldPoint._rational(self, r if isinstance(r, (int, Fraction)) else Fraction(r))
 
-    def beta_point(self):
-        """beta itself in the base's point type."""
-        if not self.is_exact:
-            return self.value
+    def beta_point(self) -> "FieldPoint":
+        """beta itself as a point."""
         # x itself, reduced mod f when f is linear (the root is rational)
         return FieldPoint(self, (0, 1))
 
@@ -630,8 +620,8 @@ class FieldPoint:
     test compare (num, den).  Otherwise the defining polynomial need not
     be minimal, and equality and sign are decided through gcd zero tests
     and interval refinement, which stay correct in the non-minimal case;
-    on a quadratic base, signs and floors are exact on the surd form
-    (``_surd``) instead.
+    on a base of degree 1 or 2, signs and floors are exact on the surd
+    form (``_surd``) instead.
     """
 
     __slots__ = ("beta", "num", "den")
@@ -664,12 +654,15 @@ class FieldPoint:
         return x
 
     @classmethod
-    def _of(cls, beta: Beta, num: tuple[int, ...], den: int) -> "FieldPoint":
-        """The point num / den (a d-tuple of integers, den > 0), reduced."""
-        if den != 1:
-            g = math.gcd(den, *num)
-            if g != 1:
-                num, den = tuple(c // g for c in num), den // g
+    def _of(cls, beta: Beta, num: tuple[int, ...], den: int, r: int = 0) -> "FieldPoint":
+        """The point num / den (a d-tuple of integers, den > 0), reduced.
+        When only primes of r != 0 can divide den and every entry of num
+        (``Beta._step_modulus``), g runs over gcd(r, den) and its common
+        part with num; r = 0 (as when f_0 = 0) takes the full gcd."""
+        g = math.gcd(r, den) if r else den
+        while g != 1 and (g := math.gcd(g, *num)) != 1:
+            num, den = tuple(c // g for c in num), den // g
+            g = math.gcd(g, den) if r else 1
         return cls._new(beta, num, den)
 
     @classmethod
@@ -750,10 +743,13 @@ class FieldPoint:
         """``other`` as a point of this base: a point of this base, or of the
         base beta + t for an integer t (``Beta.shift_to``), whose value
         y(beta + t) is (y o (x + t))(beta), so its coordinates are Taylor
-        shifted by t and keep degree below d; or a rational."""
+        shifted by t and keep degree below d; or a rational, as every point
+        of a degree-1 base is."""
         if isinstance(other, FieldPoint):
             if other.beta is self.beta or other.beta == self.beta:
                 return other
+            if other.beta.degree == 1:
+                return FieldPoint._new(self.beta, other.num + (0,) * (self.beta.degree - 1), other.den)
             t = self.beta.shift_to(other.beta)
             if t is None:
                 raise SpecError("field points belong to different bases")
@@ -766,11 +762,11 @@ class FieldPoint:
         """beta * self as one companion step: shift the coordinates and
         add top * (x^d mod f), the unique reduced representative."""
         top, shifted = self.num[-1], (0,) + self.num[:-1]
-        if not top:
-            return FieldPoint._of(self.beta, shifted, self.den)
+        if not top:  # the same coordinates moved up: still reduced
+            return FieldPoint._new(self.beta, shifted, self.den)
         rows, t = self.beta._power_table
         return FieldPoint._of(self.beta, tuple(c * t + top * r for c, r in zip(shifted, rows[0])),
-                              self.den * t)
+                              self.den * t, self.beta._step_modulus)
 
     def over_beta(self, e: int = 1) -> "FieldPoint":
         """e * self / beta for e = 1 or -1 as one companion step, the mirror
@@ -786,7 +782,7 @@ class FieldPoint:
         s = e if f[0] > 0 else -e
         f0, c0 = s * f[0], s * c[0]
         return FieldPoint._of(self.beta, tuple(f0 * a - c0 * b for a, b in zip(c[1:] + (0,), f[1:])),
-                              abs(f[0]) * self.den)
+                              abs(f[0]) * self.den, self.beta._step_modulus)
 
     def inverse(self) -> "FieldPoint":
         """Multiplicative inverse; raises ZeroDivisionError on zero.  One integer
@@ -857,7 +853,9 @@ class FieldPoint:
 
     def _surd(self) -> tuple[int, int, int, int] | None:
         """(u, t, v, D) with this point (u + t sqrt(D)) / v and v > 0 on a
-        base of degree 2 (``Beta._surd``); None on other bases."""
+        base of degree 1 (t = 0) or 2 (``Beta._surd``); None on other bases."""
+        if len(self.num) == 1:
+            return self.num[0], 0, self.den, 0
         if self.beta._surd is None:
             return None
         a2, b, s, D = self.beta._surd
@@ -865,8 +863,8 @@ class FieldPoint:
         return a2 * n0 - b * n1, s * n1, a2 * self.den, D
 
     def _side(self, n: int, d: int, refine: bool = True) -> int | None:
-        """The sign of self - n/d (d > 0).  On a quadratic base it is the
-        sign of d u - n v + d t sqrt(D) (``_surd``), exact by comparing
+        """The sign of self - n/d (d > 0).  On a base of degree 1 or 2 it is
+        the sign of d u - n v + d t sqrt(D) (``_surd``), exact by comparing
         squares.  Otherwise it is read off this point's enclosures: scaled
         and shifted, they are those of the folded point d den (self - n/d),
         so the test stops at that point's level.  An enclosure holding n/d
@@ -911,9 +909,13 @@ class FieldPoint:
         return Fraction(a, s), Fraction(b, s)
 
     def compare(self, other) -> int:
-        """-1, 0, or 1 against another point or a rational."""
+        """-1, 0, or 1 against another point or a rational.  A point with
+        coordinates 0 past the first is the rational num_0 / den: no
+        difference is built."""
         if isinstance(other, (int, Fraction)):
             return self._side(other.numerator, other.denominator)
+        if not any(other.num[1:]):
+            return self._side(other.num[0], other.den)
         return (self - other)._side(0, 1)
 
     def __eq__(self, other):
@@ -924,6 +926,8 @@ class FieldPoint:
         zero test."""
         if not isinstance(other, (FieldPoint, int, Fraction)):
             return NotImplemented
+        if isinstance(other, FieldPoint) and self.beta.degree == 1 < other.beta.degree:
+            return other == self  # a rational meets the other base there
         o = self._coerce(other)
         if self.num == o.num and self.den == o.den:
             return True
@@ -948,7 +952,7 @@ class FieldPoint:
         return self.compare(other) >= 0
 
     def __floor__(self) -> int:
-        """Exact floor: on a quadratic base by integer square roots
+        """Exact floor: on a base of degree 1 or 2 by integer square roots
         (``_surd_floor``); otherwise refine until at most one integer m is
         left in the enclosure, then settle it by the position test against
         m, which refines past m before any zero test (``_side``)."""
@@ -983,6 +987,8 @@ def _surd_floor(u: int, t: int, v: int, D: int) -> int:
     (isqrt((|t| >> e)^2 D) + [0, isqrt(D) + 2]) 2^e, about 2^-32 v wide,
     which pins the floor unless the point is that close to an integer; the
     square root then has about 2 (bits(t) - e) bits instead of 2 bits(t)."""
+    if not t:
+        return u // v
     e = v.bit_length() - D.bit_length() // 2 - 34
     if e > 0:
         r = math.isqrt((abs(t) >> e) ** 2 * D)
@@ -1036,23 +1042,18 @@ def make_beta(spec: str, _ignored=None) -> Beta:
     raise SpecError(f"unrecognized base specification {spec!r}")
 
 
-def times_beta(beta: Beta, x):
-    """beta * x in the base's point type."""
-    if beta.is_exact:
-        return as_point(beta, x).times_beta()
-    return beta.value * x
+def times_beta(beta: Beta, x) -> FieldPoint:
+    """beta * x, for x a point of the base or a rational."""
+    return as_point(beta, x).times_beta()
 
 
-def over_beta(beta: Beta, x, e: int = 1):
-    """e * x / beta, for e = 1 or -1, in the base's point type; a rational
-    point is multiplied by the rational e / beta, made once per base."""
-    if beta.is_exact:
-        return as_point(beta, x).over_beta(e)
-    return x * beta._reciprocals[e]
+def over_beta(beta: Beta, x, e: int = 1) -> FieldPoint:
+    """e * x / beta, for e = 1 or -1 and x a point of the base or a rational."""
+    return as_point(beta, x).over_beta(e)
 
 
-def as_point(beta: Beta, r):
-    """Embed a rational into the base's point type."""
+def as_point(beta: Beta, r) -> FieldPoint:
+    """A point as it is, or a rational as a point of the base."""
     if isinstance(r, FieldPoint):
         return r
     return beta.point_from_rational(r)
@@ -1064,23 +1065,21 @@ def floor_beta_times(beta: Beta, x) -> int:
 
 
 def same_field(x, y) -> bool:
-    """Can x and y meet in one arithmetic?  Not when they are field points
-    of two bases, unless the bases differ by an integer, whose points meet
-    in x's field through a Taylor shift (``FieldPoint._coerce``)."""
-    if isinstance(x, FieldPoint) and isinstance(y, FieldPoint):
+    """Can x == y be decided in one field?  Not when they are points of two
+    bases of degree 2 or more, unless the bases differ by an integer, whose
+    points meet in x's field through a Taylor shift (``FieldPoint._coerce``).
+    A rational, as every point of a degree-1 base is, meets any base."""
+    if isinstance(x, FieldPoint) and isinstance(y, FieldPoint) and min(x.beta.degree, y.beta.degree) > 1:
         return x.beta == y.beta or x.beta.shift_to(y.beta) is not None
     return True
 
 
-def point_key(x) -> tuple | int:
-    """A dict key for x in a search for repeated points.  A tuple is exact,
-    equal points and only they having equal keys: (numerator, denominator)
-    of a rational, or (num, den) of a field point of a base with
-    ``field_proved``.  Otherwise an int, the 2^-80 bucket
-    ``point_scaled_floor(x, 80)``, which puts equal points at most one
-    bucket apart."""
-    if not isinstance(x, FieldPoint):
-        return x.numerator, x.denominator
+def point_key(x: FieldPoint) -> tuple | int:
+    """A dict key for x in a search for repeated points.  On a base with
+    ``field_proved`` (every ``dec:`` base among them) it is (num, den),
+    exact: equal points and only they have equal keys.  Otherwise an int,
+    the 2^-80 bucket ``point_scaled_floor(x, 80)``, which puts equal points
+    at most one bucket apart."""
     if x.beta.field_proved:
         return x.num, x.den
     return point_scaled_floor(x, 80)
@@ -1093,17 +1092,17 @@ def point_scaled_floor(x: FieldPoint, bits: int) -> int:
     return (a << bits) // s
 
 
-def point_decimal_str(x, digits: int = 15) -> str:
+def point_decimal_str(x: FieldPoint, digits: int = 15) -> str:
     """x truncated toward zero to ``digits`` decimals, trailing zeros dropped
     ("-0" for -10^-digits < x < 0): the exact floor of |x| 10^digits, so the
     digits depend on the value alone, never on how far its base was refined.
-    A rational x = p/q (a ``Fraction``, or a field point whose coordinates
-    past the first are 0) takes |p| 10^digits // q: "0" when p is 0, and
+    A rational x = p/q (a point whose coordinates past the first are 0, as
+    on a degree-1 base) takes |p| 10^digits // q: "0" when p is 0, and
     ``_int_str``'s SpecError before 10^digits is formed when bit lengths
     show that the floor passes Python's int-to-str limit
     (``_str_excess_bits``).  Any other point raises it as early from its
     current enclosure (``_check_str_limit``), after ``_check_level_cap``."""
-    if isinstance(x, FieldPoint) and any(x.num[1:]):
+    if any(x.num[1:]):
         _check_level_cap(x, digits)
         _check_str_limit(x, digits)
         y = x * 10**digits
@@ -1112,7 +1111,7 @@ def point_decimal_str(x, digits: int = 15) -> str:
         if negative:
             n = math.floor(-y)
     else:
-        p, q = (x.num[0], x.den) if isinstance(x, FieldPoint) else (x.numerator, x.denominator)
+        p, q = x.num[0], x.den
         if not p:
             return "0"
         excess = _str_excess_bits(digits)
@@ -1195,12 +1194,13 @@ def _check_str_limit(x: FieldPoint, digits: int) -> None:
     raise _str_limit_error()
 
 
-def point_json(x, digits: int) -> dict:
-    """JSON form: the decimal rendering plus the exact coordinates."""
+def point_json(x: FieldPoint, digits: int) -> dict:
+    """JSON form: the decimal rendering plus the exact coordinates, or on a
+    ``dec:`` base the exact rational as ``"exact"``."""
     out = {"decimal": point_decimal_str(x, digits)}
-    if isinstance(x, FieldPoint):
+    if x.beta.is_exact:
         gs = [math.gcd(c, x.den) for c in x.num]
         out["coeffs"] = [_format_ratio(c // g, x.den // g) for c, g in zip(x.num, gs)]
     else:
-        out["exact"] = format_rational(x)
+        out["exact"] = _format_ratio(x.num[0], x.den)
     return out

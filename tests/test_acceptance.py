@@ -294,7 +294,7 @@ def test_criterion_9_density_structure():
                 continue
             if all(not (x - y).is_zero() for y in expected):
                 expected.append(x)
-        interior = d.interior_breakpoints
+        interior = d.breakpoints[1:-1]
         ok &= len(interior) == len(expected)
         ok &= all(any((x - y).is_zero() for y in expected) for x in interior)
 

@@ -276,16 +276,26 @@ def test_decimal_base_is_the_exact_rational():
 def test_point_protocol_stays_in_numerics():
     """Only numerics may tell field points from rationals or exact bases
     from decimal ones; every other module builds and compares points with
-    Python's operators."""
+    Python's operators.  No module, numerics included, keeps a second point
+    kind: a base has no rational ``value`` and no table of reciprocals, and
+    beta is a field point under each of the four spec grammars."""
+    import dataclasses
+
+    from negabeta.numerics import FieldPoint
+
     src = Path(numerics.__file__).parent
     pattern = re.compile(r"isinstance\([^)]*FieldPoint|\.is_exact|\bbeta[0-9]?\.value\b|\bb\.value\b")
+    second_kind = re.compile(r"_reciprocals|\b(self|beta[0-9]?|b)\.value\b")
     hits = [
         f"{path.name}:{n}: {line.strip()}"
-        for path in sorted(src.glob("*.py")) if path.name != "numerics.py"
+        for path in sorted(src.glob("*.py"))
         for n, line in enumerate(path.read_text().splitlines(), 1)
-        if pattern.search(line)
+        if second_kind.search(line) or path.name != "numerics.py" and pattern.search(line)
     ]
     assert hits == []
+    assert "value" not in [f.name for f in dataclasses.fields(Beta)]
+    for spec in ("dec:1.8", "poly:[1,0,-1,-1]@(1.2,1.4)", "pisot2:p=1,q=1", "multinacci:q=1,m=3"):
+        assert isinstance(make_beta(spec).beta_point(), FieldPoint), spec
 
 
 def test_renderings_stay_in_numerics():
@@ -413,7 +423,7 @@ def test_beta_caches_are_not_fields():
     the base, whatever has been computed or refined."""
     import dataclasses
 
-    assert [f.name for f in dataclasses.fields(Beta)] == ["kind", "coeffs", "iso", "value"]
+    assert [f.name for f in dataclasses.fields(Beta)] == ["kind", "coeffs", "iso"]
     a, b = make_beta("multinacci:q=1,m=3"), make_beta("multinacci:q=1,m=3")
     a.refine(Fraction(1, 10**40))
     assert a.floor_value() == 1 and (a.beta_point() * a.beta_point()).num == (0, 0, 1)
@@ -676,18 +686,19 @@ def test_level_search_matches_linear_refinement(spec):
 def test_rational_roots_keep_their_level():
     """A midpoint root and the integer root found by floor_value end the
     bisection at the level where they appear."""
-    beta = make_beta("poly:[2,-3]@(1.25,1.75)")
+    # (2x - 3)(x + 5): a quadratic, since a linear f has its root at level 0
+    beta = make_beta("poly:[2,7,-15]@(1.25,1.75)")
     assert beta.interval() == (Fraction(5, 4), Fraction(7, 4))
     beta.refine(Fraction(3, 8))  # one level below the width 1/2
     assert beta.interval() == (Fraction(3, 2), Fraction(3, 2))
     beta.refine(Fraction(3, 16))
     assert beta.interval() == (Fraction(3, 2), Fraction(3, 2))
-    fresh = make_beta("poly:[2,-3]@(1.25,1.75)")
+    fresh = make_beta("poly:[2,7,-15]@(1.25,1.75)")
     assert fresh.refine(Fraction(1, 2**40)) == (Fraction(3, 2), Fraction(3, 2))
     b = fresh.beta_point()
     assert (b * b).interval(Fraction(1, 10)) == (Fraction(9, 4), Fraction(9, 4))
     assert math.floor(b * b) == 2 and (b - Fraction(3, 2)).sign() == 0
-    for spec in ("poly:[1,-2]@(1.5,2.75)", "poly:[1,-2,1,-2]@(1.5,2.75)"):
+    for spec in ("poly:[1,-1,-2]@(1.5,2.75)", "poly:[1,-2,1,-2]@(1.5,2.75)"):
         beta = make_beta(spec)
         assert beta.floor_value() == 2
         assert beta.interval() == (Fraction(2), Fraction(2))
@@ -697,8 +708,11 @@ def test_rational_roots_keep_their_level():
 
 CELL_BASES = CRITERION_BASES + [make_beta(s).plus_one().spec_string() for s in CRITERION_BASES] + [
     "poly:[1,-3,1,-1,1,-3,2]@(2.5,4)",  # reducible: the base solved from |311133
-    "poly:[4,-7]@(1.5,2)", "poly:[16,-25]@(1.5,1.75)",  # roots at levels 1 and 4
-    "poly:[2147483648,-3221225473]@(1.5,2)",  # the root 3/2 + 2^-31 at level 30
+    # (4x - 7)(x + 1), (16x - 25)(x + 1): roots at levels 1 and 4 (a linear f
+    # has its root at level 0)
+    "poly:[4,-3,-7]@(1.5,2)", "poly:[16,-9,-25]@(1.5,1.75)",
+    # (2^31 x - 3 2^30 - 1)(x + 1): the root 3/2 + 2^-31 at level 30
+    "poly:[2147483648,-1073741825,-3221225473]@(1.5,2)",
     f"poly:[{10**400},0,{-2 * 10**400 - 1}]@(1.25,1.5)",  # no float holds a coefficient
     # sqrt(2 + 2^-120), a root of (x^2 - 2)(2^120 x^2 - 2^121 - 1) about 2^-122
     # above sqrt(2), which draws Newton from afar; the left end lies between
@@ -760,7 +774,7 @@ def test_jumped_cells_are_fraction_bisection(spec):
 
 
 @pytest.mark.parametrize("spec", ["pisot2:p=1,q=1", "multinacci:q=1,m=3",
-                                  "poly:[1,-5,5]@(1.25,1.5)", "poly:[16,-25]@(1.5,1.75)"])
+                                  "poly:[1,-5,5]@(1.25,1.5)", "poly:[16,-9,-25]@(1.5,1.75)"])
 def test_cells_do_not_depend_on_the_newton_proposal(spec, monkeypatch):
     """Newton only proposes: with each correction moved up to 64 units of the
     working precision either way (up to about 4 cells at the target level),
@@ -1004,23 +1018,24 @@ def test_renderings_past_the_int_to_str_limit_raise_spec_error():
     SpecError (exit 2 in the CLI), as ``orbit --beta dec:1.7`` reaches at
     the default budget."""
     big = Fraction(10**5000 + 1, 3)
-    for render in (numerics.format_rational, lambda r: numerics.point_decimal_str(r, 0)):
+    point = make_beta("dec:1.5").point_from_rational(big)
+    for render in (lambda: numerics.format_rational(big), lambda: numerics.point_decimal_str(point, 0)):
         with pytest.raises(SpecError, match="int-to-str limit"):
-            render(big)
+            render()
 
 
 def test_rational_renderings_meet_the_int_to_str_limit_exactly():
-    """A rational point, a Fraction or a field point with no beta-coordinate,
-    raises the int-to-str SpecError exactly when floor(|x| 10^digits) has
-    more digits than the limit L, whether bit lengths decide it before
-    10^digits is formed or str() meets it; a zero point renders as "0".
-    At --digits 10^7 the rendering raises at once."""
+    """A rational point, of a degree-1 base or a field point with no
+    beta-coordinate, raises the int-to-str SpecError exactly when
+    floor(|x| 10^digits) has more digits than the limit L, whether bit
+    lengths decide it before 10^digits is formed or str() meets it; a zero
+    point renders as "0".  At --digits 10^7 the rendering raises at once."""
     import sys
     import time
 
     limit = sys.get_int_max_str_digits()
     rng = random.Random(20261019)
-    cubic = make_beta("multinacci:q=1,m=3")
+    cubic, dec = make_beta("multinacci:q=1,m=3"), make_beta("dec:1.5")
     cases = [(Fraction(rng.choice([1, -1]) * rng.randint(1, 10**rng.randint(0, 60)),
                        rng.randint(1, 10**rng.randint(0, 60))), limit + rng.randint(-70, 40))
              for _ in range(150)]
@@ -1029,13 +1044,14 @@ def test_rational_renderings_meet_the_int_to_str_limit_exactly():
               for t in range(1, 30) for e in (-1, 0)]
     for x, digits in cases:
         over = abs(x.numerator) * 10**digits // x.denominator >= 10**limit
-        for point in (x, cubic.point_from_rational(x)):
+        for point in (dec.point_from_rational(x), cubic.point_from_rational(x)):
             if over:
                 with pytest.raises(SpecError, match="int-to-str limit"):
                     numerics.point_decimal_str(point, digits)
             else:
                 assert numerics.point_decimal_str(point, digits)
-    for point in (Fraction(1), Fraction(-7, 3), Fraction(1, 10**50), cubic.one()):
+    for point in [dec.point_from_rational(r) for r in (1, Fraction(-7, 3), Fraction(1, 10**50))] \
+            + [cubic.one()]:
         t0 = time.perf_counter()
         with pytest.raises(SpecError, match="int-to-str limit"):
             numerics.point_decimal_str(point, 10**7)
@@ -1440,14 +1456,17 @@ def test_shift_to_on_intervals_collapsed_to_a_root():
 
 
 def test_shift_to_needs_two_exact_bases_with_shifted_polynomials():
-    """Decimal bases have no shift; the same root under two specs has
-    shift 0, and a non-minimal polynomial whose values agree with another
-    base's without being its shift falls back to the general equality."""
+    """A decimal base shifts only to a base of degree 1 whose value differs
+    by an integer; the same root under two specs has shift 0, and a
+    non-minimal polynomial whose values agree with another base's without
+    being its shift falls back to the general equality."""
     from negabeta import densities_coincide
     from negabeta.measure import algebraic_equal
 
     dec, golden = make_beta("dec:1.5"), make_beta("pisot2:p=1,q=1")
-    for a, b in ((dec, make_beta("dec:2.5")), (dec, golden), (golden, dec)):
+    assert dec.shift_to(make_beta("dec:2.5")) == 1 and make_beta("dec:2.5").shift_to(dec) == -1
+    assert dec.shift_to(make_beta("dec:1.8")) is None
+    for a, b in ((dec, golden), (golden, dec)):
         assert a.shift_to(b) is None
     other = make_beta("poly:[1,-1,-1]@(1.6,1.7)")
     assert golden.shift_to(other) == 0 and other.shift_to(golden) == 0
@@ -1521,7 +1540,7 @@ def test_field_proof_against_sympy(bench_workloads):
         assert b.field_proved == (irreducible and b.degree <= 3), b.spec_string()
     assert not any(make_beta(s).field_proved for s in REDUCIBLE_SPECS)
     assert not beta_from_expansion(EvPeriodic.parse("|311133")).field_proved
-    assert not make_beta("dec:1.8").field_proved
+    assert make_beta("dec:1.8").field_proved  # degree 1
     nonzero = [c for c in range(-6, 7) if c]
     quadratics = itertools.product(nonzero, range(-6, 7), nonzero)
     nonzero = [c for c in range(-3, 4) if c]
@@ -1557,7 +1576,7 @@ def test_beta_hash_is_cached_and_agrees_with_equality(count_calls):
     for spec in ("pisot2:p=1,q=1", "poly:[1,0,-1,-1]@(1.2,1.4)", "dec:1.8"):
         a, b = make_beta(spec), make_beta(spec)
         assert a is not b and a == b and hash(a) == hash(b)
-        assert hash(a) == hash((a.kind, a.coeffs, a.iso, a.value)) == a.__dict__["_hash"]
+        assert hash(a) == hash((a.kind, a.coeffs, a.iso)) == a.__dict__["_hash"]
     beta = make_beta("multinacci:q=1,m=3")
     up = beta.plus_one()
     for repeat in range(2):
@@ -1663,6 +1682,69 @@ def test_over_beta_against_the_inverse(bench_workloads):
     for r in (Fraction(1), Fraction(-7, 9), Fraction(2, 3) ** 40):
         assert numerics.over_beta(dec, r) == r / Fraction(3, 2)
         assert numerics.over_beta(dec, r, -1) == -r / Fraction(3, 2)
+
+
+@pytest.mark.parametrize("spec", ["poly:[4,-7,-3]@(2,3)", "poly:[12,-20,-9,-6]@(2,3)",
+                                  "poly:[2,-5,-1,0]@(2,3)", "dec:1.005"])
+def test_companion_steps_reduce_as_the_full_gcd(spec, monkeypatch):
+    """times_beta and over_beta divide out common factors at the primes of
+    f_0 f_d alone (``Beta._step_modulus``), and still give the (num, den)
+    of one gcd over the full coordinates: along seeded chains of steps from
+    seeded points whose coordinates carry powers of small primes, on bases
+    with repeated primes in f_0 and f_d (4x^2 - 7x - 3, 12x^3 - 20x^2 -
+    9x - 6, and 200x - 201 for dec:1.005) and on 2x^3 - 5x^2 - x, whose
+    f_0 = 0 takes the full gcd."""
+    from negabeta.numerics import FieldPoint
+
+    beta = make_beta(spec)
+    primes = (2, 3, 5, 7, 67)
+
+    def coordinate(rng):
+        num = rng.randint(-10**6, 10**6) * math.prod(rng.choice(primes) for _ in range(rng.randint(0, 4)))
+        return Fraction(num, math.prod(rng.choice(primes) for _ in range(rng.randint(0, 6))))
+
+    def chains():
+        rng, out = random.Random(spec), []
+        starts = [[coordinate(rng) for _ in range(beta.degree)] for _ in range(8)]
+        # (f - f_0) / x over an odd denominator: its companion step is the
+        # rational -f_0, which is 0 when f_0 = 0
+        m = 3 * coordinate(rng).denominator
+        starts.append([Fraction(c, m) for c in beta.poly[1:]])
+        for coords in starts:
+            x = FieldPoint(beta, coords)
+            for i in range(40):
+                x = x.times_beta() if i == 0 or rng.random() < 0.5 else x.over_beta(rng.choice((1, -1)))
+                assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+                out.append((x.num, x.den))
+        return out
+
+    stepped = chains()
+
+    def full_gcd(cls, beta, num, den, r=0):
+        g = math.gcd(den, *num)
+        return cls._new(beta, tuple(c // g for c in num), den // g)
+
+    monkeypatch.setattr(FieldPoint, "_of", classmethod(full_gcd))
+    assert stepped == chains()
+
+
+@pytest.mark.parametrize("dec_spec,twin_spec", [
+    ("dec:1.8", "poly:[5,-9]@(1.7,1.9)"), ("dec:1.005", "poly:[200,-201]@(1.0049,1.0051)")])
+def test_decimal_bases_equal_their_poly_twins(dec_spec, twin_spec):
+    """A dec: base and the degree-1 poly: base of the same rational give
+    coordinate-equal orbit points and the same digits at budget 800, and
+    equal density_at values at tol 10^-12; the two bases differ only in
+    their renderings."""
+    from negabeta import density_at, orbit_of_one
+
+    dec, twin = make_beta(dec_spec), make_beta(twin_spec)
+    assert dec != twin and dec.shift_to(twin) == 0
+    assert (dec.spec_string(), twin.spec_string()) == (dec_spec, twin_spec)
+    a, b = orbit_of_one(dec, 800), orbit_of_one(twin, 800)
+    assert (a.kind, a.digits) == (b.kind, b.digits)
+    assert [(p.num, p.den) for p in a.points] == [(p.num, p.den) for p in b.points]
+    u, v = (density_at(beta, Fraction(1, 2), Fraction(1, 10**12)) for beta in (dec, twin))
+    assert (u.num, u.den) == (v.num, v.den) and u == v
 
 
 QUADRATIC_SPECS = ("pisot2:p=1,q=1", "pisot2:p=3,q=5", "poly:[2,-3,-1]@(1.5,2)",
