@@ -11,14 +11,14 @@ they are re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SpecError
 from .numerics import Beta, as_point, point_key, times_beta
 from .order import DEFAULT_BUDGET, DigitWord, EvPeriodic
 
-@dataclass(frozen=True)
-class OrbitRecord:
+
+class OrbitRecord(NamedTuple):
     """Orbit of 1 with exact cycle classification.
 
     kind is "periodic" (T^m(1) = 1, m = period_len minimal),
@@ -103,8 +103,7 @@ def orbit_of_one(beta: Beta, budget: int = DEFAULT_BUDGET) -> OrbitRecord:
     )
 
 
-@dataclass(frozen=True)
-class PiOfOne:
+class PiOfOne(NamedTuple):
     """Expansion of 1: resolved to an eventually periodic word, or a prefix."""
 
     resolved: bool

@@ -7,15 +7,14 @@ reaches a fixed point of the map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SpecError
 from .expansion import DEFAULT_BUDGET, orbit_of_one
 from .numerics import Beta, FieldPoint, point_decimal_str
 
 
-@dataclass(frozen=True)
-class MatchingReport:
+class MatchingReport(NamedTuple):
     """matched is None when the budget ran out before a verdict."""
 
     matched: bool | None
@@ -77,8 +76,7 @@ def multinacci_orbit(q: int, m: int, k: int) -> FieldPoint:
     return total
 
 
-@dataclass(frozen=True)
-class MultinacciCheck:
+class MultinacciCheck(NamedTuple):
     passed: bool
     q: int
     m: int

@@ -18,9 +18,9 @@ polynomial, after enclosures have failed to tell them apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import OrbitUnresolved, PrecisionExhausted, SpecError
 from .expansion import orbit_of_one, DEFAULT_BUDGET
@@ -33,7 +33,6 @@ from . import numerics, polys
 MAX_DENSITY_TERMS = 1 << 16
 
 
-@dataclass(frozen=True)
 class PiecewiseDensity:
     """Unnormalized invariant density: constant values on (x_i, x_{i+1}].
 
@@ -41,20 +40,40 @@ class PiecewiseDensity:
     (breakpoints[i], breakpoints[i+1]]; K is the exact total integral.
     Values are nonnegative; bases below the golden ratio genuinely have
     intervals the dynamics never revisits, where the density is exactly 0.
+    The fields are read-only.
     """
 
-    beta: Beta
-    breakpoints: tuple
-    values: tuple
-    K: object
+    __slots__ = ("beta", "breakpoints", "values", "K")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.breakpoints) - 1:
+    def __init__(self, beta: Beta, breakpoints: tuple, values: tuple, K):
+        if len(values) != len(breakpoints) - 1:
             raise SpecError("need one value per interval")
-        if any(v < 0 for v in self.values):
+        if any(v < 0 for v in values):
             raise SpecError("density values must be nonnegative")
-        if _integral(self.breakpoints, self.values) != self.K:
+        if _integral(breakpoints, values) != K:
             raise SpecError("normalization constant does not match the integral")
+        for name, value in zip(self.__slots__, (beta, breakpoints, values, K)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # rebuilt (and checked again) through __init__: the slots refuse assignment
+        return PiecewiseDensity, (self.beta, self.breakpoints, self.values, self.K)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+
+    __hash__ = None  # the points it holds are unhashable
+
+    def __repr__(self):
+        return (f"PiecewiseDensity(beta={self.beta!r}, breakpoints={self.breakpoints!r}, "
+                f"values={self.values!r}, K={self.K!r})")
 
     def integral_raw(self, a, b):
         """Exact unnormalized integral of the density over (a, b)."""
@@ -230,8 +249,7 @@ def measure_interval(d: PiecewiseDensity, a, b):
     return d.integral_raw(a, b) / d.K
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     at_zero: object
     at_one: object | None   # None when the orbit did not resolve
 
@@ -332,8 +350,7 @@ def algebraic_equal(x, y) -> bool:
                              f"2^-{numerics.MAX_REFINE_LEVEL} (the level cap MAX_REFINE_LEVEL)")
 
 
-@dataclass(frozen=True)
-class CoincidenceReport:
+class CoincidenceReport(NamedTuple):
     verdict: str                 # "Coincide" | "Differ" | "Unresolved"
     predicted: bool | None       # the quadratic-pair criterion
     detail: str

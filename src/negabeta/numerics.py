@@ -23,10 +23,11 @@ Points take Python's numeric operators (``+ - * / **``, comparisons,
 ``==`` and ``math.floor``), which is how other modules build and compare
 points; the point functions at the end of the file remain only for what
 the operators do not give: embedding a rational, enclosures, and
-renderings.  A point of any base takes a point of a degree-1 base, in
-its operators and ``==``, as the rational it is.  A decimal rendering is
-the exact truncation of the value, decided by an exact floor, so it does
-not depend on how far the base was refined before.
+renderings.  A point of any base takes a point of a degree-1 base, on
+either side of its operators and ``==``, as the rational it is.  A
+decimal rendering is the exact truncation of the value, decided by an
+exact floor, so it does not depend on how far the base was refined
+before.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -286,15 +286,37 @@ def _fixed_point_newton_terms(f: tuple[int, ...], x: int, p: int) -> tuple[int, 
     return v, dv
 
 
-@dataclass(frozen=True)
 class Beta:
     """A base beta > 1: the root of an integer polynomial that a rational
     interval isolates.  ``kind``, which selects renderings only, is
-    "decimal" for a ``dec:`` base a/b (the root of b x - a), else "exact"."""
+    "decimal" for a ``dec:`` base a/b (the root of b x - a), else "exact".
 
-    kind: str
-    coeffs: tuple[int, ...] | None = None          # highest degree first
-    iso: tuple[Fraction, Fraction] | None = None
+    The fields ``kind``, ``coeffs`` and ``iso`` are read-only and are the
+    base's identity: equality, hashing, ``repr`` and pickling see them
+    alone.  What is computed from them (polynomial, Sturm chain, cells,
+    floor) is cached per object in ``__dict__`` beside them."""
+
+    def __init__(self, kind: str, coeffs: tuple[int, ...] | None = None,
+                 iso: tuple[Fraction, Fraction] | None = None):
+        # coeffs run from the highest degree down
+        self.__dict__.update(kind=kind, coeffs=coeffs, iso=iso)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # the caches are rebuilt on use
+        return Beta, (self.kind, self.coeffs, self.iso)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.coeffs, self.iso) == (other.kind, other.coeffs, other.iso)
+
+    def __repr__(self):
+        return f"Beta(kind={self.kind!r}, coeffs={self.coeffs!r}, iso={self.iso!r})"
 
     # -- construction ------------------------------------------------------
 
@@ -521,9 +543,9 @@ class Beta:
         return hash((self.kind, self.coeffs, self.iso))
 
     def __hash__(self):
-        """The dataclass's hash of the fields, computed once: ``shift_to``
-        and ``_coerce`` look bases up on every mixed operation, and the
-        fields hold ``Fraction``s, whose hash takes a modular inverse."""
+        """The hash of the fields, computed once: ``shift_to`` and
+        ``_coerce`` look bases up on every mixed operation, and the fields
+        hold ``Fraction``s, whose hash takes a modular inverse."""
         return self._hash
 
     @cached_property
@@ -688,7 +710,8 @@ class FieldPoint:
     def __add__(self, other):
         if isinstance(other, int):
             return self._add_int(other, 1)
-        return self._plus(self._coerce(other), 1)
+        a, b = self._pair(other)
+        return a._plus(b, 1)
 
     def __radd__(self, other):
         # sum() starts from the int 0
@@ -700,7 +723,8 @@ class FieldPoint:
     def __sub__(self, other):
         if isinstance(other, int):
             return self._add_int(-other, 1)
-        return self._plus(self._coerce(other), -1)
+        a, b = self._pair(other)
+        return a._plus(b, -1)
 
     def __rsub__(self, other):
         if isinstance(other, int):
@@ -711,18 +735,19 @@ class FieldPoint:
         if isinstance(other, (int, Fraction)):
             return FieldPoint._of(self.beta, tuple(a * other.numerator for a in self.num),
                                   self.den * other.denominator)
-        o, d = self._coerce(other), self.beta.degree
+        lhs, o = self._pair(other)
+        d = lhs.beta.degree
         prod = [0] * (2 * d - 1)
-        for i, a in enumerate(self.num):
+        for i, a in enumerate(lhs.num):
             if a:
                 for j, b in enumerate(o.num):
                     prod[i + j] += a * b
-        rows, t = self.beta._power_table
+        rows, t = lhs.beta._power_table
         out = prod[:d] if t == 1 else [c * t for c in prod[:d]]
         for p, row in zip(prod[d:], rows):  # x^k mod f from the table for each k >= d
             if p:
                 out = [c + p * r for c, r in zip(out, row)]
-        return FieldPoint._of(self.beta, tuple(out), self.den * o.den * t)
+        return FieldPoint._of(lhs.beta, tuple(out), lhs.den * o.den * t)
 
     __rmul__ = __mul__
 
@@ -734,10 +759,19 @@ class FieldPoint:
             if n < 0:
                 n, d = -n, -d
             return FieldPoint._of(self.beta, tuple(a * d for a in self.num), self.den * n)
-        return self * self._coerce(other).inverse()
+        a, b = self._pair(other)
+        return a * b.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
+
+    def _pair(self, other) -> tuple["FieldPoint", "FieldPoint"]:
+        """``self`` and ``other`` as points of one base (``_coerce``): this
+        base, or other's when this one has degree 1 and other's more, so a
+        rational point meets a larger base on either side of an operator."""
+        if isinstance(other, FieldPoint) and self.beta.degree == 1 < other.beta.degree:
+            return other._coerce(self), other
+        return self, self._coerce(other)
 
     def _coerce(self, other) -> "FieldPoint":
         """``other`` as a point of this base: a point of this base, or of the
@@ -926,15 +960,13 @@ class FieldPoint:
         zero test."""
         if not isinstance(other, (FieldPoint, int, Fraction)):
             return NotImplemented
-        if isinstance(other, FieldPoint) and self.beta.degree == 1 < other.beta.degree:
-            return other == self  # a rational meets the other base there
-        o = self._coerce(other)
-        if self.num == o.num and self.den == o.den:
+        a, o = self._pair(other)
+        if a.num == o.num and a.den == o.den:
             return True
-        if self.beta.field_proved:
+        if a.beta.field_proved:
             return False
         if isinstance(other, FieldPoint):
-            return self._plus(o, -1)._side(0, 1, refine=False) == 0
+            return a._plus(o, -1)._side(0, 1, refine=False) == 0
         return self._side(other.numerator, other.denominator, refine=False) == 0
 
     __hash__ = None  # exact equality is semantic, not structural

@@ -18,8 +18,6 @@ package (``order`` and ``shiftspace``) loads no arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import SpecError
@@ -44,28 +42,48 @@ def _canonical(pre: DigitWord, per: DigitWord) -> tuple[DigitWord, DigitWord]:
     return pre, per
 
 
-@dataclass(frozen=True)
 class EvPeriodic:
     """An eventually periodic digit sequence pre + period^infinity.
 
     Stored canonically: the period is primitive and the preperiod is as
     short as possible, so structural equality is sequence equality.
+    ``alphabet_max`` (the largest digit unless given) takes no part in
+    equality or hashing.  The fields are read-only.
     """
 
-    preperiod: DigitWord
-    period: DigitWord
-    alphabet_max: int = field(default=0, compare=False)
+    __slots__ = ("preperiod", "period", "alphabet_max")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: DigitWord, period: DigitWord, alphabet_max: int = 0):
+        if not period:
             raise SpecError("period must be nonempty")
-        pre, per = _canonical(tuple(self.preperiod), tuple(self.period))
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
-        amax = self.alphabet_max or max(pre + per)
+        pre, per = _canonical(tuple(preperiod), tuple(period))
         if min(pre + per) < 1:
             raise SpecError("digits must be positive")
-        object.__setattr__(self, "alphabet_max", amax)
+        _set = object.__setattr__
+        _set(self, "preperiod", pre)
+        _set(self, "period", per)
+        _set(self, "alphabet_max", alphabet_max or max(pre + per))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # rebuilt through __init__: the slots refuse assignment
+        return EvPeriodic, (self.preperiod, self.period, self.alphabet_max)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.preperiod == other.preperiod and self.period == other.period
+
+    def __hash__(self):
+        return hash((self.preperiod, self.period))
+
+    def __repr__(self):
+        return (f"EvPeriodic(preperiod={self.preperiod!r}, period={self.period!r}, "
+                f"alphabet_max={self.alphabet_max!r})")
 
     @property
     def is_purely_periodic(self) -> bool:
@@ -164,6 +182,8 @@ def alt_compare(x: EvPeriodic, y: EvPeriodic) -> AltOrdering:
 
 def rho_distance(x: EvPeriodic, y: EvPeriodic, alphabet_max: int | None = None) -> Fraction:
     """Metric (alphabet size)^-k with k the first differing index; 0 if equal."""
+    from fractions import Fraction  # loaded here only: it imports decimal
+
     if alphabet_max is None:
         alphabet_max = max(x.alphabet_max, y.alphabet_max)
     cmp = alt_compare(x, y)
@@ -302,8 +322,7 @@ def _in_block_closure(u: DigitWord, pre: int, per: int, blocks: tuple[DigitWord,
     return True
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     valid: bool
     failed_condition: int | None = None
     witness: int | None = None

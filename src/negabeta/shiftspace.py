@@ -17,7 +17,6 @@ standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter, sub
 from typing import NamedTuple
@@ -60,8 +59,7 @@ class _BoundTracker:
         return self.digits[tie_len]
 
 
-@dataclass(frozen=True)
-class SftAutomaton:
+class SftAutomaton(NamedTuple):
     """Deterministic labeled graph recognizing the shift's sequences.
 
     transitions maps (state, digit) -> state; every state is reachable and

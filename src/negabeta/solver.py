@@ -10,8 +10,8 @@ the sequence (the expansion of 1 determines the base, so at most one is).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     CanonicalizationCycle,
@@ -129,8 +129,7 @@ def beta_from_expansion(target: EvPeriodic, require_valid: bool = True) -> Beta:
 # periodic approximants
 
 
-@dataclass(frozen=True)
-class ApproximantPlan:
+class ApproximantPlan(NamedTuple):
     """Self-admissible periodic candidates built from a certified prefix."""
 
     candidates: tuple[EvPeriodic, ...]
@@ -283,8 +282,7 @@ def canonicalize_expansion_candidate(seq: EvPeriodic) -> EvPeriodic:
     raise CanonicalizationCycle(f"rewriting did not settle: {[str(t) for t in trace]}")
 
 
-@dataclass(frozen=True)
-class ApproximantResult:
+class ApproximantResult(NamedTuple):
     candidate: EvPeriodic
     case: str
     side: str

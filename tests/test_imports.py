@@ -2,10 +2,13 @@
 
 ``import negabeta`` loads the word half (``errors``, ``order``,
 ``shiftspace``) and resolves the arithmetic half on first use; the CLI
-imports a verb's modules when the verb runs.  The module sets are read
+imports a verb's modules when the verb runs.  No part of the package
+loads ``dataclasses`` (which imports ``inspect``), and the word half loads
+no ``fractions`` (which imports ``decimal``).  The module sets are read
 from ``sys.modules`` of fresh interpreters.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -94,20 +97,33 @@ elif mode == "shiftspace":
 elif mode == "cli":
     from negabeta import cli
     assert cli.run(args) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("negabeta"))))
+elif mode == "all":
+    from negabeta import cli
+    for name in negabeta.__all__:
+        getattr(negabeta, name)
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("negabeta")),
+                  [m for m in ("dataclasses", "inspect", "fractions", "decimal")
+                   if m in sys.modules]]))
 """
 
 
-def _loaded(*argv) -> set[str]:
-    """The negabeta submodules in sys.modules of a fresh interpreter."""
+@functools.cache
+def _modules(*argv) -> tuple[set[str], set[str]]:
+    """The negabeta submodules, and which of dataclasses, inspect,
+    fractions and decimal, are in sys.modules of a fresh interpreter."""
     src = str(Path(negabeta.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _MODULES_SNIPPET, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    names = json.loads(proc.stdout.splitlines()[-1])
-    return {n.removeprefix("negabeta.") for n in names if n != "negabeta"}
+    names, stdlib = json.loads(proc.stdout.splitlines()[-1])
+    return {n.removeprefix("negabeta.") for n in names if n != "negabeta"}, set(stdlib)
+
+
+def _loaded(*argv) -> set[str]:
+    """The negabeta submodules in sys.modules of a fresh interpreter."""
+    return _modules(*argv)[0]
 
 
 WORDS = {"errors", "order", "shiftspace"}
@@ -123,16 +139,44 @@ def test_make_beta_adds_numerics_and_polys_only():
     assert _loaded("make_beta") == WORDS | ARITHMETIC
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", "--seq", "2|1"],
-    ["sft", "--pi1", "|32"],
-    ["entropy", "--pi1", "|32", "--n", "8"],
-    ["w-word", "--n", "10"],
-], ids=lambda argv: argv[0])
+WORD_VERBS = [
+    ("validate", "--seq", "2|1"),
+    ("sft", "--pi1", "|32"),
+    ("entropy", "--pi1", "|32", "--n", "8"),
+    ("w-word", "--n", "10"),
+]
+ORBIT = ("orbit", "--beta", "multinacci:q=1,m=3")
+# the modes that stay in the word half
+WORD_MODES = [("import",), ("shiftspace",), *(("cli", *argv) for argv in WORD_VERBS)]
+
+
+def _mode_id(mode) -> str:
+    return mode[1] if mode[0] == "cli" else mode[0]
+
+
+@pytest.mark.parametrize("argv", WORD_VERBS, ids=lambda argv: argv[0])
 def test_word_verbs_load_no_arithmetic(argv):
     assert _loaded("cli", *argv) == WORDS | {"cli"}
 
 
 def test_orbit_loads_no_measure_matching_or_solver():
-    loaded = _loaded("cli", "orbit", "--beta", "multinacci:q=1,m=3")
+    loaded = _loaded("cli", *ORBIT)
     assert loaded == WORDS | ARITHMETIC | {"expansion", "cli"}
+
+
+@pytest.mark.parametrize("mode", [*WORD_MODES, ("make_beta",), ("cli", *ORBIT), ("all",)],
+                         ids=_mode_id)
+def test_no_mode_loads_dataclasses_or_inspect(mode):
+    """Records are NamedTuples or plain classes; ``all`` imports every
+    module of the package."""
+    assert _modules(*mode)[1] & {"dataclasses", "inspect"} == set()
+
+
+@pytest.mark.parametrize("mode", WORD_MODES, ids=_mode_id)
+def test_word_modes_load_no_fractions_or_decimal(mode):
+    assert _modules(*mode)[1] & {"fractions", "decimal"} == set()
+
+
+def test_make_beta_loads_fractions():
+    """The report of watched stdlib modules sees what a mode does load."""
+    assert {"fractions", "decimal"} <= _modules("make_beta")[1]

@@ -279,8 +279,6 @@ def test_point_protocol_stays_in_numerics():
     Python's operators.  No module, numerics included, keeps a second point
     kind: a base has no rational ``value`` and no table of reciprocals, and
     beta is a field point under each of the four spec grammars."""
-    import dataclasses
-
     from negabeta.numerics import FieldPoint
 
     src = Path(numerics.__file__).parent
@@ -293,9 +291,11 @@ def test_point_protocol_stays_in_numerics():
         if second_kind.search(line) or path.name != "numerics.py" and pattern.search(line)
     ]
     assert hits == []
-    assert "value" not in [f.name for f in dataclasses.fields(Beta)]
     for spec in ("dec:1.8", "poly:[1,0,-1,-1]@(1.2,1.4)", "pisot2:p=1,q=1", "multinacci:q=1,m=3"):
-        assert isinstance(make_beta(spec).beta_point(), FieldPoint), spec
+        beta = make_beta(spec)
+        assert "value" not in vars(Beta(beta.kind, beta.coeffs, beta.iso)), spec
+        assert isinstance(beta.beta_point(), FieldPoint), spec
+        assert not hasattr(beta, "value"), spec
 
 
 def test_renderings_stay_in_numerics():
@@ -419,12 +419,10 @@ def test_decimal_renderings_do_not_depend_on_refinement(bench_workloads):
 
 def test_beta_caches_are_not_fields():
     """Beta caches its polynomial, Sturm chain, power table, cells and floor
-    per object, outside the dataclass fields: equality and hashing see only
-    the base, whatever has been computed or refined."""
-    import dataclasses
-
-    assert [f.name for f in dataclasses.fields(Beta)] == ["kind", "coeffs", "iso"]
+    per object, beside the fields: equality and hashing see only the base
+    (kind, coeffs, iso), whatever has been computed or refined."""
     a, b = make_beta("multinacci:q=1,m=3"), make_beta("multinacci:q=1,m=3")
+    assert list(vars(Beta(a.kind, a.coeffs, a.iso))) == ["kind", "coeffs", "iso"]
     a.refine(Fraction(1, 10**40))
     assert a.floor_value() == 1 and (a.beta_point() * a.beta_point()).num == (0, 0, 1)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
@@ -954,6 +952,35 @@ def test_rational_operands_act_as_embedded_points(spec):
             assert (x == r) == (x == p) and (x < r) == (x < p) and (x >= r) == (x >= p)
             assert math.floor(x + r) == math.floor(x + p)
         assert point_json(x, 6)["coeffs"] == [format_rational(c) for c in x.coeffs]
+
+
+@pytest.mark.parametrize("dec", ["dec:1.5", "dec:2.25"])
+@pytest.mark.parametrize("spec", ["pisot2:p=1,q=1", "pisot2:p=2,q=3", "multinacci:q=1,m=3"])
+def test_degree_one_points_take_either_side_of_an_operator(dec, spec):
+    """A point of a degree-1 base against a point of a larger base that is
+    no integer shift of it, on either side of + - * / < <= > >= and ==: it
+    acts as the rational it is, so the result is the point of the larger
+    base that the rational operand gives, and the swapped operation
+    agrees."""
+    import operator
+
+    from negabeta.numerics import FieldPoint
+
+    beta, rat, rng = make_beta(spec), make_beta(dec), random.Random(dec + spec)
+    assert rat.shift_to(beta) is None
+    for trial in range(12):
+        q = _random_rational(rng, trial % 4 == 0) or Fraction(1, 3)
+        r = rat.point_from_rational(q)
+        x = beta.point_from_rational(q) if trial % 3 == 0 else \
+            FieldPoint(beta, [_random_rational(rng) for _ in range(beta.degree)])
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for got, want in ((op(r, x), op(q, x)), (op(x, r), op(x, q))):
+                assert (got.beta, got.num, got.den) == (beta, want.num, want.den), op
+        assert r + x == x + r and r - x == -(x - r) and r * x == x * r and r / x * (x / r) == 1
+        for op, swapped in ((operator.lt, operator.gt), (operator.le, operator.ge),
+                            (operator.gt, operator.lt), (operator.ge, operator.le),
+                            (operator.eq, operator.eq)):
+            assert op(r, x) == swapped(x, r) == op(q, x), op
 
 
 def _format_rational_oracle(r):
