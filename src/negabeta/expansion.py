@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .errors import SpecError
-from .numerics import Beta, as_point, point_key, times_beta
+from .numerics import Beta, as_point, point_key
 from .order import DEFAULT_BUDGET, DigitWord, EvPeriodic
 
 
@@ -40,7 +40,7 @@ class OrbitRecord(NamedTuple):
 
 def step(beta: Beta, x):
     """One application of the map: returns (digit, next point)."""
-    y = times_beta(beta, x)
+    y = as_point(beta, x).times_beta()
     d = math.floor(y) + 1
     return d, d - y
 

@@ -8,11 +8,9 @@ orbit points are certified distinct, so one sort orders the breakpoints
 and the values are suffix sums of the orbit weights.  Comparison of two
 densities is also exact, and reads its evidence in order: breakpoint
 counts, then sorted breakpoints, then normalized values, so a verdict
-settled by the counts builds no density.  Bases that differ by an
-integer, as beta and beta + 1 do, generate one field, so their points
-meet in it through a Taylor shift and one field equality decides; only
-points of fields that share no such shift take a characteristic
-polynomial, after enclosures have failed to tell them apart.
+settled by the counts builds no density.  Points of the two bases are
+compared with ``==``, which ``numerics`` decides for points of any two
+bases, whether or not their fields meet.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from typing import NamedTuple
 
 from .errors import OrbitUnresolved, PrecisionExhausted, SpecError
 from .expansion import orbit_of_one, DEFAULT_BUDGET
-from .numerics import Beta, FieldPoint, as_point, same_field
-from . import numerics, polys
+from .numerics import Beta, as_point
 
 
 # density_at sums at most this many orbit terms: a base this close to 1,
@@ -121,11 +118,11 @@ def _weights(beta: Beta, rec):
     if rec.resolved:
         k, p = rec.pre_len, rec.period_len
         while len(ws) <= max(k, p):
-            ws.append(numerics.over_beta(beta, ws[-1], -1))
+            ws.append(ws[-1].over_beta(-1))
         ws[k:] = [ws[k] / (1 - ws[p])]
     w = ws[-1]
     for _ in range(rec.budget - len(ws)):
-        w = numerics.over_beta(beta, w, -1)
+        w = w.over_beta(-1)
         ws.append(w)
     return list(zip(rec.points[:rec.budget], ws))
 
@@ -211,7 +208,7 @@ def density_at(beta: Beta, x, tol=Fraction(1, 10**12)):
     # one companion division and one integer added per term
     acc = as_point(beta, 0)
     for pt in reversed(rec.points[:rec.budget]):
-        acc = numerics.over_beta(beta, acc, -1)
+        acc = acc.over_beta(-1)
         if pt >= x:
             acc = acc + 1
     return acc
@@ -274,82 +271,6 @@ def limits(beta: Beta, budget: int = DEFAULT_BUDGET) -> Limits:
     return Limits(at_zero, at_one)
 
 
-# ---------------------------------------------------------------------------
-# exact equality of algebraic numbers across different fields
-
-
-def _mult_matrix(x: FieldPoint) -> tuple[list[list[int]], int]:
-    """(N, den): the matrix of multiplication by x in the basis
-    1, beta, ..., beta^(d-1) is N / den, with N an integer matrix."""
-    cols = [x]
-    for _ in range(x.beta.degree - 1):
-        cols.append(cols[-1].times_beta())
-    den = math.lcm(*(c.den for c in cols))
-    # rows indexed by basis coordinate, columns by basis power
-    return [[c.num[i] * (den // c.den) for c in cols] for i in range(len(cols))], den
-
-
-def _charpoly(m: list[list[int]], den: int) -> polys.IntPoly:
-    """A primitive integer multiple of the characteristic polynomial of
-    m / den, for an integer matrix m.  Faddeev-LeVerrier on m gives its
-    characteristic polynomial t^n + c_1 t^(n-1) + ... + c_n with integer
-    c_k, every trace division exact; the one of m / den has
-    x^(n-k) coefficient c_k / den^k, so den^n times it is integral."""
-    n = len(m)
-    work = [[int(i == j) for j in range(n)] for i in range(n)]
-    cs = [1]
-    for k in range(1, n + 1):
-        work = [[sum(m[i][l] * work[l][j] for l in range(n)) for j in range(n)]
-                for i in range(n)]
-        c = -sum(work[i][i] for i in range(n)) // k
-        cs.append(c)
-        for i in range(n):
-            work[i][i] += c
-    return polys.primitive([cs[n - j] * den**j for j in range(n + 1)])  # x^j: c_(n-j) den^j
-
-
-def algebraic_equal(x, y) -> bool:
-    """Exact equality of two real algebraic numbers, fields may differ.
-
-    Points of one base, or of two bases that differ by an integer, meet in
-    one field (``same_field``) and one field equality decides.  Otherwise
-    disjoint enclosures say no; x's characteristic polynomial must vanish
-    at y, and a hull of both enclosures must isolate one of its roots."""
-    if same_field(x, y):
-        return x == y
-
-    def hull(bits):
-        """The hull of both enclosures narrower than 2^-bits, or None when
-        they are disjoint."""
-        width = Fraction(1, 1 << bits)
-        (ax, bx), (ay, by) = x.interval(width), y.interval(width)
-        return None if bx < ay or by < ax else (min(ax, ay), max(bx, by))
-
-    # distinct values are told apart before the exact characteristic polynomial
-    if hull(40) is None:
-        return False
-    p = _charpoly(*_mult_matrix(x))
-    # y must satisfy x's characteristic polynomial...
-    acc = y.beta.point_from_rational(0)
-    for c in reversed(p):
-        acc = acc * y + c
-    if not acc.is_zero():
-        return False
-    # ... and be the same real root of it
-    chain = polys.sturm_chain(p)
-    for bits in range(40, numerics.MAX_REFINE_LEVEL + 1, 8):
-        box = hull(bits)
-        if box is None:
-            return False
-        lo, hi = box
-        if lo == hi:
-            return True  # both are exactly the rational lo
-        if polys.isolates(chain, lo, hi):
-            return True
-    raise PrecisionExhausted("algebraic equality not settled by width "
-                             f"2^-{numerics.MAX_REFINE_LEVEL} (the level cap MAX_REFINE_LEVEL)")
-
-
 class CoincidenceReport(NamedTuple):
     verdict: str                 # "Coincide" | "Differ" | "Unresolved"
     predicted: bool | None       # the quadratic-pair criterion
@@ -368,7 +289,7 @@ def _quadratic_pair_prediction(b1: Beta, b2: Beta) -> bool | None:
     t = b1.shift_to(b2)
     if t is None:
         x1, x2 = b1.beta_point(), b2.beta_point()
-        t = 1 if algebraic_equal(x1 + 1, x2) else -1 if algebraic_equal(x2 + 1, x1) else None
+        t = 1 if x1 + 1 == x2 else -1 if x2 + 1 == x1 else None
     if t not in (1, -1):
         return False
     small_b = b1 if t == 1 else b2
@@ -390,7 +311,7 @@ def densities_coincide(
     and their normalized values.  The report also carries the
     quadratic-pair prediction for when they should coincide.
     """
-    if algebraic_equal(beta1.beta_point(), beta2.beta_point()):
+    if beta1.beta_point() == beta2.beta_point():
         raise SpecError("bases must differ")
     predicted = _quadratic_pair_prediction(beta1, beta2)
     recs = []
@@ -407,10 +328,10 @@ def densities_coincide(
         )
     order1, order2 = _breakpoint_order(rec1), _breakpoint_order(rec2)
     for i, j in zip(order1, order2):
-        if not algebraic_equal(rec1.points[i], rec2.points[j]):
+        if rec1.points[i] != rec2.points[j]:
             return CoincidenceReport("Differ", predicted, "breakpoints differ")
     d1, d2 = _density_of(beta1, rec1, order1), _density_of(beta2, rec2, order2)
     for a, b in zip(d1.normalized_values(), d2.normalized_values()):
-        if not algebraic_equal(a, b):
+        if a != b:
             return CoincidenceReport("Differ", predicted, "normalized values differ")
     return CoincidenceReport("Coincide", predicted, "breakpoints and values agree")

@@ -24,10 +24,15 @@ Points take Python's numeric operators (``+ - * / **``, comparisons,
 points; the point functions at the end of the file remain only for what
 the operators do not give: embedding a rational, enclosures, and
 renderings.  A point of any base takes a point of a degree-1 base, on
-either side of its operators and ``==``, as the rational it is.  A
-decimal rendering is the exact truncation of the value, decided by an
-exact floor, so it does not depend on how far the base was refined
-before.
+either side of its operators and ``==``, as the rational it is, and a
+point of the base beta + t, for an integer t, through a Taylor shift.
+``==`` also decides points of two bases whose fields do not meet: the
+first's characteristic polynomial must vanish at the second, which must
+be the root of it that their enclosures isolate, and it is formed only
+after enclosures have failed to tell the values apart; every other
+operator raises SpecError for such points.  A decimal rendering is the
+exact truncation of the value, decided by an exact floor, so it does not
+depend on how far the base was refined before.
 """
 
 from __future__ import annotations
@@ -953,13 +958,22 @@ class FieldPoint:
         return (self - other)._side(0, 1)
 
     def __eq__(self, other):
-        """Equal reduced coordinates mean equal points on any base, and on a
-        base with ``field_proved`` different ones mean unequal points.
-        Otherwise the position test at the current level, never refining:
-        the enclosure decides when it excludes the other value, else the
-        zero test."""
+        """Exact equality with a point of any base or a rational.
+
+        When the fields meet (one base, a degree-1 base on either side, or
+        two bases that differ by an integer, ``_coerce``) it never refines:
+        equal reduced coordinates mean equal points on any base, and on a
+        base with ``field_proved`` different ones mean unequal points;
+        otherwise the position test at the current level decides when the
+        enclosure excludes the other value, else the zero test.  Points of
+        two unrelated bases take ``_equal_across_fields``, which refines
+        both bases and may raise PrecisionExhausted at the level cap."""
         if not isinstance(other, (FieldPoint, int, Fraction)):
             return NotImplemented
+        if isinstance(other, FieldPoint) and other.beta is not self.beta \
+                and min(self.beta.degree, other.beta.degree) > 1 and other.beta != self.beta \
+                and self.beta.shift_to(other.beta) is None:  # the fields do not meet
+            return _equal_across_fields(self, other)
         a, o = self._pair(other)
         if a.num == o.num and a.den == o.den:
             return True
@@ -998,6 +1012,73 @@ class FieldPoint:
 
     def __repr__(self):
         return f"FieldPoint({list(self.coeffs)})"
+
+
+def _equal_across_fields(x: FieldPoint, y: FieldPoint) -> bool:
+    """x == y for points of two bases whose fields do not meet: disjoint
+    enclosures say no; x's characteristic polynomial must vanish at y, and
+    a hull of both enclosures must isolate one of its roots."""
+
+    def hull(bits):
+        """The hull of both enclosures narrower than 2^-bits, or None when
+        they are disjoint."""
+        width = Fraction(1, 1 << bits)
+        (ax, bx), (ay, by) = x.interval(width), y.interval(width)
+        return None if bx < ay or by < ax else (min(ax, ay), max(bx, by))
+
+    # distinct values are told apart before the exact characteristic polynomial
+    if hull(40) is None:
+        return False
+    p = _charpoly(*_mult_matrix(x))
+    # y must satisfy x's characteristic polynomial...
+    acc = y.beta.point_from_rational(0)
+    for c in reversed(p):
+        acc = acc * y + c
+    if not acc.is_zero():
+        return False
+    # ... and be the same real root of it
+    chain = polys.sturm_chain(p)
+    for bits in range(40, MAX_REFINE_LEVEL + 1, 8):
+        box = hull(bits)
+        if box is None:
+            return False
+        lo, hi = box
+        if lo == hi:
+            return True  # both are exactly the rational lo
+        if polys.isolates(chain, lo, hi):
+            return True
+    raise PrecisionExhausted("algebraic equality not settled by width "
+                             f"2^-{MAX_REFINE_LEVEL} (the level cap MAX_REFINE_LEVEL)")
+
+
+def _mult_matrix(x: FieldPoint) -> tuple[list[list[int]], int]:
+    """(N, den): the matrix of multiplication by x in the basis
+    1, beta, ..., beta^(d-1) is N / den, with N an integer matrix."""
+    cols = [x]
+    for _ in range(x.beta.degree - 1):
+        cols.append(cols[-1].times_beta())
+    den = math.lcm(*(c.den for c in cols))
+    # rows indexed by basis coordinate, columns by basis power
+    return [[c.num[i] * (den // c.den) for c in cols] for i in range(len(cols))], den
+
+
+def _charpoly(m: list[list[int]], den: int) -> polys.IntPoly:
+    """A primitive integer multiple of the characteristic polynomial of
+    m / den, for an integer matrix m.  Faddeev-LeVerrier on m gives its
+    characteristic polynomial t^n + c_1 t^(n-1) + ... + c_n with integer
+    c_k, every trace division exact; the one of m / den has
+    x^(n-k) coefficient c_k / den^k, so den^n times it is integral."""
+    n = len(m)
+    work = [[int(i == j) for j in range(n)] for i in range(n)]
+    cs = [1]
+    for k in range(1, n + 1):
+        work = [[sum(m[i][l] * work[l][j] for l in range(n)) for j in range(n)]
+                for i in range(n)]
+        c = -sum(work[i][i] for i in range(n)) // k
+        cs.append(c)
+        for i in range(n):
+            work[i][i] += c
+    return polys.primitive([cs[n - j] * den**j for j in range(n + 1)])  # x^j: c_(n-j) den^j
 
 
 def _surd_sign(p: int, q: int, D: int) -> int:
@@ -1074,16 +1155,6 @@ def make_beta(spec: str, _ignored=None) -> Beta:
     raise SpecError(f"unrecognized base specification {spec!r}")
 
 
-def times_beta(beta: Beta, x) -> FieldPoint:
-    """beta * x, for x a point of the base or a rational."""
-    return as_point(beta, x).times_beta()
-
-
-def over_beta(beta: Beta, x, e: int = 1) -> FieldPoint:
-    """e * x / beta, for e = 1 or -1 and x a point of the base or a rational."""
-    return as_point(beta, x).over_beta(e)
-
-
 def as_point(beta: Beta, r) -> FieldPoint:
     """A point as it is, or a rational as a point of the base."""
     if isinstance(r, FieldPoint):
@@ -1093,17 +1164,7 @@ def as_point(beta: Beta, r) -> FieldPoint:
 
 def floor_beta_times(beta: Beta, x) -> int:
     """Exact floor of beta*x for x in (0, 1]."""
-    return math.floor(times_beta(beta, x))
-
-
-def same_field(x, y) -> bool:
-    """Can x == y be decided in one field?  Not when they are points of two
-    bases of degree 2 or more, unless the bases differ by an integer, whose
-    points meet in x's field through a Taylor shift (``FieldPoint._coerce``).
-    A rational, as every point of a degree-1 base is, meets any base."""
-    if isinstance(x, FieldPoint) and isinstance(y, FieldPoint) and min(x.beta.degree, y.beta.degree) > 1:
-        return x.beta == y.beta or x.beta.shift_to(y.beta) is not None
-    return True
+    return math.floor(as_point(beta, x).times_beta())
 
 
 def point_key(x: FieldPoint) -> tuple | int:

@@ -37,7 +37,6 @@ from negabeta import (
     truncation_bound,
     verify_multinacci_matching,
 )
-from negabeta.measure import algebraic_equal
 from negabeta.order import compare_with_limit_word
 from negabeta.solver import _roots_above_one, value_equation_poly
 
@@ -69,7 +68,7 @@ def test_criterion_1_measure_coincidence(phi, phi2, tribonacci):
     ok &= (m1 * (b + 2) - 1).is_zero()
     b2 = phi2.beta_point()
     m2 = measure_interval(density(phi2), 0, 3 - b2)
-    ok &= algebraic_equal(m1, m2)
+    ok &= m1 == m2
     ok &= (density(phi2).K - 1).is_zero()
 
     elapsed = time.monotonic() - t0

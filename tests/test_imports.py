@@ -92,6 +92,9 @@ if mode == "import":
     assert [n for n in dir(negabeta) if not n.startswith("_")] == negabeta.__all__
 elif mode == "make_beta":
     negabeta.numerics.make_beta("multinacci:q=1,m=3")
+elif mode == "cross_eq":
+    make_beta = negabeta.numerics.make_beta
+    assert make_beta("multinacci:q=1,m=3").one() == make_beta("pisot2:p=1,q=1").one()
 elif mode == "shiftspace":
     import negabeta.shiftspace
 elif mode == "cli":
@@ -137,6 +140,11 @@ def test_import_loads_the_word_half_only():
 
 def test_make_beta_adds_numerics_and_polys_only():
     assert _loaded("make_beta") == WORDS | ARITHMETIC
+
+
+def test_equality_across_fields_adds_numerics_and_polys_only():
+    """The cross-field arm of ``==`` imports nothing above numerics."""
+    assert _loaded("cross_eq") == WORDS | ARITHMETIC
 
 
 WORD_VERBS = [

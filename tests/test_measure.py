@@ -14,7 +14,6 @@ from negabeta import (
     normalization,
 )
 from negabeta.errors import PrecisionExhausted, SpecError
-from negabeta.measure import algebraic_equal
 from negabeta.numerics import FieldPoint, as_point, point_decimal_str
 
 
@@ -359,7 +358,7 @@ def test_measure_interval(phi, phi2):
     d2 = density(phi2)
     b2 = phi2.beta_point()
     m2 = measure_interval(d2, 0, 3 - b2)
-    assert algebraic_equal(m, m2)
+    assert m == m2
     assert (measure_interval(d, 0, 1) - 1).is_zero()
 
 
@@ -418,7 +417,7 @@ def _full_order_report(beta1, beta2, budget):
     breakpoint counts, the breakpoints and the normalized values."""
     from negabeta.measure import CoincidenceReport, _quadratic_pair_prediction
 
-    if algebraic_equal(beta1.beta_point(), beta2.beta_point()):
+    if beta1.beta_point() == beta2.beta_point():
         raise AssertionError("bases must differ")
     predicted = _quadratic_pair_prediction(beta1, beta2)
     try:
@@ -431,10 +430,10 @@ def _full_order_report(beta1, beta2, budget):
         return CoincidenceReport("Differ", predicted,
                                  f"breakpoint counts differ ({len(in1)} vs {len(in2)})")
     for a, b in zip(in1, in2):
-        if not algebraic_equal(a, b):
+        if a != b:
             return CoincidenceReport("Differ", predicted, "breakpoints differ")
     for a, b in zip(d1.normalized_values(), d2.normalized_values()):
-        if not algebraic_equal(a, b):
+        if a != b:
             return CoincidenceReport("Differ", predicted, "normalized values differ")
     return CoincidenceReport("Coincide", predicted, "breakpoints and values agree")
 
@@ -529,28 +528,26 @@ def test_algebraic_equal_rational_points_and_level_cap(monkeypatch):
 
     golden, tribonacci = make_beta("pisot2:p=1,q=1"), make_beta("multinacci:q=1,m=3")
     third = Fraction(1, 3)
-    assert algebraic_equal(golden.point_from_rational(third),
-                           tribonacci.point_from_rational(third))
-    assert not algebraic_equal(golden.point_from_rational(third),
-                               tribonacci.point_from_rational(Fraction(1, 2)))
+    assert golden.point_from_rational(third) == tribonacci.point_from_rational(third)
+    assert golden.point_from_rational(third) != tribonacci.point_from_rational(Fraction(1, 2))
     other = make_beta("poly:[1,-1,-1]@(1.6,1.7)")
-    assert algebraic_equal(golden.beta_point(), other.beta_point())
+    assert golden.beta_point() == other.beta_point()
     monkeypatch.setattr(numerics, "MAX_REFINE_LEVEL", 2)
     # one root under two specs shares the shift 0: one field equality, no refinement
-    assert algebraic_equal(make_beta("pisot2:p=1,q=1").beta_point(),
-                           make_beta("poly:[1,-1,-1]@(1.6,1.7)").beta_point())
+    assert make_beta("pisot2:p=1,q=1").beta_point() == \
+        make_beta("poly:[1,-1,-1]@(1.6,1.7)").beta_point()
     # sqrt(5) = 2 phi - 1 in a field that shares no integer shift with phi's
     with pytest.raises(PrecisionExhausted, match="level cap"):
-        algebraic_equal(2 * make_beta("pisot2:p=1,q=1").beta_point() - 1,
-                        make_beta("poly:[1,0,-5]@(2,3)").beta_point())
+        2 * make_beta("pisot2:p=1,q=1").beta_point() - 1 == \
+            make_beta("poly:[1,0,-5]@(2,3)").beta_point()
 
 
 def test_algebraic_equal_cross_field(phi, phi2):
     b, b2 = phi.beta_point(), phi2.beta_point()
-    assert algebraic_equal(b + 1, b2)
-    assert not algebraic_equal(b, b2)
-    assert algebraic_equal(Fraction(1, 2), Fraction(1, 2))
-    assert algebraic_equal(2 - b, 3 - b2)
+    assert b + 1 == b2
+    assert b != b2
+    assert phi.point_from_rational(Fraction(1, 2)) == phi2.point_from_rational(Fraction(1, 2))
+    assert 2 - b == 3 - b2
 
 
 def test_algebraic_equal_rejects_by_enclosure_first(bench_workloads, count_calls):
@@ -561,26 +558,26 @@ def test_algebraic_equal_rejects_by_enclosure_first(bench_workloads, count_calls
     share no integer shift, points whose enclosures are apart at 2^-40
     never reach it either, while equal points and a rational within 2^-70
     of the golden ratio, in another field, still do."""
-    from negabeta import measure
+    from negabeta import numerics
 
-    calls = count_calls(measure, "_charpoly")
+    calls = count_calls(numerics, "_charpoly")
     for a, b in bench_workloads.CLI_MC_PAIRS:
         x, y = make_beta(a).beta_point(), make_beta(b).beta_point()
-        assert not algebraic_equal(x, y) and not algebraic_equal(y + 1, x + 1)
+        assert x != y and y + 1 != x + 1
     assert not calls
     for spec in bench_workloads.CLI_BASES:
         beta = make_beta(spec)
         b, b1 = beta.beta_point(), beta.plus_one().beta_point()
-        assert not algebraic_equal(b, b1) and not algebraic_equal(b1 / 2, b + 1)
-        assert algebraic_equal(b + 1, b1) and algebraic_equal(b1 - 1, b)
+        assert b != b1 and b1 / 2 != b + 1
+        assert b + 1 == b1 and b1 - 1 == b
         assert not calls
     golden, tribonacci = make_beta("pisot2:p=1,q=1"), make_beta("multinacci:q=1,m=3")
     phi, root5 = golden.beta_point(), make_beta("poly:[1,0,-5]@(2,3)").beta_point()
-    assert algebraic_equal(2 * phi - 1, root5) and algebraic_equal(root5 + 1, 2 * phi)
+    assert 2 * phi - 1 == root5 and root5 + 1 == 2 * phi
     assert calls == {"_charpoly": 2}
     near = tribonacci.point_from_rational(golden.refine(Fraction(1, 2**70))[0])
     calls.clear()
-    assert not algebraic_equal(golden.beta_point(), near)
+    assert golden.beta_point() != near
     assert calls == {"_charpoly": 1}
 
 
@@ -590,7 +587,7 @@ def test_shift_path_agrees_with_the_general_path(bench_workloads, monkeypatch, c
     when, with ``shift_to`` answering None, they take the characteristic
     polynomial: on the corpus measure-compare argvs, and on x^2 - qx - p
     (p <= 8, q <= 6) against its beta + 1 at budget 400."""
-    from negabeta import cli, measure
+    from negabeta import cli, numerics
     from negabeta.numerics import Beta
 
     argvs = [a for a in bench_workloads.CLI_HEAVY if a[0] == "measure-compare"]
@@ -602,7 +599,7 @@ def test_shift_path_agrees_with_the_general_path(bench_workloads, monkeypatch, c
                  for q in range(1, 7) for p in range(1, 9)]
         return outs, [densities_coincide(b, b.plus_one(), 400) for b in bases]
 
-    calls = count_calls(measure, "_charpoly")
+    calls = count_calls(numerics, "_charpoly")
     shifted = run_all()
     verdicts = [r.verdict for r in shifted[1]]
     assert verdicts.count("Coincide") == 29 and verdicts.count("Unresolved") == 19

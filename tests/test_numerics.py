@@ -298,6 +298,23 @@ def test_point_protocol_stays_in_numerics():
         assert not hasattr(beta, "value"), spec
 
 
+def test_point_equality_stays_in_numerics():
+    """``==`` decides every pair of points, so no other module keeps field
+    logic of its own: none names a cross-field equality, a same-field test,
+    or the characteristic polynomial behind them.  Points divide and
+    multiply by beta through their methods alone."""
+    src = Path(numerics.__file__).parent
+    pattern = re.compile(r"\b(algebraic_equal|same_field|_charpoly|_mult_matrix)\b")
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(src.glob("*.py")) if path.name != "numerics.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
+    assert [n for n in ("same_field", "times_beta", "over_beta") if hasattr(numerics, n)] == []
+
+
 def test_renderings_stay_in_numerics():
     """A decimal is rendered in numerics alone, from an exact floor: no
     other module takes the midpoint of an enclosure, and neither the CLI
@@ -1373,7 +1390,7 @@ def test_polynomials_are_integer_tuples():
     """polys keeps no rational-coefficient layer, and every polynomial the
     library builds is a tuple of int."""
     from negabeta.expansion import EvPeriodic
-    from negabeta.measure import _charpoly, _mult_matrix
+    from negabeta.numerics import _charpoly, _mult_matrix
     from negabeta.solver import value_equation_poly
 
     deleted = ("Poly", "ZERO", "make_poly", "degree", "poly_eval", "poly_add", "poly_neg",
@@ -1401,7 +1418,7 @@ def test_charpoly_against_sympy():
     degrees 1 to 6, is a primitive integer multiple of sympy's."""
     import sympy
 
-    from negabeta.measure import _charpoly
+    from negabeta.numerics import _charpoly
 
     lam = sympy.Symbol("lam")
     rng = random.Random(20261018)
@@ -1454,7 +1471,6 @@ def test_shift_to_on_intervals_collapsed_to_a_root():
     """A cell that is a rational root has that root as both endpoints, so
     it never bounds a Sturm count: the position against the other base's
     isolating interval decides instead."""
-    from negabeta.measure import algebraic_equal
 
     def collapsed(spec):
         beta = make_beta(spec)
@@ -1466,20 +1482,20 @@ def test_shift_to_on_intervals_collapsed_to_a_root():
     for two in (make_beta("poly:[1,3,-10]@(1.001,4)"), collapsed("poly:[1,3,-10]@(1.001,4)")):
         for three in (two.plus_one(), collapsed(two.plus_one().spec_string())):
             assert two.shift_to(three) == 1 and three.shift_to(two) == -1
-            assert algebraic_equal(two.beta_point() + 1, three.beta_point())
+            assert two.beta_point() + 1 == three.beta_point()
     # (x - 2)(x - 3) and (x - 3)(x - 4) are shifts by 1, but 4 = 2 + 2: the
     # shifted point 3 is a root at the end of the hull of [3, 3] and 4's cell
     two, four = collapsed("poly:[1,-5,6]@(1.5,2.5)"), collapsed("poly:[1,-7,12]@(3.5,4.5)")
     for a, b in ((two, make_beta("poly:[1,-7,12]@(3.5,4.5)")),
                  (make_beta("poly:[1,-5,6]@(1.5,2.5)"), four), (two, four)):
         assert a.shift_to(b) is None and b.shift_to(a) is None
-        assert algebraic_equal(a.beta_point() + 2, b.beta_point())
+        assert a.beta_point() + 2 == b.beta_point()
     # 2 from (x - 2)(x + 1): beta + 1 keeps the root at zero of x(x - 3)
     two = collapsed("poly:[1,-1,-2]@(1.001,4)")
     three = two.plus_one()
     assert three.coeffs == (1, -3, 0)
     assert two.shift_to(three) == 1 and three.shift_to(two) == -1
-    assert algebraic_equal(two.beta_point() + 1, three.beta_point())
+    assert two.beta_point() + 1 == three.beta_point()
 
 
 def test_shift_to_needs_two_exact_bases_with_shifted_polynomials():
@@ -1488,7 +1504,6 @@ def test_shift_to_needs_two_exact_bases_with_shifted_polynomials():
     non-minimal polynomial whose values agree with another base's without
     being its shift falls back to the general equality."""
     from negabeta import densities_coincide
-    from negabeta.measure import algebraic_equal
 
     dec, golden = make_beta("dec:1.5"), make_beta("pisot2:p=1,q=1")
     assert dec.shift_to(make_beta("dec:2.5")) == 1 and make_beta("dec:2.5").shift_to(dec) == -1
@@ -1505,8 +1520,8 @@ def test_shift_to_needs_two_exact_bases_with_shifted_polynomials():
     for spec in ("poly:[1,-12,28,-9]@(2.5,2.7)", "poly:[1,-3,1]@(2.5,3)"):
         up = make_beta(spec)
         assert phi5.shift_to(up) is None and up.shift_to(phi5) is None
-        assert algebraic_equal(phi5.beta_point() + 1, up.beta_point())
-        assert not algebraic_equal(phi5.beta_point() + 2, up.beta_point())
+        assert phi5.beta_point() + 1 == up.beta_point()
+        assert phi5.beta_point() + 2 != up.beta_point()
 
 
 def test_points_of_shifted_bases_meet_by_a_taylor_shift(bench_workloads):
@@ -1697,7 +1712,7 @@ def test_over_beta_against_the_inverse(bench_workloads):
         for x in points:
             q = x.over_beta()
             assert q * b == x and q == x * binv
-            assert x.over_beta(-1) == -q and numerics.over_beta(beta, x, -1) == -q
+            assert x.over_beta(-1) == -q
             if beta.poly[0]:
                 assert (q.num, q.den) == ((x * binv).num, (x * binv).den)
                 assert ((q * b).num, (q * b).den) == (x.num, x.den)
@@ -1707,8 +1722,8 @@ def test_over_beta_against_the_inverse(bench_workloads):
     assert at_zero == 5
     dec = make_beta("dec:1.5")
     for r in (Fraction(1), Fraction(-7, 9), Fraction(2, 3) ** 40):
-        assert numerics.over_beta(dec, r) == r / Fraction(3, 2)
-        assert numerics.over_beta(dec, r, -1) == -r / Fraction(3, 2)
+        assert dec.point_from_rational(r).over_beta() == r / Fraction(3, 2)
+        assert dec.point_from_rational(r).over_beta(-1) == -r / Fraction(3, 2)
 
 
 @pytest.mark.parametrize("spec", ["poly:[4,-7,-3]@(2,3)", "poly:[12,-20,-9,-6]@(2,3)",

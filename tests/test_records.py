@@ -10,6 +10,7 @@ equal values hash alike), fields are read-only, and ``pickle``,
 """
 
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from negabeta import (
     pi_of_one,
     verify_multinacci_matching,
 )
+from negabeta.errors import SpecError
 
 TRIB = "multinacci:q=1,m=3"
 
@@ -151,3 +153,34 @@ def test_beta_caches_stay_writable():
     b = Beta("decimal", (5, -9), (Fraction(7, 5), Fraction(3)))
     assert b.degree == 1 and "degree" in vars(b)
     assert b == make_beta("dec:1.8")
+
+
+GOLDEN = "pisot2:p=1,q=1"
+
+
+@pytest.mark.parametrize("name", ["Limits", "MatchingReport", "OrbitRecord", "PiOfOne",
+                                  "PiecewiseDensity"])
+def test_records_of_unrelated_fields_compare_unequal(name):
+    """Records holding points of the tribonacci and golden fields, which
+    share no integer shift, answer == and != without raising, as a whole
+    and field by field (a whole record may differ before its points)."""
+    build = RECORDS[name][0]
+    x, y = build(TRIB), build(GOLDEN)
+    assert (x == y) is False and (x != y) is True
+    assert (y == x) is False and (y != x) is True
+    for field in getattr(x, "_fields", None) or x.__slots__:
+        a, b = getattr(x, field), getattr(y, field)
+        assert (a == b) is not (a != b), field
+
+
+def test_points_of_unrelated_fields_compare_by_value():
+    """``==`` decides points of unrelated fields; arithmetic and order
+    between them still raise."""
+    trib, golden = make_beta(TRIB), make_beta(GOLDEN)
+    assert trib.one() == golden.one() and not trib.one() != golden.one()
+    assert (trib.one() * 3 == golden.beta_point()) is False
+    assert trib.one() * 3 != golden.beta_point()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(SpecError, match="different bases"):
+            op(trib.one(), golden.beta_point())

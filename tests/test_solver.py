@@ -19,7 +19,6 @@ from negabeta import (
     pi_of_one,
     value_equation_poly,
 )
-from negabeta.measure import algebraic_equal
 
 E = EvPeriodic
 
@@ -33,7 +32,7 @@ def test_value_equation_poly():
 
 def test_beta_from_expansion_examples(phi2):
     b = beta_from_expansion(E((), (3, 2)))
-    assert algebraic_equal(b.beta_point(), phi2.beta_point())
+    assert b.beta_point() == phi2.beta_point()
     assert beta_from_expansion(E((), (3,))).decimal_str(6) == "2"
     b = beta_from_expansion(E((), (2, 1, 2)))
     assert b.decimal_str(10) == "1.7548776662"
