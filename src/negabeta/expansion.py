@@ -10,7 +10,6 @@ they are re-exported here.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .errors import SpecError
@@ -39,10 +38,10 @@ class OrbitRecord(NamedTuple):
 
 
 def step(beta: Beta, x):
-    """One application of the map: returns (digit, next point)."""
-    y = as_point(beta, x).times_beta()
-    d = math.floor(y) + 1
-    return d, d - y
+    """One application of the map: returns (digit, next point), the digit
+    d = floor(beta x) + 1 and the point d - beta x, by ``FieldPoint.map_step``
+    in one pass over the point's integers."""
+    return as_point(beta, x).map_step()
 
 
 def expand(beta: Beta, x, n: int) -> DigitWord:
@@ -76,7 +75,7 @@ def orbit_of_one(beta: Beta, budget: int = DEFAULT_BUDGET) -> OrbitRecord:
     buckets: dict[tuple | int, list[int]] = {point_key(x): [0]}
 
     for i in range(budget):
-        d, nxt = step(beta, points[-1])
+        d, nxt = points[-1].map_step()
         digits.append(d)
         key = point_key(nxt)
         if isinstance(key, tuple):  # exact: only an equal point has this key

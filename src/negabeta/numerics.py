@@ -26,11 +26,12 @@ the operators do not give: embedding a rational, enclosures, and
 renderings.  A point of any base takes a point of a degree-1 base, on
 either side of its operators and ``==``, as the rational it is, and a
 point of the base beta + t, for an integer t, through a Taylor shift.
-``==`` also decides points of two bases whose fields do not meet: the
-first's characteristic polynomial must vanish at the second, which must
-be the root of it that their enclosures isolate, and it is formed only
-after enclosures have failed to tell the values apart; every other
-operator raises SpecError for such points.  A decimal rendering is the
+``==`` also decides points of two bases whose fields do not meet: a
+rational point against any point by cross-multiplication or one position
+test, else the first's characteristic polynomial must vanish at the
+second, which must be the root of it that their enclosures isolate, and
+it is formed only after enclosures have failed to tell the values apart;
+every other operator raises SpecError for such points.  A decimal rendering is the
 exact truncation of the value, decided by an exact floor, so it does not
 depend on how far the base was refined before.
 """
@@ -807,6 +808,34 @@ class FieldPoint:
         return FieldPoint._of(self.beta, tuple(c * t + top * r for c, r in zip(shifted, rows[0])),
                               self.den * t, self.beta._step_modulus)
 
+    def map_step(self) -> tuple[int, "FieldPoint"]:
+        """(d, d - beta x) with d = floor(beta x) + 1, for x this point: one
+        step of the map, in one pass over integers.  beta x is the companion
+        step of ``times_beta``, reduced as ``_of`` reduces it, kept as
+        (num, den); its floor is num_0 // den on degree 1 and ``_surd_floor``
+        on degree 2, and only on other bases is beta x built as a point for
+        the cell search of ``__floor__``.  The next point negates the
+        coordinates and adds d den to the first: it stays reduced."""
+        beta, num, den = self.beta, self.num, self.den
+        top = num[-1]
+        num = (0,) + num[:-1]
+        if top:
+            rows, t = beta._power_table
+            num = tuple(c * t + top * q for c, q in zip(num, rows[0]))
+            den, r = den * t, beta._step_modulus
+            g = math.gcd(r, den) if r else den  # _of's reduction
+            while g != 1 and (g := math.gcd(g, *num)) != 1:
+                num, den = tuple(c // g for c in num), den // g
+                g = math.gcd(g, den) if r else 1
+        if len(num) == 1:
+            d = num[0] // den + 1
+        elif beta._surd is not None:
+            a2, b, s, D = beta._surd
+            d = _surd_floor(a2 * num[0] - b * num[1], s * num[1], a2 * den, D) + 1
+        else:
+            d = FieldPoint._new(beta, num, den).__floor__() + 1
+        return d, FieldPoint._new(beta, (d * den - num[0],) + tuple(-c for c in num[1:]), den)
+
     def over_beta(self, e: int = 1) -> "FieldPoint":
         """e * self / beta for e = 1 or -1 as one companion step, the mirror
         of ``times_beta``.  With f = f_0 + f_1 x + ... + f_d x^d and f_0 != 0,
@@ -966,8 +995,9 @@ class FieldPoint:
         base with ``field_proved`` different ones mean unequal points;
         otherwise the position test at the current level decides when the
         enclosure excludes the other value, else the zero test.  Points of
-        two unrelated bases take ``_equal_across_fields``, which refines
-        both bases and may raise PrecisionExhausted at the level cap."""
+        two unrelated bases take ``_equal_across_fields``, which decides a
+        rational one exactly and otherwise refines both bases and may raise
+        PrecisionExhausted at the level cap."""
         if not isinstance(other, (FieldPoint, int, Fraction)):
             return NotImplemented
         if isinstance(other, FieldPoint) and other.beta is not self.beta \
@@ -1015,9 +1045,18 @@ class FieldPoint:
 
 
 def _equal_across_fields(x: FieldPoint, y: FieldPoint) -> bool:
-    """x == y for points of two bases whose fields do not meet: disjoint
-    enclosures say no; x's characteristic polynomial must vanish at y, and
-    a hull of both enclosures must isolate one of its roots."""
+    """x == y for points of two bases whose fields do not meet.  Two
+    rational points (coordinates past the first 0) compare by
+    cross-multiplication, and a rational one against any other by one
+    position test.  Otherwise disjoint enclosures say no; x's
+    characteristic polynomial must vanish at y, and a hull of both
+    enclosures must isolate one of its roots."""
+    if not any(y.num[1:]):
+        if not any(x.num[1:]):
+            return x.num[0] * y.den == y.num[0] * x.den
+        return x._side(y.num[0], y.den, refine=False) == 0
+    if not any(x.num[1:]):
+        return y._side(x.num[0], x.den, refine=False) == 0
 
     def hull(bits):
         """The hull of both enclosures narrower than 2^-bits, or None when
@@ -1194,15 +1233,25 @@ def point_decimal_str(x: FieldPoint, digits: int = 15) -> str:
     ``_int_str``'s SpecError before 10^digits is formed when bit lengths
     show that the floor passes Python's int-to-str limit
     (``_str_excess_bits``).  Any other point raises it as early from its
-    current enclosure (``_check_str_limit``), after ``_check_level_cap``."""
+    current enclosure (``_check_str_limit``), after ``_check_level_cap``;
+    on a quadratic base its floor is then ``_surd_floor`` of its surd form
+    scaled by 10^digits, and no scaled point is built."""
     if any(x.num[1:]):
         _check_level_cap(x, digits)
         _check_str_limit(x, digits)
-        y = x * 10**digits
-        n = math.floor(y)
-        negative = n < 0
-        if negative:
-            n = math.floor(-y)
+        surd, scale = x._surd(), 10**digits
+        if surd is not None:  # floor(|u + t sqrt(D)| 10^digits / v): no scaled point
+            u, t, v, D = surd
+            negative = _surd_sign(u, t, D) < 0
+            if negative:
+                scale = -scale
+            n = _surd_floor(u * scale, t * scale, v, D)
+        else:
+            y = x * scale
+            n = math.floor(y)
+            negative = n < 0
+            if negative:
+                n = math.floor(-y)
     else:
         p, q = x.num[0], x.den
         if not p:

@@ -256,8 +256,12 @@ def is_self_admissible(seq: EvPeriodic) -> SelfAdmissibility:
     u = seq.prefix(2 * b)
     head = u[:b]
     for k in range(1, b + 1):
-        if _alt_order(u[k:k + b], head).result > 0:
-            return SelfAdmissibility(False, k)
+        tail = u[k:k + b]
+        if tail != head:
+            i = next(i for i in range(b) if tail[i] != head[i])
+            # above the head: larger at an odd (1-based) position i + 1, smaller at an even one
+            if (tail[i] > head[i]) == (i % 2 == 0):
+                return SelfAdmissibility(False, k)
     return SelfAdmissibility(True, None)
 
 
@@ -346,6 +350,11 @@ def is_valid_expansion_of_one(seq: EvPeriodic) -> ValidityReport:
     {d_1..d_k 1, d_1..d_{k-1}(d_k + 1)} mixtures under the analogous gate.
     The scan over k is finite: past preperiod + twice the period both the
     gates and the parses repeat.
+
+    Every parse starts at 0, where only the prefix (condition 3) or only
+    prefix + 1 (condition 4) matches, so the block parse runs only when
+    the next block can follow: for (3), the word at the mapped position
+    of k starts with the prefix or the lowered block; for (4), u[k] = 1.
     """
     ok, k = is_self_admissible(seq)
     if not ok:
@@ -363,13 +372,15 @@ def is_valid_expansion_of_one(seq: EvPeriodic) -> ValidityReport:
         # seq is prefix^infinity itself iff it is purely periodic and k is
         # a multiple of its period; the gates run last, as the parses
         # almost always fail first
-        blocks = (prefix[:-1] + (prefix[-1] - 1, 1), prefix)
-        if ((pre or k % per) and _in_block_closure(u, pre, per, blocks)
+        lowered = prefix[:-1] + (prefix[-1] - 1, 1)
+        m = k if k < pre else pre + (k - pre) % per  # where the second block starts
+        if ((pre or k % per) and (u[m:m + k] == prefix or u[m:m + k + 1] == lowered)
+                and _in_block_closure(u, pre, per, (lowered, prefix))
                 and _against_limit_word(_repeat(prefix)).result > 0):
             return ValidityReport(False, 3, k)
 
         bumped = prefix[:-1] + (prefix[-1] + 1,)
-        if (_in_block_closure(u, pre, per, (prefix + (1,), bumped))
+        if (u[k] == 1 and _in_block_closure(u, pre, per, (prefix + (1,), bumped))
                 and _against_limit_word(_repeat(bumped)).result > 0):
             return ValidityReport(False, 4, k)
 

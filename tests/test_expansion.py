@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,33 @@ def test_step_examples(phi, phi2):
     assert (nxt - 1).is_zero()
     d, nxt = step(make_beta("dec:2.5"), Fraction(1))
     assert (d, nxt) == (3, Fraction(1, 2))
+
+
+STEP_BASES = (
+    "dec:1.8", "dec:1.005",                                    # degree 1
+    "pisot2:p=1,q=1", "poly:[1,-3,1]@(2.5,3)",                 # quadratic surds
+    "multinacci:q=1,m=3", "multinacci:q=1,m=4", "poly:[1,-2,1,-2,1]@(1.5,2)",
+    "poly:[4,-7,-3]@(2,3)", "poly:[12,-20,-9,-6]@(2,3)",       # non-monic
+    "poly:[2,-5,-1,0]@(2,3)",                                  # f_0 = 0: the full gcd
+)
+
+
+@pytest.mark.parametrize("spec", STEP_BASES)
+def test_map_step_is_the_composed_step(spec):
+    """The one-pass ``map_step`` gives the digit and the (num, den) of
+    ``times_beta()``, then ``math.floor``, then d - y, on every step of
+    seeded orbits at budget 200: from 1, and from rationals with a
+    denominator divisible by 6, where the step's reduction acts."""
+    beta, rng = make_beta(spec), random.Random(spec)
+    starts = [beta.one()] + [beta.point_from_rational(Fraction(rng.randint(1, q), q))
+                             for q in (6 * rng.randint(1, 150) for _ in range(3))]
+    for x in starts:
+        for _ in range(200):
+            y = x.times_beta()
+            want = math.floor(y) + 1
+            nxt = want - y
+            d, x = x.map_step()
+            assert (d, x.num, x.den) == (want, nxt.num, nxt.den)
 
 
 def test_expand_examples(phi, phi2):

@@ -243,3 +243,65 @@ def test_alt_compare_equals_digit_reference():
         if rng.random() < 0.3:  # share a long prefix, so late witnesses occur
             y = E(x.prefix(rng.randint(1, 8)) + y.preperiod, y.period)
         assert tuple(alt_compare(x, y)) == _ref_alt_compare(x, y), (x, y)
+
+
+def _unguarded_validity(seq):
+    """``is_valid_expansion_of_one`` as it was before its block parses got
+    their guards: the parse of conditions 3 and 4 runs at every k."""
+    from negabeta.order import _against_limit_word, _in_block_closure, _repeat
+
+    ok, k = is_self_admissible(seq)
+    if not ok:
+        return False, 1, k
+    cmp_w = compare_with_limit_word(seq)
+    if cmp_w.result <= 0:
+        return False, 2, cmp_w.witness
+    pre, per = len(seq.preperiod), len(seq.period)
+    kmax = pre + 2 * per
+    u = seq.prefix(pre + per + kmax + 1)
+    for k in range(1, kmax + 1):
+        prefix = u[:k]
+        blocks = (prefix[:-1] + (prefix[-1] - 1, 1), prefix)
+        if ((pre or k % per) and _in_block_closure(u, pre, per, blocks)
+                and _against_limit_word(_repeat(prefix)).result > 0):
+            return False, 3, k
+        bumped = prefix[:-1] + (prefix[-1] + 1,)
+        if (_in_block_closure(u, pre, per, (prefix + (1,), bumped))
+                and _against_limit_word(_repeat(bumped)).result > 0):
+            return False, 4, k
+    return True, None, None
+
+
+def test_validity_guards_keep_every_answer(bench_workloads, monkeypatch, count_calls):
+    """The guards of the block parses change no answer: on the ``shifts``
+    universe at cap 7 (5,307 sequences) and on every sequence the three
+    corpus ``approx`` argvs test, the report equals the unguarded loop's.
+    On the 669 valid sequences of that universe the parses run at most
+    3,200 times (15,822 without the guards), so the guards are there."""
+    import negabeta
+    from negabeta import order, solver
+
+    universe = bench_workloads.shift_universe(negabeta, 7)
+    assert len(universe) == 5307
+    tested = []
+
+    def recorded(seq):
+        tested.append(seq)
+        return is_valid_expansion_of_one(seq)
+
+    monkeypatch.setattr(solver, "is_valid_expansion_of_one", recorded)
+    argvs = [a for a in bench_workloads.CLI_HEAVY if a[0] == "approx"]
+    assert len(argvs) == 3
+    for argv in argvs:
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        solver.approximate_simple_numbers(negabeta.make_beta(opts["--beta"]), int(opts["--count"]))
+    assert len(tested) >= 20
+    for seq in universe + tested:
+        assert tuple(is_valid_expansion_of_one(seq)) == _unguarded_validity(seq), seq
+
+    valid = [s for s in universe if is_valid_expansion_of_one(s).valid]
+    assert len(valid) == 669
+    calls = count_calls(order, "_in_block_closure")
+    for seq in valid:
+        is_valid_expansion_of_one(seq)
+    assert 0 < calls["_in_block_closure"] <= 3200

@@ -184,3 +184,19 @@ def test_points_of_unrelated_fields_compare_by_value():
                operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(SpecError, match="different bases"):
             op(trib.one(), golden.beta_point())
+
+
+def test_rational_points_of_unrelated_fields_take_no_charpoly(count_calls):
+    """Two rational points of unrelated fields compare by cross-multiplying,
+    a rational against an irrational one by one position test: neither
+    takes a characteristic polynomial, and the answers stay."""
+    from negabeta import numerics
+
+    trib, golden = make_beta(TRIB), make_beta(GOLDEN)
+    calls = count_calls(numerics, "_charpoly")
+    assert trib.one() == golden.one() and golden.one() == trib.one()
+    assert trib.one() / 3 == golden.one() / 3
+    assert trib.one() / 3 != golden.one() / 2
+    assert trib.one() * 2 != golden.beta_point() and golden.beta_point() != trib.one() * 2
+    assert trib.beta_point() != golden.one() * 2
+    assert not calls
