@@ -104,6 +104,8 @@ def _format_ratio(num: int, den: int) -> str:
     """``format_rational`` of num / den, given in lowest terms with den > 0."""
     if den == 1:
         return _int_str(num)
+    if abs(num).bit_length() > 57:  # N below is >= |num| >= 2^57 > 10^17: no float repr is r
+        return f"{_int_str(num)}/{_int_str(den)}"
     twos = (den & -den).bit_length() - 1
     odd = den >> twos
     # with den = 2^a 5^b, r is the decimal N / 10^m for m = max(a, b) and
@@ -812,10 +814,11 @@ class FieldPoint:
         """(d, d - beta x) with d = floor(beta x) + 1, for x this point: one
         step of the map, in one pass over integers.  beta x is the companion
         step of ``times_beta``, reduced as ``_of`` reduces it, kept as
-        (num, den); its floor is num_0 // den on degree 1 and ``_surd_floor``
-        on degree 2, and only on other bases is beta x built as a point for
-        the cell search of ``__floor__``.  The next point negates the
-        coordinates and adds d den to the first: it stays reduced."""
+        (num, den); its floor is ``_surd_floor`` on degree 2, and on other
+        bases beta x is built as a point for ``__floor__`` (the cell search
+        off degree 1; orbits of degree-1 bases take ``expansion``'s integer
+        step instead).  The next point negates the coordinates and adds
+        d den to the first: it stays reduced."""
         beta, num, den = self.beta, self.num, self.den
         top = num[-1]
         num = (0,) + num[:-1]
@@ -827,9 +830,7 @@ class FieldPoint:
             while g != 1 and (g := math.gcd(g, *num)) != 1:
                 num, den = tuple(c // g for c in num), den // g
                 g = math.gcd(g, den) if r else 1
-        if len(num) == 1:
-            d = num[0] // den + 1
-        elif beta._surd is not None:
+        if beta._surd is not None:
             a2, b, s, D = beta._surd
             d = _surd_floor(a2 * num[0] - b * num[1], s * num[1], a2 * den, D) + 1
         else:
@@ -1204,24 +1205,6 @@ def as_point(beta: Beta, r) -> FieldPoint:
 def floor_beta_times(beta: Beta, x) -> int:
     """Exact floor of beta*x for x in (0, 1]."""
     return math.floor(as_point(beta, x).times_beta())
-
-
-def point_key(x: FieldPoint) -> tuple | int:
-    """A dict key for x in a search for repeated points.  On a base with
-    ``field_proved`` (every ``dec:`` base among them) it is (num, den),
-    exact: equal points and only they have equal keys.  Otherwise an int,
-    the 2^-80 bucket ``point_scaled_floor(x, 80)``, which puts equal points
-    at most one bucket apart."""
-    if x.beta.field_proved:
-        return x.num, x.den
-    return point_scaled_floor(x, 80)
-
-
-def point_scaled_floor(x: FieldPoint, bits: int) -> int:
-    """floor(lo * 2^bits) for the lower end lo of an enclosure of the field
-    point x narrower than 2^-bits."""
-    a, _, s = x._narrower(1, 1 << bits)
-    return (a << bits) // s
 
 
 def point_decimal_str(x: FieldPoint, digits: int = 15) -> str:

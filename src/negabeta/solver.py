@@ -19,7 +19,7 @@ from .errors import (
     SolveError,
     SpecError,
 )
-from .expansion import expand, pi_of_one, step
+from .expansion import _orbit, expand, pi_of_one
 from .numerics import Beta
 from .order import (DEFAULT_BUDGET, DigitWord, EvPeriodic, is_self_admissible,
                     is_valid_expansion_of_one)
@@ -81,8 +81,7 @@ def _expands_to(beta: Beta, seq: EvPeriodic) -> bool:
     are seq's preperiod and period and the point after them is the one
     after the first a.  Stops at the first wrong digit."""
     x = start = beta.one()
-    for i, want in enumerate(seq.preperiod + seq.period, 1):
-        d, x = step(beta, x)
+    for i, (want, (d, x)) in enumerate(zip(seq.preperiod + seq.period, _orbit(x)), 1):
         if d != want:
             return False
         if i == len(seq.preperiod):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -55,6 +56,94 @@ def test_map_step_is_the_composed_step(spec):
             nxt = want - y
             d, x = x.map_step()
             assert (d, x.num, x.den) == (want, nxt.num, nxt.den)
+
+
+BALL_BASES = STEP_BASES + (
+    "multinacci:q=1,m=60",
+    "poly:[1,-2,1,-1]@(1.5,2)",                                # |212: an exact hit every period
+)
+
+
+@pytest.mark.parametrize("spec", BALL_BASES)
+def test_ball_digits_equal_exact_digits(spec):
+    """Every (d, point) of the orbit driver is the composed exact step:
+    ``times_beta()``, then ``math.floor``, then d - y, with (num, den)
+    equal, along seeded orbits of 300 steps from 1 and from rationals with
+    a denominator divisible by 6, on a base refined first to 2^-100, so
+    that on degree 3 and up the ball decides digits, wears out and falls
+    back to the exact step.  The ball holds beta and the point when it is
+    seeded, and it gives the bucket an enclosure refined for it gives, or
+    a neighbour.  At every step the seeded ball, rounded outward to 24
+    bits so that its rounding is most of its width, gives the exact digit
+    whenever it decides, and a next ball that meets the next point's
+    enclosure, as a ball that holds the point must."""
+    from negabeta import expansion
+
+    beta, rng = make_beta(spec), random.Random(spec)
+    beta.refine(Fraction(1, 2**100))
+    starts = [beta.one()] + [beta.point_from_rational(Fraction(rng.randint(1, q), q))
+                             for q in (6 * rng.randint(1, 150) for _ in range(3))]
+    balls = coarse = 0
+    for x in starts:
+        ball = []
+        for i, (d, got) in enumerate(islice(expansion._orbit(x, ball), 300)):
+            y = x.times_beta()
+            want = math.floor(y) + 1
+            if beta.degree > 2:
+                bl, bh, lo, hi, P = expansion._seed(beta, x)
+                s = P - 24
+                step24 = expansion._ball_step(bl >> s, -(-bh >> s), lo >> s, -(-hi >> s), 24)
+            x = want - y
+            assert (d, got.num, got.den) == (want, x.num, x.den)
+            if beta.degree > 2 and step24:
+                coarse += 1
+                _, _, lo, hi, P = expansion._seed(beta, x)  # x in [lo, hi] / 2^P
+                s = P - 24
+                assert step24[0] == want and step24[1] << s <= hi and lo <= step24[2] << s
+            balls += bool(ball)
+            if ball and i % 50 == 0:
+                assert abs(expansion._bucket(x, ball) - expansion._bucket(x, ())) <= 1
+        if beta.degree > 2:
+            bl, bh, lo, hi, P = expansion._seed(beta, x)
+            b = beta.beta_point()
+            assert Fraction(bl, 2**P) <= b <= Fraction(bh, 2**P)
+            assert Fraction(lo, 2**P) <= x <= Fraction(hi, 2**P)
+    assert (balls > 800) == (coarse > 800) == (beta.degree > 2)
+
+
+def test_ball_step_encloses_the_exact_step():
+    """``_ball_step`` decides d only when every product of an end of beta's
+    ball and an end of x's lies in [d - 1, d), and its next ball holds
+    d - beta x for each of them, rounded outward; when it decides nothing,
+    some product reaches past the integer above the least one.  On seeded
+    balls, and on balls whose upper product is exactly an integer."""
+    from negabeta.expansion import _ball_step
+
+    rng = random.Random(7)
+    cases = []
+    for P in (8, 64, 100):
+        one = 1 << P
+        cases += [(P, 2 * one, 2 * one, one - 1, one),         # beta x = 2 at the upper end
+                  (P, 3 * one, 3 * one, 2 * one // 3 - 1, 2 * one // 3 + 1),
+                  (P, one + 1, one + 1, one - 1, one - 1)]
+        for _ in range(400):
+            b = rng.randint(one, 8 * one)
+            bw, xw = rng.randint(0, 1 << rng.randint(0, P)), rng.randint(0, 1 << rng.randint(0, P))
+            x = rng.randint(-(one >> 4), one)
+            cases.append((P, b, b + bw, x, x + xw))
+    decided = 0
+    for P, bl, bh, lo, hi in cases:
+        corners = [Fraction(b * x, 1 << 2 * P) for b in (bl, bh) for x in (lo, hi)]
+        got = _ball_step(bl, bh, lo, hi, P)
+        n = math.floor(min(corners))
+        if got is None:
+            assert max(corners) >= n + 1
+            continue
+        d, nlo, nhi = got
+        decided += 1
+        assert d == n + 1 and max(corners) < d
+        assert all(Fraction(nlo, 1 << P) <= d - c <= Fraction(nhi, 1 << P) for c in corners)
+    assert decided > 500
 
 
 def test_expand_examples(phi, phi2):
@@ -192,7 +281,7 @@ def test_canonical_points_agree_with_the_position_tests(bench_workloads, monkeyp
     benchmark bases, the corpus measure-compare argvs, and x^2 - qx - p
     (p <= 8, q <= 6) at budget 400.  With the proof, the orbits of the
     proved bases refine no point for a key and run no gcd zero test."""
-    from negabeta import cli, numerics, polys
+    from negabeta import cli, expansion, polys
     from negabeta.numerics import Beta
 
     bases = [make_beta(s) for s in bench_workloads.CLI_BASES]
@@ -208,7 +297,7 @@ def test_canonical_points_agree_with_the_position_tests(bench_workloads, monkeyp
     def run_all():
         return [orbit_of_one(b) for b in bases], [bench_workloads.run_cli(cli, a) for a in argvs]
 
-    keys, gcds = count_calls(numerics, "point_scaled_floor"), count_calls(polys, "cofactor_gcd")
+    keys, gcds = count_calls(expansion, "_bucket"), count_calls(polys, "cofactor_gcd")
     assert all(orbit_of_one(b).resolved for b in bases if b.field_proved)
     assert keys == gcds == {}
     proved = run_all()
@@ -218,7 +307,7 @@ def test_canonical_points_agree_with_the_position_tests(bench_workloads, monkeyp
     keys.clear()
     gcds.clear()
     recs, outs = run_all()
-    assert keys["point_scaled_floor"] > 1000 and gcds["cofactor_gcd"] > 0
+    assert keys["_bucket"] > 1000 and gcds["cofactor_gcd"] > 0
     assert outs == proved[1]
     for a, b in zip(recs, proved[0]):
         assert (a.kind, a.pre_len, a.period_len, a.digits, a.budget) == \

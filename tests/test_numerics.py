@@ -1033,6 +1033,26 @@ def test_format_rational_matches_reference():
         assert numerics.format_rational(r) == _format_rational_oracle(r)
 
 
+def test_format_ratio_long_numerators_skip_the_decimal_analysis(count_calls):
+    """A numerator of more than 57 bits renders as num/den at once, with no
+    look at the denominator's factors 2 and 5, and every rendering equals
+    the round-trip oracle: numerators 2^57 - 1, 2^57, 2^57 + 1 and seeded
+    ~600-digit ones, of both signs, over 2^a 5^b."""
+    rng = random.Random(57)
+    nums = [2**57 - 1, 2**57, 2**57 + 1] + [rng.randint(10**599, 10**600) for _ in range(20)]
+    dens = [2**a * 5**b for a in (0, 1, 3, 52, 60, 300) for b in (0, 1, 2, 17, 40, 300)][1:]
+    for num in nums:
+        for den in dens:
+            for sign in (1, -1):
+                r = Fraction(sign * num, den)
+                assert numerics.format_rational(r) == _format_rational_oracle(r), r
+    calls = count_calls(math, "ceil")
+    assert numerics.format_rational(Fraction(2**57 + 1, 5)) == f"{2**57 + 1}/5"
+    assert not calls
+    assert numerics.format_rational(Fraction(2**57 - 1, 5)) == f"{2**57 - 1}/5"
+    assert calls["ceil"] == 1
+
+
 def test_format_ratio_short_decimals_match_the_round_trip(count_calls):
     """A decimal N / 10^m with N < 10^15 and m <= 307 renders as the float
     repr without the Fraction round trip, and every rendering equals the

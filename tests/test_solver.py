@@ -154,7 +154,7 @@ def test_digit_check_finds_the_root_of_the_orbit_check(bench_workloads, monkeypa
     equality picks the base the orbit check picks, or None, without
     bucketing a point: on every candidate of the corpus approx requests,
     the solve targets and the invalid corpus sequences."""
-    from negabeta import numerics, solver
+    from negabeta import expansion, solver
     from negabeta.solver import _roots_above_one
 
     searches = []
@@ -169,14 +169,14 @@ def test_digit_check_finds_the_root_of_the_orbit_check(bench_workloads, monkeypa
     for text in dict.fromkeys(targets + list(bench_workloads._BAD_SEQS)):
         seq = E.parse(text)
         searches.append((*_roots_above_one(value_equation_poly(seq)), seq))
-    calls = count_calls(numerics, "point_scaled_floor")
+    calls = count_calls(expansion, "_bucket")
     found = bucketed = 0
     for args in searches:
         calls.clear()
         got = search(*args)
         assert not calls
         want = _orbit_root_expanding_to(*args)
-        bucketed += calls["point_scaled_floor"]
+        bucketed += calls["_bucket"]
         assert (got is None) == (want is None) and got == want, str(args[-1])
         found += got is not None
     assert (found, len(searches)) == (27, 33) and bucketed > 0
