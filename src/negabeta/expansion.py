@@ -17,7 +17,7 @@ wholly between two integers, with the exact floor as the fallback.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import count, islice
 from typing import NamedTuple
 
 from . import numerics, polys
@@ -30,11 +30,18 @@ from .order import DEFAULT_BUDGET, DigitWord, EvPeriodic
 _BALL_LEVEL = 72
 # the ball's precision P passes its cell's by this many bits
 _BALL_GUARD = 8
-# a ball of x at least 2^-_BALL_WORN wide (2^-80 when it gives orbit_of_one
-# its buckets) has worn out: beta is refined to twice the level and the ball
-# is seeded again, while the level is at most a quarter of the level cap, so
-# the ball never takes a base past half of it
+# a ball of x at least 2^-_BALL_WORN wide (2^-_BUCKET_BITS when it gives
+# orbit_of_one its buckets) has worn out: beta is refined to twice the level
+# and the ball is seeded again, while the level is at most a quarter of the
+# level cap, so the ball never takes a base past half of it
 _BALL_WORN = 16
+# orbit_of_one's buckets are 2^-_BUCKET_BITS wide; P >= _BALL_LEVEL +
+# _BALL_GUARD >= _BUCKET_BITS, so a ball's bucket is a right shift of it
+_BUCKET_BITS = 80
+# an orbit that gives orbit_of_one its buckets seeds its first ball only
+# after this many exact steps: a shorter one runs as it would without a
+# ball, and refines beta no deeper than its buckets' own enclosures do
+_BUCKET_AFTER = 8
 
 
 class OrbitRecord(NamedTuple):
@@ -76,7 +83,8 @@ def _orbit(x: FieldPoint, ball: list | None = None):
       twice the level.
 
     When ``ball`` is a list, it holds (lo, hi, P) with the yielded point in
-    [lo, hi] / 2^P while a ball is live, and is empty otherwise."""
+    [lo, hi] / 2^P while a ball is live, and is empty otherwise; the first
+    ball then comes after _BUCKET_AFTER exact steps."""
     beta = x.beta
     if beta.degree == 1:
         yield from _rational_orbit(beta, x)
@@ -136,20 +144,20 @@ def _ball_step(bl: int, bh: int, lo: int, hi: int, P: int) -> tuple[int, int, in
 def _ball_orbit(beta: Beta, x: FieldPoint, ball: list | None):
     """``_orbit`` on a base of degree 3 or more."""
     cells, live, seeded = beta._cells, False, -1  # seeded: the level of the ball's cell
-    wear = _BALL_WORN if ball is None else 80  # the ball must stay narrower than 2^-wear
-    while True:
+    # the ball must stay narrower than 2^-wear, and is seeded from the start-th step on
+    wear, start = (_BALL_WORN, 0) if ball is None else (_BUCKET_BITS, _BUCKET_AFTER)
+    for i in count(1):
         got = live and _ball_step(bl, bh, lo, hi, P)
         if got:
             d, lo, hi = got
         if live and (hi - lo) >> (P - wear) and 4 * cells.level <= numerics.MAX_REFINE_LEVEL:
-            target = 2 * cells.level  # worn out: the next ball comes from a cell twice as deep
-            cells.search(lambda k: k >= target, target - cells.level, "")
+            cells.level *= 2  # worn out: the next ball comes from a cell twice as deep
         if got:
             x = x.times_beta()._add_int(d, -1)
         else:
             d, x = x.map_step()
             live = False
-        if (not live or cells.level > seeded) and cells.level >= _BALL_LEVEL:
+        if (not live or cells.level > seeded) and cells.level >= _BALL_LEVEL and i >= start:
             bl, bh, lo, hi, P = _seed(beta, x)
             seeded, live = cells.level, bl > 0
         if ball is not None:
@@ -159,8 +167,10 @@ def _ball_orbit(beta: Beta, x: FieldPoint, ball: list | None):
 
 def step(beta: Beta, x):
     """One application of the map: returns (digit, next point), the digit
-    d = floor(beta x) + 1 and the point d - beta x (``_orbit``)."""
-    return next(_orbit(as_point(beta, x)))
+    d = floor(beta x) + 1 and the point d - beta x: the first step of
+    ``_orbit``, which off degree 1 is ``map_step`` (no ball is live yet)."""
+    x = as_point(beta, x)
+    return next(_rational_orbit(beta, x)) if beta.degree == 1 else x.map_step()
 
 
 def expand(beta: Beta, x, n: int) -> DigitWord:
@@ -174,16 +184,16 @@ def expand(beta: Beta, x, n: int) -> DigitWord:
 
 
 def _bucket(x: FieldPoint, ball: list) -> int:
-    """floor(lo 2^80) for the lower end lo of an enclosure of x narrower
-    than 2^-80: the driver's ball [lo, hi] / 2^P when it is that narrow,
-    else an enclosure refined for it.  Equal points fall at most one
-    bucket apart."""
+    """floor(lo 2^_BUCKET_BITS) for the lower end lo of an enclosure of x
+    narrower than 2^-_BUCKET_BITS: the driver's ball [lo, hi] / 2^P when it
+    is that narrow, else an enclosure refined for it.  Equal points fall at
+    most one bucket apart."""
     if ball:
         lo, hi, P = ball
-        if hi - lo < 1 << (P - 80):  # P >= _BALL_LEVEL + _BALL_GUARD = 80
-            return lo >> (P - 80)
-    a, _, s = x._narrower(1, 1 << 80)
-    return (a << 80) // s
+        if hi - lo < 1 << (P - _BUCKET_BITS):
+            return lo >> (P - _BUCKET_BITS)
+    a, _, s = x._narrower(1, 1 << _BUCKET_BITS)
+    return (a << _BUCKET_BITS) // s
 
 
 def _apart(a: tuple, b: tuple) -> bool:

@@ -55,7 +55,15 @@ MUTANTS = (
            ("tests/test_expansion.py::test_ball_digits_equal_exact_digits",)),
     Mutant("orbit repeats skip the exact test wherever there are balls", _BALL,
            "return ah << q < bl << p or bh << p < al << q", "return True",
-           ("tests/test_expansion.py::test_canonical_points_agree_with_the_position_tests",)),
+           ("tests/test_expansion.py::test_long_orbits_find_their_repeat_among_balls",
+            "tests/test_expansion.py::test_canonical_points_agree_with_the_position_tests")),
+    Mutant("buckets take a ball from the first step", _BALL,
+           "(_BUCKET_BITS, _BUCKET_AFTER)", "(_BUCKET_BITS, 0)",
+           ("tests/test_expansion.py::test_short_orbits_refine_beta_only_for_their_buckets",)),
+    Mutant("step runs the whole driver", _BALL,
+           "return next(_rational_orbit(beta, x)) if beta.degree == 1 else x.map_step()",
+           "return next(_orbit(x))",
+           ("tests/test_expansion.py::test_step_seeds_no_ball",)),
     Mutant("step modulus drops f_0", _NUMERICS,
            "return abs(self.poly[0] * self.poly[-1])", "return abs(self.poly[-1])",
            _REDUCE_TESTS),

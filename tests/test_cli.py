@@ -21,6 +21,8 @@ def test_expand(capsys):
     code, out = invoke(capsys, "expand", "--beta", "pisot2:p=1,q=1", "--x", "1", "--n", "5")
     assert code == 0
     assert json.loads(out) == {"digits": [2, 1, 1, 1, 1]}
+    code, out = invoke(capsys, "expand", "--beta", "dec:1.8", "--n", "0")
+    assert code == 0 and json.loads(out) == {"digits": []}
 
 
 def test_measure_compare_defaults_to_plus_one(capsys):
@@ -159,6 +161,10 @@ def test_deterministic_output(capsys):
 def test_exit_codes(capsys):
     code, _ = invoke(capsys, "expand", "--beta", "pisot2:p=9,q=1", "--n", "3")
     assert code == 2
+    # a negative digit count is refused before the degree-1 integer step runs
+    assert run(["expand", "--beta", "dec:1.8", "--n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: digit count must be nonnegative")
     code, _ = invoke(capsys, "density", "--beta", "dec:2.5")
     assert code == 3
     code, _ = invoke(capsys, "validate", "--seq", "garbage")

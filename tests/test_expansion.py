@@ -152,6 +152,77 @@ def test_expand_examples(phi, phi2):
     assert expand(make_beta("dec:2.5"), 1, 4) == (3, 2, 2, 1)
 
 
+@pytest.mark.parametrize("spec", ("dec:1.8", "pisot2:p=1,q=1", "multinacci:q=1,m=4"))
+def test_expand_digit_counts(spec):
+    """A digit count of 0 gives no digits and a negative one raises
+    ``SpecError`` before any step, on each kind of orbit the driver runs."""
+    beta = make_beta(spec)
+    assert expand(beta, 1, 0) == ()
+    with pytest.raises(SpecError, match="nonnegative"):
+        expand(beta, 1, -1)
+
+
+def test_step_seeds_no_ball(count_calls):
+    """``step`` on a base of degree 3 or more, refined past the level where
+    the driver's ball starts, is ``map_step`` and seeds no ball."""
+    from negabeta import expansion
+
+    beta = make_beta("multinacci:q=1,m=60")
+    beta.refine(Fraction(1, 2**100))
+    seeds = count_calls(expansion, "_seed")
+    x = beta.one()
+    for _ in range(20):
+        (d, y), (want, z) = step(beta, x), x.map_step()
+        assert (d, y.num, y.den) == (want, z.num, z.den)
+        x = y
+    assert seeds["_seed"] == 0
+
+
+@pytest.mark.parametrize("spec", ("multinacci:q=1,m=4", "poly:[1,-2,1,-2,1]@(1.5,2)"))
+def test_short_orbits_refine_beta_only_for_their_buckets(spec, count_calls):
+    """An orbit of 1 that repeats within ``_BUCKET_AFTER`` steps on a base
+    without ``field_proved`` seeds no ball, and leaves beta's cells at the
+    level that keying its points by refined enclosures alone reaches."""
+    from negabeta import expansion
+
+    beta, ref = make_beta(spec), make_beta(spec)
+    seeds = count_calls(expansion, "_seed")
+    rec = orbit_of_one(beta)
+    assert seeds["_seed"] == 0
+    assert not beta.field_proved and rec.resolved
+    assert len(rec.digits) <= expansion._BUCKET_AFTER
+    x = ref.one()
+    expansion._bucket(x, ())
+    for _ in rec.digits:
+        _, x = x.map_step()
+        expansion._bucket(x, ())
+    assert beta._cells.level == ref._cells.level >= expansion._BALL_LEVEL
+
+
+@pytest.mark.parametrize("spec", ("poly:[1,-2,1,-2,1,-2,1,-2,1,-2,1,-2,1]@(1.5,2)",
+                                  "multinacci:q=1,m=12"))
+def test_long_orbits_find_their_repeat_among_balls(spec):
+    """On a base without ``field_proved`` whose orbit of 1 first repeats
+    after more than ``_BUCKET_AFTER`` steps, so that its later points carry
+    balls, ``orbit_of_one`` finds the repeat that exact steps and exact
+    equality find."""
+    from negabeta import expansion
+
+    beta = make_beta(spec)
+    rec = orbit_of_one(beta)
+    assert not beta.field_proved and len(rec.digits) > expansion._BUCKET_AFTER
+    points, digits = [beta.one()], []
+    while True:
+        d, x = points[-1].map_step()
+        digits.append(d)
+        hit = next((j for j, p in enumerate(points) if p == x), None)
+        if hit is not None:
+            break
+        points.append(x)
+    assert rec.points == tuple(points) and rec.digits == tuple(digits)
+    assert (rec.pre_len, rec.period_len) == (hit, len(points) - hit)
+
+
 def test_expand_rejects_points_outside_domain(phi):
     for x in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
         with pytest.raises(SpecError):
