@@ -55,7 +55,7 @@ from .shiftspace import (
 # module -> the names it exports through the package, loaded on first use
 _LAZY_EXPORTS = {
     "polys": (),
-    "numerics": ("Beta", "FieldPoint", "floor_beta_times", "make_beta"),
+    "numerics": ("Beta", "FieldPoint", "make_beta"),
     "expansion": ("OrbitRecord", "PiOfOne", "evaluate", "expand", "orbit_of_one",
                   "pi_of_one", "step", "truncation_bound"),
     "measure": ("CoincidenceReport", "PiecewiseDensity", "densities_coincide", "density",

@@ -24,7 +24,8 @@ import json
 import sys
 from gettext import gettext
 
-from .errors import NegabetaError, OrbitUnresolved, PrecisionExhausted, SpecError
+from .errors import (NegabetaError, OrbitUnresolved, PrecisionExhausted, SpecError,
+                     _str_limit_error)
 from .order import DEFAULT_BUDGET, EvPeriodic, is_valid_expansion_of_one, limit_word_prefix
 from .shiftspace import build_sft, entropy_estimate
 
@@ -33,9 +34,7 @@ def _json_text(obj) -> str:
     try:
         return json.dumps(obj, sort_keys=True)
     except ValueError as exc:
-        limit = sys.get_int_max_str_digits()
-        raise SpecError(f"output holds an integer beyond Python's {limit}-digit "
-                        "int-to-str limit") from exc
+        raise _str_limit_error() from exc
 
 
 def _expand(a):

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import sys
+
 
 class NegabetaError(Exception):
     """Base class for all library errors."""
@@ -34,3 +36,9 @@ class SolveError(NegabetaError):
 
 class PowerIterationError(NegabetaError):
     """Power iteration failed to converge within the iteration cap."""
+
+
+def _str_limit_error() -> SpecError:
+    """The SpecError for output past Python's int-to-str limit."""
+    return SpecError("output holds an integer beyond Python's "
+                     f"{sys.get_int_max_str_digits()}-digit int-to-str limit")

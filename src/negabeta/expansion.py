@@ -11,7 +11,8 @@ Every orbit, of 1 or of any point, runs through one driver (``_orbit``).
 It certifies each digit by the cheapest exact means the base's degree
 has: an integer floor division on degree 1, the surd floor on degree 2,
 and on higher degrees a ball that decides a digit only when it lies
-wholly between two integers, with the exact floor as the fallback.
+wholly between two integers, with the exact floor as the fallback; off
+degree 1 each step is ``FieldPoint.map_step``, given the ball's digit.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def _orbit(x: FieldPoint, ball: list | None = None):
     - Degree 3 and up: once beta's cells are _BALL_LEVEL levels deep, a
       ball: beta's current cell and x as integers over 2^P, rounded
       outward (``_seed``).  A digit is taken from the ball only when the
-      hull of beta x lies in [n, n+1) (``_ball_step``); the point rides
-      along by the exact companion step.  Otherwise ``map_step`` decides
+      hull of beta x lies in [n, n+1) (``_ball_step``), and ``map_step``
+      takes it for the exact next point.  Otherwise ``map_step`` decides
       the digit exactly, and the ball is seeded again from the exact point.
       It is also seeded again whenever beta was refined past the cell it
       came from, and a worn-out ball (_BALL_WORN) first refines beta to
@@ -117,12 +118,12 @@ def _rational_orbit(beta: Beta, x: FieldPoint):
 def _seed(beta: Beta, x: FieldPoint) -> tuple[int, int, int, int, int]:
     """(bl, bh, lo, hi, P): beta in [bl, bh] / 2^P and x in [lo, hi] / 2^P,
     from beta's current cell and x's enclosure over it, rounded outward;
-    P is the cell's precision (at least _BALL_LEVEL) plus _BALL_GUARD bits."""
+    P is the cell's precision (at least _BALL_LEVEL) plus _BALL_GUARD bits.
+    bl >= 2^P: the cells lie right of 1 (``Beta.from_poly``)."""
     cells = beta._cells
     cl, ch, cd = cells.cell(cells.level)
     P = max(cells.level + cells.D.bit_length() - cells.C.bit_length(), _BALL_LEVEL) + _BALL_GUARD
-    a, b, s = polys.int_eval_interval(polys.trimmed(x.num), cl, ch, cd)
-    s *= x.den
+    a, b, s = cells.enclosure(polys.trimmed(x.num), x.den, cells.level)
     return (cl << P) // cd, -((-ch << P) // cd), (a << P) // s, -((-b << P) // s), P
 
 
@@ -152,14 +153,11 @@ def _ball_orbit(beta: Beta, x: FieldPoint, ball: list | None):
             d, lo, hi = got
         if live and (hi - lo) >> (P - wear) and 4 * cells.level <= numerics.MAX_REFINE_LEVEL:
             cells.level *= 2  # worn out: the next ball comes from a cell twice as deep
-        if got:
-            x = x.times_beta()._add_int(d, -1)
-        else:
-            d, x = x.map_step()
-            live = False
+        d, x = x.map_step(d if got else None)  # the ball's digit, else the exact floor
+        live = bool(got)
         if (not live or cells.level > seeded) and cells.level >= _BALL_LEVEL and i >= start:
             bl, bh, lo, hi, P = _seed(beta, x)
-            seeded, live = cells.level, bl > 0
+            seeded, live = cells.level, True
         if ball is not None:
             ball[:] = (lo, hi, P) if live else ()
         yield d, x

@@ -15,9 +15,11 @@ only when a few more levels do not separate x from n/d, one zero test
 through the gcd inverses use.  Refinement narrows the isolating interval
 to dyadic cells held as integers (``_Cells``), proposed by Newton's method
 and certified by exact signs; no decision uses a float.  Enclosures are
-the integer interval Horner of ``polys`` over a cell, and a decision stops
-at the first level where its test (enclosure narrow enough, free of 0, or
-spanning at most one integer), monotone in the level, holds (``_Cells.search``).
+the integer interval Horner of ``polys`` over a cell (``_Cells.enclosure``),
+and a decision stops at the first level where its test (enclosure narrow
+enough, free of 0, or spanning at most one integer), monotone in the
+level, holds (``_Cells.search``).  beta x is one companion step
+(``FieldPoint._companion``) wherever it is taken.
 
 Points take Python's numeric operators (``+ - * / **``, comparisons,
 ``==`` and ``math.floor``), which is how other modules build and compare
@@ -44,7 +46,7 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PrecisionExhausted, SpecError
+from .errors import PrecisionExhausted, SpecError, _str_limit_error
 from . import polys
 
 # the deepest refinement level a search may reach before PrecisionExhausted
@@ -88,11 +90,6 @@ def _int_str(n: int) -> str:
         return str(n)
     except ValueError as exc:
         raise _str_limit_error() from exc
-
-
-def _str_limit_error() -> SpecError:
-    return SpecError("output holds an integer beyond Python's "
-                     f"{sys.get_int_max_str_digits()}-digit int-to-str limit")
 
 
 def format_rational(r: Fraction) -> str:
@@ -170,6 +167,12 @@ class _Cells:
             return self.root.numerator, self.root.numerator, self.root.denominator
         lo = (self.A << k) + (self.j >> (self.deep - k)) * self.C
         return lo, lo + self.C, self.D << k
+
+    def enclosure(self, ints: tuple[int, ...], den: int, k: int) -> tuple[int, int, int]:
+        """Integers (a, b, s): [a/s, b/s] encloses the point ints / den
+        (coordinates lowest first) by interval Horner over the level-k cell."""
+        a, b, s = polys.int_eval_interval(ints, *self.cell(k))
+        return a, b, den * s
 
     def _bisect(self, k: int) -> None:
         """Bisect one level per sign until level k (or the root) is reached."""
@@ -494,15 +497,9 @@ class Beta:
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """Shrink the isolating interval until it is narrower than ``width``:
-        the search goes straight to the first level whose cells are that
-        narrow, which a Newton jump reaches in a few certified steps."""
-        cells, width = self._cells, Fraction(width)
-        # the cell width C / (D 2^k) first drops below the width at level k
-        k = (cells.C * width.denominator // (width.numerator * cells.D)).bit_length() \
-            if width > 0 else math.inf
-        cells.search(lambda j: j >= k or cells.cell(j)[0] == cells.cell(j)[1],
-                     k - cells.level, "isolating interval narrower than the width")
-        return self.interval()
+        beta's own enclosure, which over a cell is the cell, narrowed by
+        ``FieldPoint.interval``."""
+        return self.beta_point().interval(width)
 
     def floor_value(self) -> int:
         """Exact floor of beta."""
@@ -639,6 +636,18 @@ class Beta:
         return FieldPoint(self, (0, 1))
 
 
+def _reduce(num: tuple[int, ...], den: int, r: int = 0) -> tuple[tuple[int, ...], int]:
+    """num / den (a d-tuple of integers, den > 0) in lowest terms.  When
+    only primes of r != 0 can divide den and every entry of num
+    (``Beta._step_modulus``), g runs over gcd(r, den) and its common part
+    with num; r = 0 (as when f_0 = 0) takes the full gcd."""
+    g = math.gcd(r, den) if r else den
+    while g != 1 and (g := math.gcd(g, *num)) != 1:
+        num, den = tuple(c // g for c in num), den // g
+        g = math.gcd(g, den) if r else 1
+    return num, den
+
+
 class FieldPoint:
     """An element of Q[x]/(f) evaluated at the isolated root of ``f``.
 
@@ -685,15 +694,8 @@ class FieldPoint:
 
     @classmethod
     def _of(cls, beta: Beta, num: tuple[int, ...], den: int, r: int = 0) -> "FieldPoint":
-        """The point num / den (a d-tuple of integers, den > 0), reduced.
-        When only primes of r != 0 can divide den and every entry of num
-        (``Beta._step_modulus``), g runs over gcd(r, den) and its common
-        part with num; r = 0 (as when f_0 = 0) takes the full gcd."""
-        g = math.gcd(r, den) if r else den
-        while g != 1 and (g := math.gcd(g, *num)) != 1:
-            num, den = tuple(c // g for c in num), den // g
-            g = math.gcd(g, den) if r else 1
-        return cls._new(beta, num, den)
+        """The point num / den (a d-tuple of integers, den > 0), reduced (``_reduce``)."""
+        return cls._new(beta, *_reduce(num, den, r))
 
     @classmethod
     def _rational(cls, beta: Beta, r) -> "FieldPoint":
@@ -800,41 +802,37 @@ class FieldPoint:
             return FieldPoint._rational(self.beta, other)
         raise TypeError(f"cannot combine FieldPoint with {type(other)!r}")
 
-    def times_beta(self) -> "FieldPoint":
-        """beta * self as one companion step: shift the coordinates and
-        add top * (x^d mod f), the unique reduced representative."""
+    def _companion(self) -> tuple[tuple[int, ...], int]:
+        """(num, den) of beta * self as one companion step: shift the
+        coordinates and add top * (x^d mod f), the unique reduced
+        representative, reduced at the primes of ``Beta._step_modulus``."""
         top, shifted = self.num[-1], (0,) + self.num[:-1]
         if not top:  # the same coordinates moved up: still reduced
-            return FieldPoint._new(self.beta, shifted, self.den)
+            return shifted, self.den
         rows, t = self.beta._power_table
-        return FieldPoint._of(self.beta, tuple(c * t + top * r for c, r in zip(shifted, rows[0])),
-                              self.den * t, self.beta._step_modulus)
+        return _reduce(tuple(c * t + top * r for c, r in zip(shifted, rows[0])),
+                       self.den * t, self.beta._step_modulus)
 
-    def map_step(self) -> tuple[int, "FieldPoint"]:
+    def times_beta(self) -> "FieldPoint":
+        """beta * self (``_companion``)."""
+        return FieldPoint._new(self.beta, *self._companion())
+
+    def map_step(self, d: int | None = None) -> tuple[int, "FieldPoint"]:
         """(d, d - beta x) with d = floor(beta x) + 1, for x this point: one
-        step of the map, in one pass over integers.  beta x is the companion
-        step of ``times_beta``, reduced as ``_of`` reduces it, kept as
-        (num, den); its floor is ``_surd_floor`` on degree 2, and on other
-        bases beta x is built as a point for ``__floor__`` (the cell search
-        off degree 1; orbits of degree-1 bases take ``expansion``'s integer
-        step instead).  The next point negates the coordinates and adds
-        d den to the first: it stays reduced."""
-        beta, num, den = self.beta, self.num, self.den
-        top = num[-1]
-        num = (0,) + num[:-1]
-        if top:
-            rows, t = beta._power_table
-            num = tuple(c * t + top * q for c, q in zip(num, rows[0]))
-            den, r = den * t, beta._step_modulus
-            g = math.gcd(r, den) if r else den  # _of's reduction
-            while g != 1 and (g := math.gcd(g, *num)) != 1:
-                num, den = tuple(c // g for c in num), den // g
-                g = math.gcd(g, den) if r else 1
-        if beta._surd is not None:
-            a2, b, s, D = beta._surd
-            d = _surd_floor(a2 * num[0] - b * num[1], s * num[1], a2 * den, D) + 1
-        else:
-            d = FieldPoint._new(beta, num, den).__floor__() + 1
+        step of the map, in one pass over integers.  beta x is
+        ``_companion``'s (num, den); a digit d given (certified elsewhere,
+        as by ``expansion``'s ball) takes no floor, else it is
+        ``_surd_floor`` on degree 2 and ``__floor__`` of beta x elsewhere.
+        The next point negates the coordinates and adds d den to the first:
+        it stays reduced."""
+        beta = self.beta
+        num, den = self._companion()
+        if d is None:
+            if beta._surd is not None:
+                a2, b, s, D = beta._surd
+                d = _surd_floor(a2 * num[0] - b * num[1], s * num[1], a2 * den, D) + 1
+            else:
+                d = FieldPoint._new(beta, num, den).__floor__() + 1
         return d, FieldPoint._new(beta, (d * den - num[0],) + tuple(-c for c in num[1:]), den)
 
     def over_beta(self, e: int = 1) -> "FieldPoint":
@@ -909,8 +907,7 @@ class FieldPoint:
 
         def enclosure(k):
             if k not in memo:
-                a, b, s = polys.int_eval_interval(ints, *cells.cell(k))
-                memo[k] = a, b, d * s
+                memo[k] = cells.enclosure(ints, d, k)
             return memo[k]
 
         jump = 1
@@ -1196,15 +1193,11 @@ def make_beta(spec: str, _ignored=None) -> Beta:
 
 
 def as_point(beta: Beta, r) -> FieldPoint:
-    """A point as it is, or a rational as a point of the base."""
+    """r as a point of the base: a point that ``FieldPoint._coerce`` carries
+    to it (SpecError for any other), or a rational."""
     if isinstance(r, FieldPoint):
-        return r
+        return beta.one()._coerce(r)
     return beta.point_from_rational(r)
-
-
-def floor_beta_times(beta: Beta, x) -> int:
-    """Exact floor of beta*x for x in (0, 1]."""
-    return math.floor(as_point(beta, x).times_beta())
 
 
 def point_decimal_str(x: FieldPoint, digits: int = 15) -> str:
@@ -1256,9 +1249,9 @@ def _check_level_cap(x: FieldPoint, digits: int) -> None:
     that is not constant in beta (the caller's condition), on any base whose
     cells have not collapsed to a rational root (``_Cells.root``), proved
     irreducible or not.  A level-k cell is C / (D 2^k) wide
-    and lies in the current cell, where |x'| >= m / (s den) when the
-    enclosure [a/s, b/s] of den x' excludes 0; the enclosure of
-    x 10^digits then spans at least 10^digits m C / (s den D 2^k), and at
+    and lies in the current cell, where |x'| >= m / s when the
+    enclosure [a/s, b/s] of x' excludes 0; the enclosure of
+    x 10^digits then spans at least 10^digits m C / (s D 2^k), and at
     width 2 it holds two integers.  (A point of a reducible base that
     equals a rational is no exception: the floor search settles even an
     exact integer only from an enclosure narrower than 1.)  The bound is
@@ -1269,10 +1262,10 @@ def _check_level_cap(x: FieldPoint, digits: int) -> None:
     if bits <= cap or beta._cells.root is not None:
         return
     cells = beta._cells
-    a, b, s = polys.int_eval_interval(polys.derivative(x.num), *cells.cell(cells.level))
+    a, b, s = cells.enclosure(polys.derivative(x.num), x.den, cells.level)
     m = a if a > 0 else -b if b < 0 else 0
     if m and bits + m.bit_length() + cells.C.bit_length() - 3 >= \
-            cap + cells.D.bit_length() + (s * x.den).bit_length():
+            cap + cells.D.bit_length() + s.bit_length():
         raise PrecisionExhausted(f"floor of a field point not reached by refinement level {cap} "
                                  "(the level cap MAX_REFINE_LEVEL)")
 
@@ -1290,8 +1283,8 @@ def _str_excess_bits(digits: int) -> int | None:
 
 def _check_str_limit(x: FieldPoint, digits: int) -> None:
     """Raise ``_str_limit_error()``, before 10^digits is formed or beta is
-    refined, when the current enclosure [a/s, b/s] of den x excludes 0 and
-    |x| >= m / (s den), for m = a or -b, shows by ``_str_excess_bits`` that
+    refined, when the current enclosure [a/s, b/s] of x excludes 0 and
+    |x| >= m / s, for m = a or -b, shows by ``_str_excess_bits`` that
     floor(|x| 10^digits) passes the int-to-str limit.  Off a quadratic
     base, only when the floor certainly needs no level within _STR_GUARD
     levels of MAX_REFINE_LEVEL, where PrecisionExhausted could come first:
@@ -1304,12 +1297,12 @@ def _check_str_limit(x: FieldPoint, digits: int) -> None:
     if excess is None:
         return
     cells = x.beta._cells
-    l, h, w = cells.cell(cells.level)
-    a, b, s = polys.int_eval_interval(x.num, l, h, w)
+    a, b, s = cells.enclosure(x.num, x.den, cells.level)
     m = a if a > 0 else -b if b < 0 else 0
-    if not m or excess < (s * x.den).bit_length() - m.bit_length() + 1:
+    if not m or excess < s.bit_length() - m.bit_length() + 1:
         return
     if x._surd() is None:
+        l, h, w = cells.cell(cells.level)
         r = max(abs(l), abs(h)) // w + 1  # R <= r
         lip = sum(i * abs(c) for i, c in enumerate(x.num))
         k = digits * 3321929 // 10**6 + 1 + cells.C.bit_length() + lip.bit_length() \

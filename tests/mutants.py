@@ -71,15 +71,23 @@ MUTANTS = (
            "return abs(self.poly[0] * self.poly[-1])", "return abs(self.poly[0])",
            _REDUCE_TESTS),
     Mutant("companion step divides once, without the loop", _NUMERICS,
-           "        while g != 1 and (g := math.gcd(g, *num)) != 1:\n"
-           "            num, den = tuple(c // g for c in num), den // g\n"
-           "            g = math.gcd(g, den) if r else 1\n"
-           "        return cls._new(beta, num, den)",
-           "        if g != 1 and (g := math.gcd(g, *num)) != 1:\n"
-           "            num, den = tuple(c // g for c in num), den // g\n"
-           "            g = math.gcd(g, den) if r else 1\n"
-           "        return cls._new(beta, num, den)",
+           "    while g != 1 and (g := math.gcd(g, *num)) != 1:\n"
+           "        num, den = tuple(c // g for c in num), den // g\n"
+           "        g = math.gcd(g, den) if r else 1\n"
+           "    return num, den",
+           "    if g != 1 and (g := math.gcd(g, *num)) != 1:\n"
+           "        num, den = tuple(c // g for c in num), den // g\n"
+           "        g = math.gcd(g, den) if r else 1\n"
+           "    return num, den",
            _REDUCE_TESTS),
+    Mutant("cell enclosure without the point's den", _NUMERICS,
+           "return a, b, den * s", "return a, b, s",
+           ("tests/test_numerics.py::test_level_search_matches_linear_refinement",
+            "tests/test_expansion.py::test_ball_digits_equal_exact_digits")),
+    Mutant("width search stops one level early", _NUMERICS,
+           "(b - a) * wd < wn * s", "(b - a) * wd < 2 * wn * s",
+           ("tests/test_numerics.py::test_rational_roots_keep_their_level",
+            "tests/test_numerics.py::test_level_search_matches_linear_refinement")),
 )
 
 

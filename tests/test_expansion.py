@@ -231,6 +231,38 @@ def test_expand_rejects_points_outside_domain(phi):
             expand(make_beta("dec:2.5"), x, 3)
 
 
+def _same_steps(beta, x, y):
+    """``step`` from x and from y give one digit and equal coordinates."""
+    (d, a), (e, b) = step(beta, x), step(beta, y)
+    return d == e and (a.num, a.den) == (b.num, b.den)
+
+
+@pytest.mark.parametrize("spec", ("dec:1.8", "pisot2:p=1,q=1", "multinacci:q=1,m=3"))
+def test_points_of_other_bases_are_carried_to_the_base(spec):
+    """``expand`` and ``step`` iterate the base they are given: a point of
+    that base as it is, a point of a degree-1 base as the rational it is,
+    and a point of the base beta + 1 through a Taylor shift; a point of any
+    other base raises SpecError, even when its value is rational."""
+    beta, golden = make_beta(spec), make_beta("pisot2:p=1,q=1")
+    b = beta.beta_point()
+    own = b - math.floor(b)  # beta - floor(beta), in (0, 1)
+    assert expand(beta, make_beta(spec).one(), 6) == expand(beta, 1, 6)
+    assert _same_steps(beta, own, own)
+    half = make_beta("dec:2.5").point_from_rational(Fraction(1, 2))
+    assert expand(beta, half, 6) == expand(beta, Fraction(1, 2), 6)
+    assert _same_steps(beta, half, Fraction(1, 2))
+    above = beta.plus_one()
+    shifted = above.beta_point() - (math.floor(b) + 1)  # the value of own
+    assert expand(beta, shifted, 6) == expand(beta, own, 6)
+    assert _same_steps(beta, shifted, own)
+    other = make_beta("multinacci:q=1,m=4") if spec == "pisot2:p=1,q=1" else golden
+    for x in (other.one(), other.beta_point() - 1):
+        with pytest.raises(SpecError, match="different bases"):
+            expand(beta, x, 6)
+        with pytest.raises(SpecError, match="different bases"):
+            step(beta, x)
+
+
 def test_orbit_classifications(phi, phi2, tribonacci):
     rec = orbit_of_one(phi)
     assert (rec.kind, rec.pre_len, rec.period_len) == ("eventually-periodic", 1, 1)

@@ -7,9 +7,14 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from negabeta import SpecError, expand, floor_beta_times, make_beta
+from negabeta import SpecError, expand, make_beta
 from negabeta import numerics, polys
 from negabeta.numerics import Beta
+
+
+def floor_beta_times(beta, x):
+    """floor(beta x) for a point or a rational x, by ``times_beta``."""
+    return math.floor(numerics.as_point(beta, x).times_beta())
 
 
 def bisect_root(coeffs_high, lo, hi, width):
@@ -1749,9 +1754,10 @@ def test_over_beta_against_the_inverse(bench_workloads):
 @pytest.mark.parametrize("spec", ["poly:[4,-7,-3]@(2,3)", "poly:[12,-20,-9,-6]@(2,3)",
                                   "poly:[2,-5,-1,0]@(2,3)", "dec:1.005"])
 def test_companion_steps_reduce_as_the_full_gcd(spec, monkeypatch):
-    """times_beta and over_beta divide out common factors at the primes of
-    f_0 f_d alone (``Beta._step_modulus``), and still give the (num, den)
-    of one gcd over the full coordinates: along seeded chains of steps from
+    """times_beta, map_step given a digit, and over_beta divide out common
+    factors at the primes of f_0 f_d alone (``Beta._step_modulus``), and
+    still give the (num, den) of one gcd over the full coordinates
+    (``numerics._reduce`` replaced by it): along seeded chains of steps from
     seeded points whose coordinates carry powers of small primes, on bases
     with repeated primes in f_0 and f_d (4x^2 - 7x - 3, 12x^3 - 20x^2 -
     9x - 6, and 200x - 201 for dec:1.005) and on 2x^3 - 5x^2 - x, whose
@@ -1775,18 +1781,24 @@ def test_companion_steps_reduce_as_the_full_gcd(spec, monkeypatch):
         for coords in starts:
             x = FieldPoint(beta, coords)
             for i in range(40):
-                x = x.times_beta() if i == 0 or rng.random() < 0.5 else x.over_beta(rng.choice((1, -1)))
+                u = rng.random()
+                if i == 0 or u < 0.35:
+                    x = x.times_beta()
+                elif u < 0.5:
+                    _, x = x.map_step(rng.randint(-3, 3))  # d - beta x, the digit given
+                else:
+                    x = x.over_beta(rng.choice((1, -1)))
                 assert x.den > 0 and math.gcd(x.den, *x.num) == 1
                 out.append((x.num, x.den))
         return out
 
     stepped = chains()
 
-    def full_gcd(cls, beta, num, den, r=0):
+    def full_gcd(num, den, r=0):
         g = math.gcd(den, *num)
-        return cls._new(beta, tuple(c // g for c in num), den // g)
+        return tuple(c // g for c in num), den // g
 
-    monkeypatch.setattr(FieldPoint, "_of", classmethod(full_gcd))
+    monkeypatch.setattr(numerics, "_reduce", full_gcd)
     assert stepped == chains()
 
 
